@@ -8,12 +8,9 @@ from .bicyclic import (
     analyze,
     decompose,
     emit_generators,
-    graph_aut_expr,
 )
 from .graphs import (
-    FamilyTag,
     Graph,
-    classify_family,
     from_edgelist,
     from_graph6,
     make_graph,
@@ -52,7 +49,6 @@ __all__ = [
     "Analysis",
     "Dihedral",
     "ExprSyntaxError",
-    "FamilyTag",
     "Graph",
     "GroupExpr",
     "KleinSemidirect",
@@ -71,12 +67,10 @@ __all__ = [
     "automorphism_count",
     "automorphism_generators",
     "classify",
-    "classify_family",
     "decompose",
     "emit_generators",
     "from_edgelist",
     "from_graph6",
-    "graph_aut_expr",
     "make_graph",
     "normalize",
     "order",

@@ -4,17 +4,19 @@ Every automorphism preserves the 2-core, so it splits into a symmetry of the
 core that preserves attached-tree shapes plus independent automorphisms of
 the attached trees fixing their roots.  The whole group is the product of
 the rooted-tree stabilizers extended by the group Q of shape-preserving core
-symmetries.  Assembly rewrites that extension into an explicit expression
-from the orbit structure of Q on the core: fixed vertices contribute direct
-factors, an involution folds its 2-orbits into a wreath with Sym(2), a Klein
-four-group becomes the two-involution semidirect form, and the larger tops
-either split into exact products of wreaths or stay as explicit semidirect
-terms (which always preserve the order).
+symmetries.  Q is the subgroup of the bare core's symmetries
+(graphs.skeleton_perms) that keeps every slot's tree code, held as
+permutations of the positions in Decomposition.layout.  Assembly rewrites
+the extension into an explicit expression from the orbit structure of Q on
+the core: fixed slots contribute direct factors, an involution folds its
+2-orbits into a wreath with Sym(2), a Klein four-group becomes the
+two-involution semidirect form, and the larger tops either split into exact
+products of wreaths or stay as explicit semidirect terms (which always
+preserve the order).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .graphs import (
     AttachedTree,
@@ -26,6 +28,7 @@ from .graphs import (
     induced_subgraph,
     is_connected,
     skeleton,
+    skeleton_perms,
 )
 from .groups import (
     GroupExpr,
@@ -37,7 +40,7 @@ from .groups import (
     Wreath,
     normalize,
 )
-from .oracle import Perm
+from .oracle import Perm, close_generators, compose, identity_perm
 from .trees import (
     RootedTree,
     aligned_iso,
@@ -51,10 +54,6 @@ from .trees import (
 class UnsupportedFamilyError(ValueError):
     """Raised for graphs that are disconnected or have three or more
     independent cycles."""
-
-
-# A core symmetry, as a map on core vertex labels.
-CoreMap = dict[int, int]
 
 
 class _Slot:
@@ -72,11 +71,16 @@ class _Slot:
 
 @dataclass
 class Decomposition:
-    """Core plus attached trees; kind is 'cycle' for unicyclic graphs."""
+    """Core plus attached trees; kind is 'cycle' for unicyclic graphs.
+
+    layout lists the core vertices in the slot order of
+    graphs.skeleton_perms: the skeleton's anchors, then each path's
+    interior; a cycle in cyclic order.  Core symmetries permute positions
+    in it."""
 
     n: int
     kind: str
-    core: tuple[int, ...]  # cycle order for 'cycle', sorted otherwise
+    layout: tuple[int, ...]
     lengths: tuple[int, ...]
     sk: Skeleton | None
     slots: dict[int, _Slot]
@@ -84,7 +88,11 @@ class Decomposition:
     core_edges: tuple[tuple[int, int], ...]
 
     def is_bare(self) -> bool:
-        return self.n == len(self.core)
+        return self.n == len(self.layout)
+
+    def exprs(self) -> list[GroupExpr]:
+        """The slot expressions in layout order."""
+        return [self.slots[v].expr for v in self.layout]
 
 
 def _cycle_order(g: Graph, core: list[int]) -> list[int]:
@@ -116,13 +124,14 @@ def decompose(g: Graph) -> Decomposition:
     slots = {v: _Slot(g, trees[v]) for v in core}
     core_edges = tuple(e for e in g.edges if e[0] in core_set and e[1] in core_set)
     if c == 1:
-        order = _cycle_order(g, core)
+        layout = tuple(_cycle_order(g, core))
         return Decomposition(
-            g.n, "cycle", tuple(order), (len(core),), None, slots, trees, core_edges
+            g.n, "cycle", layout, (len(core),), None, slots, trees, core_edges
         )
     sk = skeleton(g)
+    layout = sk.anchors + tuple(v for p in sk.paths for v in p)
     return Decomposition(
-        g.n, sk.kind, tuple(sorted(core)), sk.lengths, sk, slots, trees, core_edges
+        g.n, sk.kind, layout, sk.lengths, sk, slots, trees, core_edges
     )
 
 
@@ -137,86 +146,20 @@ def reconstruct(dec: Decomposition) -> Graph:
 # --- core symmetry candidates ----------------------------------------------
 
 
-def _key(q: CoreMap) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(q.items()))
+def candidate_symmetries(dec: Decomposition) -> list[Perm]:
+    """Every symmetry of the bare core, on layout positions."""
+    return skeleton_perms(dec.kind, dec.lengths)
 
 
-def _compose(f: CoreMap, g: CoreMap) -> CoreMap:
-    return {x: f[g[x]] for x in g}
-
-
-def _is_identity(q: CoreMap) -> bool:
-    return all(k == v for k, v in q.items())
-
-
-def _theta_candidates(sk: Skeleton) -> list[CoreMap]:
-    u, v = sk.anchors
-    out = []
-    for pi in permutations(range(3)):
-        if any(sk.lengths[pi[i]] != sk.lengths[i] for i in range(3)):
-            continue
-        for flip in (False, True):
-            m = {u: v, v: u} if flip else {u: u, v: v}
-            for i in range(3):
-                src, dst = sk.paths[i], sk.paths[pi[i]]
-                for idx, x in enumerate(src):
-                    m[x] = dst[len(dst) - 1 - idx] if flip else dst[idx]
-            out.append(m)
-    return out
-
-
-def _two_cycle_candidates(sk: Skeleton) -> list[CoreMap]:
-    """Shared-vertex and dumbbell skeletons: per-cycle flips, plus the swap
-    when the cycle lengths agree."""
-    pa, pb = sk.paths[0], sk.paths[1]
-    fixed = list(sk.anchors) + (list(sk.paths[2]) if sk.kind == "dumbbell" else [])
-    ident = {x: x for x in [*fixed, *pa, *pb]}
-    fa = dict(ident)
-    for i, x in enumerate(pa):
-        fa[x] = pa[len(pa) - 1 - i]
-    fb = dict(ident)
-    for i, x in enumerate(pb):
-        fb[x] = pb[len(pb) - 1 - i]
-    out = [ident, fa, fb, _compose(fa, fb)]
-    if sk.lengths[0] == sk.lengths[1]:
-        swap = dict(ident)
-        if sk.kind == "dumbbell":
-            a, b = sk.anchors
-            swap[a], swap[b] = b, a
-            br = sk.paths[2]
-            for i, x in enumerate(br):
-                swap[x] = br[len(br) - 1 - i]
-        for i in range(len(pa)):
-            swap[pa[i]], swap[pb[i]] = pb[i], pa[i]
-        out.extend(_compose(swap, q) for q in out[:4])
-    return out
-
-
-def _cycle_candidates(order: tuple[int, ...]) -> list[CoreMap]:
-    k = len(order)
-    out = []
-    for j in range(k):
-        out.append({order[i]: order[(i + j) % k] for i in range(k)})
-        out.append({order[i]: order[(j - i) % k] for i in range(k)})
-    return out
-
-
-def candidate_symmetries(dec: Decomposition) -> list[CoreMap]:
-    if dec.kind == "cycle":
-        return _cycle_candidates(dec.core)
-    if dec.kind == "theta":
-        return _theta_candidates(dec.sk)
-    return _two_cycle_candidates(dec.sk)
-
-
-def core_symmetries(dec: Decomposition) -> list[CoreMap]:
+def core_symmetries(dec: Decomposition) -> list[Perm]:
     """The group Q: candidate core symmetries that preserve attached-tree
     shapes.  Shape preservation is closed under composition, so filtering
     the candidate group keeps a group."""
+    codes = [dec.slots[v].code for v in dec.layout]
     return [
         q
         for q in candidate_symmetries(dec)
-        if all(dec.slots[q[x]].code == dec.slots[x].code for x in q)
+        if all(codes[j] == c for j, c in zip(q, codes))
     ]
 
 
@@ -231,120 +174,84 @@ def _opt_product(exprs: list[GroupExpr]) -> GroupExpr:
     return Product(tuple(exprs))
 
 
-def _z2_fold(dec: Decomposition, vs: list[int], sigma: CoreMap) -> GroupExpr:
-    """Exact expression for the slot product over vs extended by an
-    involution: fixed slots stay direct factors, swapped pairs fold into a
-    wreath with Sym(2)."""
-    index = {v: i for i, v in enumerate(vs)}
-    perm_id = tuple(range(len(vs)))
-    perm = tuple(index[sigma[v]] for v in vs)
-    base = _opt_product([dec.slots[v].expr for v in vs])
-    return normalize(SemiTop(base, TopGroup("Z2", (perm_id, perm))))
+def _z2_fold(exprs: list[GroupExpr], vs: range | list[int], sigma: Perm) -> GroupExpr:
+    """Exact expression for the slot product over the positions vs extended
+    by an involution sigma of them: fixed slots stay direct factors, swapped
+    pairs (equal slots, as sigma keeps codes) fold into a wreath with
+    Sym(2)."""
+    fixed = [exprs[i] for i in vs if sigma[i] == i]
+    pairs = [exprs[i] for i in vs if sigma[i] > i]
+    return normalize(_opt_product(fixed + [Wreath(_opt_product(pairs), 2)]))
 
 
-def _is_klein(Q: list[CoreMap]) -> bool:
-    return len(Q) == 4 and all(_is_identity(_compose(q, q)) for q in Q)
+def _is_klein(Q: list[Perm]) -> bool:
+    ident = identity_perm(len(Q[0]))
+    return len(Q) == 4 and all(compose(q, q) == ident for q in Q)
 
 
-def _klein_assemble(dec: Decomposition, Q: list[CoreMap]) -> GroupExpr | None:
+def _klein_assemble(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     """Exact expression for a Klein four-group of core symmetries.
 
-    Orbits of size 4 are regular and carry the quad coordinates; each
-    2-orbit is fixed pointwise by exactly one involution, which determines
-    whether it lands in the h or k pair of the semidirect form.  Returns
-    None if a third stabilizer type shows up (impossible on these cores,
-    kept as a guarded fallback)."""
-    nonid = sorted((q for q in Q if not _is_identity(q)), key=_key)
-    orbits = []
-    seen: set[int] = set()
-    for v in sorted(nonid[0]):
-        if v in seen:
-            continue
-        orb = sorted({q[v] for q in Q})
-        seen.update(orb)
-        orbits.append(orb)
-    pair_stabs = []
-    for orb in orbits:
-        if len(orb) == 2:
-            x = orb[0]
-            stab = [q for q in nonid if q[x] == x]
-            if len(stab) != 1:
-                return None
-            pair_stabs.append(_key(stab[0]))
-    stab_keys = sorted(set(pair_stabs))
-    if len(stab_keys) > 2:
-        return None
-    by_key = {_key(q): q for q in nonid}
-    if len(stab_keys) == 2:
-        # h pairs are fixed by q2, k pairs by q1
-        q2, q1 = by_key[stab_keys[0]], by_key[stab_keys[1]]
-    elif len(stab_keys) == 1:
-        q1 = by_key[stab_keys[0]]
-        q2 = next(by_key[k] for k in sorted(by_key) if k != stab_keys[0])
-    else:
-        q1, q2 = nonid[0], nonid[1]
-    q3 = next(q for q in nonid if _key(q) not in (_key(q1), _key(q2)))
+    Orbits of size 4 are regular and carry the quad coordinates.  A 2-orbit
+    has an order-2 stabilizer, so exactly one involution fixes it
+    pointwise.  Only two involutions ever fix 2-orbits: the end flip and
+    the branch swap on a theta, the two flips or the central reversal on
+    two cycles, the two reflections on a cycle.  Which of them fixes a pair
+    puts it in the h or the k coordinates of the semidirect form."""
+    exprs = dec.exprs()
+    nonid = sorted(Q)[1:]  # the identity sorts first
+    orbits = sorted({tuple(sorted({q[i] for q in Q})) for i in range(len(exprs))})
     fixed: list[GroupExpr] = []
-    dreps: list[GroupExpr] = []
-    hreps: list[GroupExpr] = []
-    kreps: list[GroupExpr] = []
+    quads: list[GroupExpr] = []
+    pairs: dict[Perm, list[GroupExpr]] = {}
     for orb in orbits:
-        e = dec.slots[orb[0]].expr
+        e = exprs[orb[0]]
         if len(orb) == 1:
             fixed.append(e)
-        elif len(orb) == 2:
-            (kreps if q1[orb[0]] == orb[0] else hreps).append(e)
+        elif len(orb) == 4:
+            quads.append(e)
         else:
-            r = orb[0]
-            if sorted({r, q1[r], q2[r], q3[r]}) != orb:
-                return None
-            dreps.append(e)
-    semi = KleinSemidirect(_opt_product(dreps), _opt_product(hreps), _opt_product(kreps))
-    return normalize(Product(tuple(fixed + [semi])) if fixed else semi)
+            stab = next(q for q in nonid if q[orb[0]] == orb[0])
+            pairs.setdefault(stab, []).append(e)
+    h, k = [*map(_opt_product, pairs.values()), Trivial(), Trivial()][:2]
+    return normalize(_opt_product(fixed + [KleinSemidirect(_opt_product(quads), h, k)]))
 
 
-def _d4_assemble(dec: Decomposition, Q: list[CoreMap]) -> GroupExpr | None:
+def _d4_assemble(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     """Exact expression for the full order-8 top on a shared-vertex or
     dumbbell core: the swap conjugates one cycle side onto the other, so the
     whole group is (side extended by its flip) wreathed with Sym(2), times
-    the globally fixed slots."""
+    the globally fixed slots.  A full D4 always contains the one-sided flip
+    of cycle A."""
+    exprs = dec.exprs()
+    ident = identity_perm(len(exprs))
     sk = dec.sk
-    set_a = set(sk.paths[0])
+    lo, hi = len(sk.anchors), len(sk.anchors) + len(sk.paths[0])  # cycle A
     fa = next(
-        (
-            q
-            for q in Q
-            if not _is_identity(q)
-            and all(q[x] == x for x in q if x not in set_a)
-        ),
-        None,
+        q for q in Q if q != ident and q[:lo] + q[hi:] == ident[:lo] + ident[hi:]
     )
-    if fa is None:
-        return None
-    aside = list(sk.paths[0])
+    aside = list(range(lo, hi))
     if sk.kind == "dumbbell":
-        br = sk.paths[2]
-        aside = [sk.anchors[0]] + aside + [
-            br[i] for i in range(len(br)) if i < len(br) - 1 - i
-        ]
-    fixed_all = [
-        v for v in sorted(dec.core) if all(q[v] == v for q in Q)
-    ]
-    x_side = _z2_fold(dec, aside, fa)
-    factors = [dec.slots[v].expr for v in fixed_all] + [Wreath(x_side, 2)]
-    return normalize(Product(tuple(factors)) if len(factors) > 1 else factors[0])
+        # anchor a and the half of the bridge next to it; the bridge comes last
+        br = len(sk.paths[2])
+        start = len(exprs) - br
+        aside = [0] + aside + [start + i for i in range(br) if i < br - 1 - i]
+    fixed_all = [exprs[i] for i in ident if all(q[i] == i for q in Q)]
+    x_side = _z2_fold(exprs, aside, fa)
+    return normalize(_opt_product(fixed_all + [Wreath(x_side, 2)]))
 
 
-def _elt_order(q: CoreMap) -> int:
+def _elt_order(q: Perm) -> int:
+    ident = identity_perm(len(q))
     out = 1
     cur = q
-    while not _is_identity(cur):
-        cur = _compose(cur, q)
+    while cur != ident:
+        cur = compose(cur, q)
         out += 1
     return out
 
 
-def _top_name(dec: Decomposition, Q: list[CoreMap]) -> str:
+def _top_name(dec: Decomposition, Q: list[Perm]) -> str:
     n = len(Q)
     if any(_elt_order(q) == n for q in Q):
         return "Z%d" % n
@@ -355,14 +262,13 @@ def _top_name(dec: Decomposition, Q: list[CoreMap]) -> str:
     return "Z%d" % n
 
 
-def _honest_semi(dec: Decomposition, Q: list[CoreMap]) -> GroupExpr:
+def _honest_semi(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     """Order-preserving fallback: the slot product with a named top of the
     right size."""
-    base = _opt_product([dec.slots[v].expr for v in sorted(dec.core)])
-    return normalize(SemiTop(base, TopGroup(_top_name(dec, Q))))
+    return normalize(SemiTop(_opt_product(dec.exprs()), TopGroup(_top_name(dec, Q))))
 
 
-def _theta_s3_fold(dec: Decomposition, Q: list[CoreMap]) -> GroupExpr:
+def _theta_s3_fold(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     """Three pointwise-isomorphic branches permuted without the end swap:
     the branches wreathe with Sym(3), the two branch vertices stay fixed."""
     sk = dec.sk
@@ -372,7 +278,7 @@ def _theta_s3_fold(dec: Decomposition, Q: list[CoreMap]) -> GroupExpr:
     return normalize(Product(factors))
 
 
-def _theta_full_fold(dec: Decomposition, Q: list[CoreMap]) -> GroupExpr:
+def _theta_full_fold(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     """Full order-12 theta top.  The flip part acts only on the branch
     vertices and the S3 part only on the branch midpoints whenever every
     off-center branch slot is trivial; then the two wreaths split off
@@ -393,7 +299,7 @@ def _theta_full_fold(dec: Decomposition, Q: list[CoreMap]) -> GroupExpr:
     return normalize(Product((Wreath(dec.slots[u].expr, 2), Wreath(mid, 3))))
 
 
-def _case_label(dec: Decomposition, Q: list[CoreMap]) -> str:
+def _case_label(dec: Decomposition, Q: list[Perm]) -> str:
     """Label matching the published case analysis for bicyclic graphs;
     'generic' when no named case applies, '-' for other families."""
     k = len(Q)
@@ -404,53 +310,44 @@ def _case_label(dec: Decomposition, Q: list[CoreMap]) -> str:
         if k == 8:
             if dec.is_bare():
                 return "M1"
-            codes = {dec.slots[v].code for v in dec.core if v != c}
+            codes = {dec.slots[v].code for v in dec.layout if v != c}
             return "M2" if len(codes) == 1 else "M3"
         if k == 4:
             return "M6" if dec.is_bare() else "M7"
         if k == 2:
-            q = next(q for q in Q if not _is_identity(q))
-            return "M4" if q[dec.sk.paths[0][0]] in set(dec.sk.paths[1]) else "M8"
+            # does the involution send cycle A (from position 1) to cycle B?
+            return "M4" if dec.layout[max(Q)[1]] in dec.sk.paths[1] else "M8"
         return "M5"
     if dec.kind == "dumbbell":
         if k == 8:
             return "N1"
         if k == 4:
             return "N2"
-        if k == 2:
-            q = next(q for q in Q if not _is_identity(q))
-            if q[dec.sk.anchors[0]] == dec.sk.anchors[1]:
-                return "N3"
+        if k == 2 and max(Q)[0] == 1:  # the involution swaps the anchors
+            return "N3"
         return "generic"
     return "-"
 
 
-def _assemble(dec: Decomposition, Q: list[CoreMap]) -> GroupExpr:
+def _assemble(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     k = len(Q)
     if k == 1:
-        return normalize(_opt_product([dec.slots[v].expr for v in sorted(dec.core)]))
-    if k == 2:
-        sigma = next(q for q in Q if not _is_identity(q))
-        return _z2_fold(dec, list(dec.core), sigma)
+        return normalize(_opt_product(dec.exprs()))
+    if k == 2:  # the identity sorts first, so max(Q) is the involution
+        return _z2_fold(dec.exprs(), range(len(dec.layout)), max(Q))
     if _is_klein(Q):
-        e = _klein_assemble(dec, Q)
-        if e is not None:
-            return e
+        return _klein_assemble(dec, Q)
     if dec.kind in ("shared", "dumbbell") and k == 8:
-        e = _d4_assemble(dec, Q)
-        if e is not None:
-            return e
-    if dec.kind == "theta" and k == 6:
-        u = dec.sk.anchors[0]
-        if all(q[u] == u for q in Q):
-            return _theta_s3_fold(dec, Q)
+        return _d4_assemble(dec, Q)
+    if dec.kind == "theta" and k == 6 and all(q[0] == 0 for q in Q):
+        return _theta_s3_fold(dec, Q)
     if dec.kind == "theta" and k == 12:
         return _theta_full_fold(dec, Q)
-    if dec.kind == "cycle" and k == 2 * len(dec.core):
-        rep = dec.slots[dec.core[0]].expr
-        if len(dec.core) == 3:
+    if dec.kind == "cycle" and k == 2 * len(dec.layout):
+        rep = dec.slots[dec.layout[0]].expr
+        if len(dec.layout) == 3:
             return normalize(Wreath(rep, 3))
-        if len(dec.core) == 4:
+        if len(dec.layout) == 4:
             return normalize(Wreath(Wreath(rep, 2), 2))
     return _honest_semi(dec, Q)
 
@@ -468,7 +365,7 @@ class Analysis:
     case: str
     expr: GroupExpr
     dec: Decomposition | None
-    symmetries: tuple[CoreMap, ...]
+    symmetries: tuple[Perm, ...]  # Q, on the positions of dec.layout
 
 
 def analyze(g: Graph) -> Analysis:
@@ -491,34 +388,14 @@ def analyze(g: Graph) -> Analysis:
     return Analysis(family, dec.kind, dec.lengths, case, expr, dec, tuple(Q))
 
 
-def graph_aut_expr(g: Graph) -> GroupExpr:
-    return analyze(g).expr
-
-
-def _span(gens: list[CoreMap], ident: CoreMap) -> dict:
-    elems = {_key(ident): ident}
-    changed = True
-    while changed:
-        changed = False
-        for a in list(elems.values()):
-            for b in gens:
-                c = _compose(a, b)
-                if _key(c) not in elems:
-                    elems[_key(c)] = c
-                    changed = True
-    return elems
-
-
-def _generating_subset(Q: tuple[CoreMap, ...]) -> list[CoreMap]:
-    ident = {x: x for x in Q[0]}
-    by_key = {_key(q): q for q in Q}
-    chosen: list[CoreMap] = []
-    reached = {_key(ident)}
-    for k in sorted(by_key):
-        if k in reached:
+def _generating_subset(Q: tuple[Perm, ...]) -> list[Perm]:
+    chosen: list[Perm] = []
+    reached = {identity_perm(len(Q[0]))}
+    for q in sorted(Q):
+        if q in reached:
             continue
-        chosen.append(by_key[k])
-        reached = set(_span(chosen, ident))
+        chosen.append(q)
+        reached = set(close_generators(len(q), chosen, len(Q)))
         if len(reached) == len(Q):
             break
     return chosen
@@ -533,7 +410,7 @@ def emit_generators(g: Graph, analysis: Analysis | None = None) -> list[Perm]:
         return tree_aut_generators(g)
     dec = a.dec
     gens: list[Perm] = []
-    for v in dec.core:
+    for v in dec.layout:
         slot = dec.slots[v]
         for p in rooted_aut_generators(slot.graph, 0):
             out = list(range(g.n))
@@ -542,10 +419,10 @@ def emit_generators(g: Graph, analysis: Analysis | None = None) -> list[Perm]:
             gens.append(tuple(out))
     for q in _generating_subset(a.symmetries):
         out = list(range(g.n))
-        for v in dec.core:
-            if q[v] == v:
+        for i, v in enumerate(dec.layout):
+            if q[i] == i:
                 continue
-            slot, target = dec.slots[v], dec.slots[q[v]]
+            slot, target = dec.slots[v], dec.slots[dec.layout[q[i]]]
             iso = aligned_iso(slot.tree, target.tree)
             for li, lj in iso.items():
                 out[slot.vertices[li]] = target.vertices[lj]

@@ -13,9 +13,9 @@ from __future__ import annotations
 import random
 import struct
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 
-from .graphs import Graph, make_graph, splice
+from .graphs import Graph, make_graph, skeleton_perms, splice
 from .trees import tree_code
 
 Shape = tuple
@@ -126,78 +126,6 @@ def skeleton_core(kind: str, lengths: tuple[int, ...]) -> tuple[Graph, list[int]
     raise ValueError("unknown core kind %r" % (kind,))
 
 
-def _slot_perms(kind: str, lengths: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The symmetries of the bare core as permutations of slot indices."""
-    if kind == "cycle":
-        (k,) = lengths
-        out = []
-        for j in range(k):
-            out.append(tuple((i + j) % k for i in range(k)))
-            out.append(tuple((j - i) % k for i in range(k)))
-        return out
-    if kind == "theta":
-        offs = []
-        nxt = 2
-        for length in lengths:
-            offs.append(nxt)
-            nxt += length - 1
-        out = []
-        for pi in permutations(range(3)):
-            if any(lengths[pi[i]] != lengths[i] for i in range(3)):
-                continue
-            for flip in (False, True):
-                perm = list(range(nxt))
-                if flip:
-                    perm[0], perm[1] = 1, 0
-                for i in range(3):
-                    li = lengths[i]
-                    for j in range(li - 1):
-                        jj = li - 2 - j if flip else j
-                        perm[offs[i] + j] = offs[pi[i]] + jj
-                out.append(tuple(perm))
-        return out
-    if kind == "shared":
-        offs = [1, lengths[0]]
-        total = lengths[0] + lengths[1] - 1
-        swaps = (False, True) if lengths[0] == lengths[1] else (False,)
-        out = []
-        for sw in swaps:
-            for f0 in (False, True):
-                for f1 in (False, True):
-                    perm = list(range(total))
-                    for i, flip in ((0, f0), (1, f1)):
-                        li = lengths[i]
-                        ti = 1 - i if sw else i
-                        for j in range(li - 1):
-                            jj = li - 2 - j if flip else j
-                            perm[offs[i] + j] = offs[ti] + jj
-                    out.append(tuple(perm))
-        return out
-    if kind == "dumbbell":
-        la, lb, lbr = lengths
-        offs = [2, 2 + la - 1, 2 + la + lb - 2]
-        total = 2 + la + lb + lbr - 3
-        swaps = (False, True) if la == lb else (False,)
-        out = []
-        for sw in swaps:
-            for f0 in (False, True):
-                for f1 in (False, True):
-                    perm = list(range(total))
-                    if sw:
-                        perm[0], perm[1] = 1, 0
-                        for j in range(lbr - 1):
-                            perm[offs[2] + j] = offs[2] + (lbr - 2 - j)
-                    for i, flip in ((0, f0), (1, f1)):
-                        li = (la, lb)[i]
-                        ti = 1 - i if sw else i
-                        for j in range(li - 1):
-                            jj = li - 2 - j if flip else j
-                            perm[offs[i] + j] = offs[ti] + jj
-                    out.append(tuple(perm))
-        return out
-    raise ValueError("unknown core kind %r" % (kind,))
-
-
 def _compositions(total: int, parts: int):
     if parts == 1:
         yield (total,)
@@ -221,7 +149,7 @@ def _decorated(kind: str, lengths: tuple[int, ...], n: int) -> list[Graph]:
     extra = n - core.n
     if extra < 0:
         return []
-    perms = _slot_perms(kind, lengths)
+    perms = skeleton_perms(kind, lengths)
     seen: set[tuple[bytes, ...]] = set()
     out: list[Graph] = []
     for comp in _compositions(extra, len(slots)):

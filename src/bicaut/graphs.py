@@ -1,7 +1,7 @@
 """Undirected simple graphs on vertices 0..n-1, plus the structural
 decomposition used everywhere else: cyclomatic number, the pruned core of a
-unicyclic or bicyclic graph, its skeleton paths, and the trees hanging off
-core vertices.
+unicyclic or bicyclic graph, its skeleton paths and their symmetries, and
+the trees hanging off core vertices.
 
 Graphs are immutable: a sorted tuple of sorted edge pairs plus the vertex
 count.  Formats: a plain edge-list text form and graph6.
@@ -9,6 +9,7 @@ count.  Formats: a plain edge-list text form and graph6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 
 
 @dataclass(frozen=True)
@@ -285,34 +286,83 @@ def skeleton(g: Graph) -> Skeleton:
     )
 
 
-@dataclass(frozen=True)
-class FamilyTag:
-    """Coarse family of a connected graph: name plus bicyclic subtype.
+def skeleton_perms(kind: str, lengths: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every symmetry of the bare core, as a permutation p of slot indices
+    sending slot i to slot p[i].
 
-    kind is "tree", "unicyclic", "bicyclic" or "other"; subtype is 1 for a
-    theta core, 2 for two cycles joined by a bridge, 3 for two cycles sharing
-    a vertex, and 0 otherwise.  extra holds the cyclomatic number for "other".
+    Slots are laid out as the anchors, then each path's interior in order
+    (a cycle is its vertices in cyclic order), as in Skeleton.  Bare cores
+    are determined by (kind, lengths), so this is the whole symmetry group:
+    at most S3 x Z2 for a theta, D4 for two cycles, D_k for a k-cycle.
     """
-
-    kind: str
-    subtype: int = 0
-    extra: int = 0
-
-
-_SUBTYPE = {"theta": 1, "dumbbell": 2, "shared": 3}
-
-
-def classify_family(g: Graph) -> FamilyTag:
-    if not is_connected(g):
-        raise ValueError("graph is not connected")
-    c = len(g.edges) - g.n + 1
-    if c == 0:
-        return FamilyTag("tree")
-    if c == 1:
-        return FamilyTag("unicyclic")
-    if c == 2:
-        return FamilyTag("bicyclic", _SUBTYPE[skeleton(g).kind])
-    return FamilyTag("other", 0, c)
+    if kind == "cycle":
+        (k,) = lengths
+        out = []
+        for j in range(k):
+            out.append(tuple((i + j) % k for i in range(k)))
+            out.append(tuple((j - i) % k for i in range(k)))
+        return out
+    if kind == "theta":
+        offs = []
+        nxt = 2
+        for length in lengths:
+            offs.append(nxt)
+            nxt += length - 1
+        out = []
+        for pi in permutations(range(3)):
+            if any(lengths[pi[i]] != lengths[i] for i in range(3)):
+                continue
+            for flip in (False, True):
+                perm = list(range(nxt))
+                if flip:
+                    perm[0], perm[1] = 1, 0
+                for i in range(3):
+                    li = lengths[i]
+                    for j in range(li - 1):
+                        jj = li - 2 - j if flip else j
+                        perm[offs[i] + j] = offs[pi[i]] + jj
+                out.append(tuple(perm))
+        return out
+    if kind == "shared":
+        offs = [1, lengths[0]]
+        total = lengths[0] + lengths[1] - 1
+        swaps = (False, True) if lengths[0] == lengths[1] else (False,)
+        out = []
+        for sw in swaps:
+            for f0 in (False, True):
+                for f1 in (False, True):
+                    perm = list(range(total))
+                    for i, flip in ((0, f0), (1, f1)):
+                        li = lengths[i]
+                        ti = 1 - i if sw else i
+                        for j in range(li - 1):
+                            jj = li - 2 - j if flip else j
+                            perm[offs[i] + j] = offs[ti] + jj
+                    out.append(tuple(perm))
+        return out
+    if kind == "dumbbell":
+        la, lb, lbr = lengths
+        offs = [2, 2 + la - 1, 2 + la + lb - 2]
+        total = 2 + la + lb + lbr - 3
+        swaps = (False, True) if la == lb else (False,)
+        out = []
+        for sw in swaps:
+            for f0 in (False, True):
+                for f1 in (False, True):
+                    perm = list(range(total))
+                    if sw:
+                        perm[0], perm[1] = 1, 0
+                        for j in range(lbr - 1):
+                            perm[offs[2] + j] = offs[2] + (lbr - 2 - j)
+                    for i, flip in ((0, f0), (1, f1)):
+                        li = (la, lb)[i]
+                        ti = 1 - i if sw else i
+                        for j in range(li - 1):
+                            jj = li - 2 - j if flip else j
+                            perm[offs[i] + j] = offs[ti] + jj
+                    out.append(tuple(perm))
+        return out
+    raise ValueError("unknown core kind %r" % (kind,))
 
 
 def eccentricities(g: Graph) -> list[int]:

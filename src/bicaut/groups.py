@@ -4,9 +4,10 @@ An expression denotes a finite group built from symmetric groups by direct
 products, wreath products with a full symmetric top, a wreath with the Klein
 four-group acting regularly on four points, a Klein four-group semidirect
 product with the fixed coordinate action on four-plus-two-plus-two slots, and
-a generic semidirect product by a small named top group.  Equality of
-expressions is structural equality after normalize(); abstract group
-isomorphism beyond the normalization rewrites is out of scope.
+a generic semidirect product by a small top group known only by its name,
+with no action on the base factors.  Equality of expressions is structural
+equality after normalize(); abstract group isomorphism beyond the
+normalization rewrites is out of scope.
 
 Class tags:
   T        closed under products and wreaths-by-Sym starting from the trivial
@@ -118,15 +119,11 @@ def top_size(name: str) -> int:
 
 @dataclass(frozen=True)
 class TopGroup:
-    """A small named group acting on the base factors of a SemiTop.
-
-    perms, when present, lists the full element set as permutations of the
-    base factor slots (identity included).  Normalization erases the action
-    once its rewrites are done, so parsed and printed tops carry only a name.
-    """
+    """A small named group on top of a SemiTop.  Only the name is kept, not
+    an action on the base factors, so a SemiTop pins down the order of the
+    group and nothing finer."""
 
     name: str
-    perms: tuple[tuple[int, ...], ...] = ()
 
     @property
     def size(self) -> int:
@@ -266,17 +263,6 @@ def normalize(e: GroupExpr) -> GroupExpr:
             if rewritten is not None:
                 return normalize(rewritten)
             return SemiTop(Trivial(), TopGroup(e.top.name))
-        if e.top.size == 2 and e.top.perms:
-            sigma = next((p for p in e.top.perms if p != tuple(range(len(p)))), None)
-            if sigma is not None and len(sigma) == len(factors):
-                fixed = [factors[i] for i in range(len(sigma)) if sigma[i] == i]
-                reps = [factors[i] for i in range(len(sigma)) if sigma[i] > i]
-                if all(
-                    factors[i] == factors[sigma[i]]
-                    for i in range(len(sigma))
-                    if sigma[i] > i
-                ):
-                    return _product(fixed + [_wreath2(_product(reps))])
         return SemiTop(_product(factors), TopGroup(e.top.name))
     raise TypeError("not a group expression: %r" % (e,))
 

@@ -10,13 +10,13 @@ from bicaut.bicyclic import (
     core_symmetries,
     decompose,
     emit_generators,
-    graph_aut_expr,
     reconstruct,
 )
 from bicaut.generate import (
     CASE_LABELS,
     all_bicyclic,
     all_unicyclic,
+    bicyclic_skeletons,
     case_instance,
     random_bicyclic,
     skeleton_core,
@@ -33,7 +33,12 @@ from bicaut.groups import (
     order,
     print_expr,
 )
-from bicaut.oracle import automorphism_count, close_generators, is_automorphism
+from bicaut.oracle import (
+    automorphism_count,
+    close_generators,
+    compose,
+    is_automorphism,
+)
 
 DIAMOND = make_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
 K23 = make_graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
@@ -72,12 +77,19 @@ def test_analyze_handles_trees():
 
 
 def test_candidate_group_sizes():
-    assert len(candidate_symmetries(decompose(THETA333))) == 12
-    assert len(candidate_symmetries(decompose(DIAMOND))) == 4
-    assert len(candidate_symmetries(decompose(FIG8_33))) == 8
-    assert len(candidate_symmetries(decompose(FIG8_34))) == 4
-    assert len(candidate_symmetries(decompose(DUMB331))) == 8
-    assert len(candidate_symmetries(decompose(C5))) == 10
+    # on a bare core the candidates are the whole automorphism group
+    cores = [("cycle", (k,)) for k in range(3, 13)] + list(bicyclic_skeletons(12))
+    assert len(cores) == 136
+    for kind, lengths in cores:
+        g = skeleton_core(kind, lengths)[0]
+        dec = decompose(g)
+        cands = candidate_symmetries(dec)
+        assert len(cands) == automorphism_count(g), (kind, lengths)
+        for q in cands:
+            lift = list(range(g.n))
+            for i, v in enumerate(dec.layout):
+                lift[v] = dec.layout[q[i]]
+            assert is_automorphism(g, tuple(lift)), (kind, lengths, q)
 
 
 def test_filtered_symmetries_form_a_group():
@@ -86,28 +98,41 @@ def test_filtered_symmetries_form_a_group():
         g = random_bicyclic(rng, rng.randint(6, 12))
         dec = decompose(g)
         Q = core_symmetries(dec)
-        keys = {tuple(sorted(q.items())) for q in Q}
+        members = set(Q)
         for a in Q:
             for b in Q:
-                comp = {x: a[b[x]] for x in b}
-                assert tuple(sorted(comp.items())) in keys
+                assert compose(a, b) in members
         assert len(candidate_symmetries(dec)) % len(Q) == 0
 
 
 def test_frozen_expressions():
     # orders confirmed against the brute-force count in test_matches_oracle
-    assert graph_aut_expr(FIG8_33) == Wreath(Sym(2), 2)
-    assert graph_aut_expr(FIG8_34) == Product((Sym(2), Sym(2)))
-    assert graph_aut_expr(DIAMOND) == Product((Sym(2), Sym(2)))
-    assert graph_aut_expr(K23) == Product((Sym(2), Sym(3)))
-    assert graph_aut_expr(THETA333) == Product((Sym(2), Sym(3)))
-    assert graph_aut_expr(DUMB331) == Wreath(Sym(2), 2)
-    assert graph_aut_expr(C5) == Dihedral(5)
-    assert graph_aut_expr(C6) == Product((Sym(2), Sym(3)))
-    assert graph_aut_expr(skeleton_core("cycle", (3,))[0]) == Sym(3)
-    assert graph_aut_expr(skeleton_core("cycle", (4,))[0]) == Wreath(Sym(2), 2)
+    assert analyze(FIG8_33).expr == Wreath(Sym(2), 2)
+    assert analyze(FIG8_34).expr == Product((Sym(2), Sym(2)))
+    assert analyze(DIAMOND).expr == Product((Sym(2), Sym(2)))
+    assert analyze(K23).expr == Product((Sym(2), Sym(3)))
+    assert analyze(THETA333).expr == Product((Sym(2), Sym(3)))
+    assert analyze(DUMB331).expr == Wreath(Sym(2), 2)
+    assert analyze(C5).expr == Dihedral(5)
+    assert analyze(C6).expr == Product((Sym(2), Sym(3)))
+    assert analyze(skeleton_core("cycle", (3,))[0]).expr == Sym(3)
+    assert analyze(skeleton_core("cycle", (4,))[0]).expr == Wreath(Sym(2), 2)
     tadpole = splice(skeleton_core("cycle", (3,))[0], 0, make_graph(2, [(0, 1)]), 0)[0]
-    assert graph_aut_expr(tadpole) == Sym(2)
+    assert analyze(tadpole).expr == Sym(2)
+
+
+def test_involution_fold_expression():
+    # C5 with a 2-leaf star at 0 and 3-leaf stars at 1 and 4: the only core
+    # symmetry is the reflection through 0, which swaps the two equal S3
+    # slots (and the bare 2, 3) and fixes the S2 slot
+    g = skeleton_core("cycle", (5,))[0]
+    for v, leaves in ((0, 2), (1, 3), (4, 3)):
+        star = make_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+        g = splice(g, v, star, 0)[0]
+    a = analyze(g)
+    assert len(a.symmetries) == 2
+    assert a.expr == Product((Sym(2), Wreath(Sym(3), 2)))
+    assert order(a.expr) == automorphism_count(g) == 144
 
 
 def test_case_labels_on_deterministic_instances():

@@ -10,7 +10,6 @@ from bicaut.graphs import (
     adjacency,
     attached_trees,
     center,
-    classify_family,
     components,
     core_vertices,
     cyclomatic_number,
@@ -121,23 +120,21 @@ def test_skeleton_dumbbell():
     assert sk.paths == ((1, 2), (5, 6), (3,))
 
 
-def test_classify_family():
-    assert classify_family(P4).kind == "tree"
-    assert classify_family(C3).kind == "unicyclic"
+def test_cyclomatic_number_and_skeleton_kind():
+    assert cyclomatic_number(P4) == 0
+    assert cyclomatic_number(C3) == 1
     theta = make_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
-    tag = classify_family(theta)
-    assert (tag.kind, tag.subtype) == ("bicyclic", 1)
+    assert cyclomatic_number(theta) == 2 and skeleton(theta).kind == "theta"
     shared = make_graph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
-    assert classify_family(shared).subtype == 3
+    assert skeleton(shared).kind == "shared"
     dumb = make_graph(
         7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 6), (6, 4)]
     )
-    assert classify_family(dumb).subtype == 2
+    assert skeleton(dumb).kind == "dumbbell"
     k4 = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    tag = classify_family(k4)
-    assert tag.kind == "other" and tag.extra == 3
+    assert cyclomatic_number(k4) == 3
     with pytest.raises(ValueError):
-        classify_family(make_graph(2, []))
+        cyclomatic_number(make_graph(2, []))
 
 
 def test_eccentricities_and_center():
