@@ -4,7 +4,11 @@ Every automorphism preserves the 2-core, so it splits into a symmetry of the
 core that preserves attached-tree shapes plus independent automorphisms of
 the attached trees fixing their roots.  The whole group is the product of
 the rooted-tree stabilizers extended by the group Q of shape-preserving core
-symmetries.  Q is the subgroup of the bare core's symmetries
+symmetries.  decompose roots every attached tree at once: one RootedTree
+over the graph without its core edges, with a virtual vertex n joined to
+every core vertex.  Each slot's code and expression, the rooted generators
+and the lifts of core symmetries (trees.aligned_iso) all come from that one
+tree.  Q is the subgroup of the bare core's symmetries
 (graphs.skeleton_perms) that keeps every slot's tree code, held as
 permutations of the positions in Decomposition.layout.  Assembly rewrites
 the extension into an explicit expression from the orbit structure of Q on
@@ -17,16 +21,15 @@ preserve the order).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .graphs import (
-    AttachedTree,
     Graph,
     Skeleton,
     adjacency,
-    attached_trees,
     core_vertices,
-    induced_subgraph,
     is_connected,
+    make_graph,
     skeleton,
     skeleton_perms,
 )
@@ -44,8 +47,8 @@ from .oracle import Perm, close_generators, compose, identity_perm
 from .trees import (
     RootedTree,
     aligned_iso,
-    rooted_aut_expr,
     rooted_aut_generators,
+    rooted_exprs,
     tree_aut_expr,
     tree_aut_generators,
 )
@@ -56,17 +59,13 @@ class UnsupportedFamilyError(ValueError):
     independent cycles."""
 
 
+@dataclass(frozen=True)
 class _Slot:
-    """One core vertex with its attached tree relabeled to local indices
-    (root = 0)."""
+    """A core vertex's attached tree: its rooted code and its normalized
+    rooted automorphism group."""
 
-    def __init__(self, g: Graph, at: AttachedTree):
-        sub, _ = induced_subgraph(g, list(at.vertices))
-        self.graph = sub
-        self.vertices = at.vertices
-        self.tree = RootedTree(sub, 0)
-        self.code = self.tree.code[0]
-        self.expr = rooted_aut_expr(sub, 0)
+    code: bytes
+    expr: GroupExpr
 
 
 @dataclass
@@ -76,7 +75,8 @@ class Decomposition:
     layout lists the core vertices in the slot order of
     graphs.skeleton_perms: the skeleton's anchors, then each path's
     interior; a cycle in cyclic order.  Core symmetries permute positions
-    in it."""
+    in it.  tree holds every attached tree in the graph's labels, rooted at
+    the virtual vertex n whose children are the core vertices."""
 
     n: int
     kind: str
@@ -84,7 +84,7 @@ class Decomposition:
     lengths: tuple[int, ...]
     sk: Skeleton | None
     slots: dict[int, _Slot]
-    trees: dict[int, AttachedTree]
+    tree: RootedTree
     core_edges: tuple[tuple[int, int], ...]
 
     def is_bare(self) -> bool:
@@ -120,27 +120,27 @@ def decompose(g: Graph) -> Decomposition:
         )
     core = core_vertices(g)
     core_set = set(core)
-    trees = attached_trees(g, core)
-    slots = {v: _Slot(g, trees[v]) for v in core}
     core_edges = tuple(e for e in g.edges if e[0] in core_set and e[1] in core_set)
+    pendant = [e for e in g.edges if e[0] not in core_set or e[1] not in core_set]
+    tree = RootedTree(make_graph(g.n + 1, pendant + [(v, g.n) for v in core]), g.n)
+    exprs = rooted_exprs(tree)
+    slots = {v: _Slot(tree.code[v], normalize(exprs[v])) for v in core}
     if c == 1:
         layout = tuple(_cycle_order(g, core))
         return Decomposition(
-            g.n, "cycle", layout, (len(core),), None, slots, trees, core_edges
+            g.n, "cycle", layout, (len(core),), None, slots, tree, core_edges
         )
     sk = skeleton(g)
     layout = sk.anchors + tuple(v for p in sk.paths for v in p)
     return Decomposition(
-        g.n, sk.kind, layout, sk.lengths, sk, slots, trees, core_edges
+        g.n, sk.kind, layout, sk.lengths, sk, slots, tree, core_edges
     )
 
 
 def reconstruct(dec: Decomposition) -> Graph:
     """Rebuild the original graph from a decomposition (exact round-trip)."""
-    edges = list(dec.core_edges)
-    for at in dec.trees.values():
-        edges.extend(at.edges)
-    return Graph(dec.n, tuple(sorted(edges)))
+    pendant = tuple(e for e in dec.tree.g.edges if e[1] != dec.n)
+    return Graph(dec.n, tuple(sorted(dec.core_edges + pendant)))
 
 
 # --- core symmetry candidates ----------------------------------------------
@@ -242,12 +242,17 @@ def _d4_assemble(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
 
 
 def _elt_order(q: Perm) -> int:
-    ident = identity_perm(len(q))
+    """The lcm of the cycle lengths of q."""
+    seen = [False] * len(q)
     out = 1
-    cur = q
-    while cur != ident:
-        cur = compose(cur, q)
-        out += 1
+    for start in range(len(q)):
+        k, i = 0, start
+        while not seen[i]:
+            seen[i] = True
+            i = q[i]
+            k += 1
+        if k:
+            out = lcm(out, k)
     return out
 
 
@@ -389,9 +394,11 @@ def analyze(g: Graph) -> Analysis:
 
 
 def _generating_subset(Q: tuple[Perm, ...]) -> list[Perm]:
+    """A greedy generating set, trying elements of higher order first: a
+    cyclic top then needs one generator, and D4 or S3xZ2 two."""
     chosen: list[Perm] = []
     reached = {identity_perm(len(Q[0]))}
-    for q in sorted(Q):
+    for q in sorted(Q, key=lambda q: (-_elt_order(q), q)):
         if q in reached:
             continue
         chosen.append(q)
@@ -409,22 +416,14 @@ def emit_generators(g: Graph, analysis: Analysis | None = None) -> list[Perm]:
     if a.family == "tree":
         return tree_aut_generators(g)
     dec = a.dec
-    gens: list[Perm] = []
-    for v in dec.layout:
-        slot = dec.slots[v]
-        for p in rooted_aut_generators(slot.graph, 0):
-            out = list(range(g.n))
-            for i, j in enumerate(p):
-                out[slot.vertices[i]] = slot.vertices[j]
-            gens.append(tuple(out))
+    t = dec.tree
+    # the tree's generators also fix its virtual vertex, the last entry
+    gens = [p[: g.n] for v in dec.layout for p in rooted_aut_generators(t, v)]
     for q in _generating_subset(a.symmetries):
         out = list(range(g.n))
         for i, v in enumerate(dec.layout):
-            if q[i] == i:
-                continue
-            slot, target = dec.slots[v], dec.slots[dec.layout[q[i]]]
-            iso = aligned_iso(slot.tree, target.tree)
-            for li, lj in iso.items():
-                out[slot.vertices[li]] = target.vertices[lj]
+            if q[i] != i:
+                for x, y in aligned_iso(t, v, dec.layout[q[i]]).items():
+                    out[x] = y
         gens.append(tuple(out))
     return gens

@@ -11,12 +11,11 @@ appears exactly once.
 from __future__ import annotations
 
 import random
-import struct
 from functools import lru_cache
 from itertools import product
 
 from .graphs import Graph, make_graph, skeleton_perms, splice
-from .trees import tree_code
+from .trees import node_code, tree_code
 
 Shape = tuple
 
@@ -51,7 +50,7 @@ def shape_size(sh: Shape) -> int:
 @lru_cache(maxsize=None)
 def shape_code(sh: Shape) -> bytes:
     """Same bytes as the rooted code of the realized shape."""
-    return struct.pack(">H", len(sh)) + b"".join(sorted(shape_code(c) for c in sh))
+    return node_code(shape_code(c) for c in sh)
 
 
 def shape_to_graph(sh: Shape) -> Graph:

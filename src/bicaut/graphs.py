@@ -8,7 +8,7 @@ count.  Formats: a plain edge-list text form and graph6.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 

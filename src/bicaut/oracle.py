@@ -183,11 +183,6 @@ def automorphism_generators(g: Graph) -> list[Perm]:
     return gens
 
 
-def automorphism_count_and_generators(g: Graph) -> tuple[int, list[Perm]]:
-    _check_size(g)
-    return _count_and_generators(g, ())
-
-
 def close_generators(n: int, gens: list[Perm], cap: int) -> list[Perm]:
     """All products of the generators, as long as there are at most cap.
 

@@ -1,21 +1,34 @@
 """Tree automorphism engine.
 
-Rooted trees get a canonical shape code (child codes sorted and
-concatenated, length-prefixed so distinct shapes never share a prefix).
-The automorphism group of a rooted tree is the iterated wreath product over
-classes of isomorphic child subtrees; a free tree reduces to the rooted case
-by rooting at the center, subdividing the central edge first when there are
-two centers.  All expressions come back normalized.
+A RootedTree gives every vertex a canonical shape code (node_code: the
+child count, then the child codes sorted and concatenated, so distinct
+shapes never share a prefix).  The automorphism group of a rooted tree is
+the iterated wreath product over classes of isomorphic child subtrees; a
+free tree reduces to the rooted case by rooting at the center, subdividing
+the central edge first when there are two centers.  All expressions come
+back normalized.
+
+The walks take a RootedTree, and the vertices to start from, and work in
+the tree's own labels: rooted_exprs runs children first along t.order,
+rooted_aut_generators and aligned_iso keep an explicit stack, so a deep
+tree needs no recursion.  One tree can carry many rooted trees below a
+virtual root: bicyclic roots every pendant tree of a graph that way and
+reads each slot's code, expression, generators and lifts off that tree.
 """
 from __future__ import annotations
 
-import struct
-from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Graph, adjacency, make_graph
-from .groups import GroupExpr, Product, Sym, Trivial, Wreath, normalize
+from .groups import GroupExpr, Product, Trivial, Wreath, normalize
 from .oracle import Perm
+
+
+def node_code(kid_codes) -> bytes:
+    """Rooted code of a vertex from its children's codes: the child count
+    as four big-endian bytes, then the child codes in sorted order."""
+    kids = sorted(kid_codes)
+    return len(kids).to_bytes(4, "big") + b"".join(kids)
 
 
 class RootedTree:
@@ -52,40 +65,37 @@ class RootedTree:
             raise ValueError("graph is not a connected tree")
         self.code: dict[int, bytes] = {}
         for u in reversed(self.order):
-            kid_codes = sorted(self.code[w] for w in self.children[u])
-            self.code[u] = struct.pack(">H", len(self.children[u])) + b"".join(
-                kid_codes
-            )
-
-    def subtree_vertices(self, v: int) -> list[int]:
-        out = [v]
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in self.children[u]:
-                out.append(w)
-                stack.append(w)
-        return out
+            self.code[u] = node_code(self.code[w] for w in self.children[u])
 
 
 def rooted_code(g: Graph, root: int) -> bytes:
     return RootedTree(g, root).code[root]
 
 
-def _expr_at(t: RootedTree, u: int) -> GroupExpr:
-    groups = Counter(t.code[w] for w in t.children[u])
-    first: dict[bytes, int] = {}
+def _classes(t: RootedTree, u: int) -> dict[bytes, list[int]]:
+    """The children of u grouped by code, in order of first appearance."""
+    out: dict[bytes, list[int]] = {}
     for w in t.children[u]:
-        first.setdefault(t.code[w], w)
-    factors: list[GroupExpr] = []
-    for code, k in sorted(groups.items()):
-        sub = _expr_at(t, first[code])
-        factors.append(sub if k == 1 else Wreath(sub, k))
-    if not factors:
-        return Trivial()
-    if len(factors) == 1:
-        return factors[0]
-    return Product(tuple(factors))
+        out.setdefault(t.code[w], []).append(w)
+    return out
+
+
+def rooted_exprs(t: RootedTree) -> dict[int, GroupExpr]:
+    """Unnormalized automorphism group of every vertex's subtree, rooted at
+    that vertex, in one pass children first along t.order."""
+    ex: dict[int, GroupExpr] = {}
+    for u in reversed(t.order):
+        factors = [
+            ex[ws[0]] if len(ws) == 1 else Wreath(ex[ws[0]], len(ws))
+            for _, ws in sorted(_classes(t, u).items())
+        ]
+        if not factors:
+            ex[u] = Trivial()
+        elif len(factors) == 1:
+            ex[u] = factors[0]
+        else:
+            ex[u] = Product(tuple(factors))
+    return ex
 
 
 def rooted_aut_expr(g: Graph, root: int) -> GroupExpr:
@@ -94,7 +104,7 @@ def rooted_aut_expr(g: Graph, root: int) -> GroupExpr:
     This is also the stabilizer of root inside the automorphism group of the
     free tree, since fixing a vertex of a tree fixes distances from it.
     """
-    return normalize(_expr_at(RootedTree(g, root), root))
+    return normalize(rooted_exprs(RootedTree(g, root))[root])
 
 
 def centers(g: Graph) -> list[int]:
@@ -148,7 +158,7 @@ def tree_code(g: Graph) -> bytes:
 def tree_aut_expr(g: Graph) -> GroupExpr:
     """Automorphism group of a free tree as a normalized expression."""
     t, _ = center_rooted(g)
-    return normalize(_expr_at(t, t.root))
+    return normalize(rooted_exprs(t)[t.root])
 
 
 def rooted_orbit_labels(t: RootedTree) -> dict[int, int]:
@@ -182,72 +192,52 @@ def is_vertex_fixed(g: Graph, v: int) -> bool:
     raise ValueError("vertex %d out of range" % v)
 
 
-def aligned_map(t: RootedTree, a: int, b: int, out: dict[int, int]) -> None:
-    """Extend out with the code-aligned isomorphism subtree(a) <-> subtree(b),
-    both directions.  Requires equal codes."""
-    out[a] = b
-    out[b] = a
-    ka = sorted(t.children[a], key=lambda w: (t.code[w], w))
-    kb = sorted(t.children[b], key=lambda w: (t.code[w], w))
-    for x, y in zip(ka, kb):
-        aligned_map(t, x, y, out)
+def aligned_iso(t: RootedTree, a: int, b: int) -> dict[int, int]:
+    """The isomorphism subtree(a) -> subtree(b) that matches children in
+    sorted (code, label) order.  Raises ValueError unless a and b have equal
+    codes."""
+    if t.code[a] != t.code[b]:
+        raise ValueError("rooted subtrees are not isomorphic")
+    out: dict[int, int] = {}
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        out[x] = y
+        kx = sorted(t.children[x], key=lambda w: (t.code[w], w))
+        ky = sorted(t.children[y], key=lambda w: (t.code[w], w))
+        stack.extend(zip(kx, ky))
+    return out
 
 
 def _swap_perm(t: RootedTree, a: int, b: int) -> Perm:
-    m: dict[int, int] = {}
-    aligned_map(t, a, b, m)
-    return tuple(m.get(v, v) for v in range(t.g.n))
+    out = list(range(len(t.order)))
+    for x, y in aligned_iso(t, a, b).items():
+        out[x] = y
+        out[y] = x
+    return tuple(out)
 
 
-def rooted_aut_generators(g: Graph, root: int) -> list[Perm]:
-    """Generators of the rooted automorphism group: adjacent swaps of
-    isomorphic sibling subtrees, recursing into one representative per class."""
-    t = RootedTree(g, root)
+def rooted_aut_generators(t: RootedTree, v: int) -> list[Perm]:
+    """Generators of the automorphisms of subtree(v) that fix v, as
+    permutations of all of t's vertices: adjacent swaps of isomorphic
+    sibling subtrees, descending into one representative per class."""
     gens: list[Perm] = []
-
-    def rec(u: int) -> None:
-        classes: dict[bytes, list[int]] = {}
-        for w in t.children[u]:
-            classes.setdefault(t.code[w], []).append(w)
-        for code, members in sorted(classes.items()):
-            rec(members[0])
-            for a, b in zip(members, members[1:]):
-                gens.append(_swap_perm(t, a, b))
-
-    rec(root)
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for members in _classes(t, u).values():
+            stack.append(members[0])
+            gens.extend(_swap_perm(t, a, b) for a, b in zip(members, members[1:]))
     return gens
 
 
 def tree_aut_generators(g: Graph) -> list[Perm]:
     """Generators of the free tree's automorphism group."""
     t, virtual = center_rooted(g)
-    gens = rooted_aut_generators(t.g, t.root)
+    gens = rooted_aut_generators(t, t.root)
     if virtual:
         return [p[: g.n] for p in gens]
     return gens
-
-
-def rooted_iso(g1: Graph, r1: int, g2: Graph, r2: int) -> bool:
-    """Whether two rooted trees are isomorphic as rooted trees."""
-    return rooted_code(g1, r1) == rooted_code(g2, r2)
-
-
-def aligned_iso(t1: RootedTree, t2: RootedTree) -> dict[int, int]:
-    """A concrete isomorphism between two rooted trees with equal codes,
-    matching children in sorted code order."""
-    if t1.code[t1.root] != t2.code[t2.root]:
-        raise ValueError("rooted trees are not isomorphic")
-    out: dict[int, int] = {}
-
-    def rec(a: int, b: int) -> None:
-        out[a] = b
-        ka = sorted(t1.children[a], key=lambda w: (t1.code[w], w))
-        kb = sorted(t2.children[b], key=lambda w: (t2.code[w], w))
-        for x, y in zip(ka, kb):
-            rec(x, y)
-
-    rec(t1.root, t2.root)
-    return out
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from bicaut.groups import (
     KleinWreath,
     Product,
     Sym,
-    Trivial,
     Wreath,
     classify,
     order,
@@ -209,3 +208,25 @@ def test_emit_generators():
             assert is_automorphism(g, p), (g.edges, p)
         if want <= 100_000:
             assert len(close_generators(g.n, gens, want)) == want, g.edges
+
+
+def test_d4_top_takes_two_core_generators():
+    gens = emit_generators(FIG8_33)
+    assert len(gens) == 2
+    assert len(close_generators(FIG8_33.n, gens, 8)) == 8
+
+
+def test_deep_pendant_paths():
+    # two 1600-vertex paths hung at opposite vertices of a 4-cycle, deeper
+    # than the interpreter's default recursion limit; the lift swapping
+    # them walks both paths
+    path = make_graph(1600, [(i, i + 1) for i in range(1599)])
+    g = skeleton_core("cycle", (4,))[0]
+    for v in (0, 2):
+        g = splice(g, v, path, 0)[0]
+    a = analyze(g)
+    assert order(a.expr) == 4  # the Klein group of the square fixing {0, 2}
+    gens = emit_generators(g, a)
+    for p in gens:
+        assert is_automorphism(g, p)
+    assert len(close_generators(g.n, gens, 4)) == 4

@@ -1,6 +1,4 @@
 """End-to-end runs of the command line interface."""
-import pytest
-
 from bicaut.cli import (
     EX_BUDGET,
     EX_FAMILY,

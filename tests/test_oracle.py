@@ -6,7 +6,6 @@ from bicaut.oracle import (
     all_automorphisms,
     are_isomorphic,
     automorphism_count,
-    automorphism_count_and_generators,
     automorphism_generators,
     close_generators,
     compose,
@@ -53,8 +52,8 @@ def test_counts_with_pinned_vertices():
 
 def test_generators_generate_the_group():
     for g in (P4, STAR, C5, C6, K4):
-        count, gens = automorphism_count_and_generators(g)
-        assert count == automorphism_count(g)
+        gens = automorphism_generators(g)
+        count = automorphism_count(g)
         for p in gens:
             assert is_automorphism(g, p)
         assert len(close_generators(g.n, gens, 1000)) == count

@@ -3,7 +3,7 @@ import pytest
 
 from bicaut.generate import free_trees
 from bicaut.graphs import disjoint_union, make_graph
-from bicaut.groups import Product, Sym, Trivial, Wreath, order, print_expr
+from bicaut.groups import Sym, Trivial, Wreath, order, print_expr
 from bicaut.oracle import (
     automorphism_count,
     close_generators,
@@ -21,7 +21,6 @@ from bicaut.trees import (
     rooted_aut_expr,
     rooted_aut_generators,
     rooted_code,
-    rooted_iso,
     tree_aut_expr,
     tree_aut_generators,
     tree_code,
@@ -39,13 +38,12 @@ SPIDER = make_graph(6, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)])
 
 
 def test_rooted_codes():
-    assert rooted_code(make_graph(1, []), 0) == b"\x00\x00"
+    assert rooted_code(make_graph(1, []), 0) == b"\x00\x00\x00\x00"
     assert rooted_code(P2, 0) == rooted_code(P2, 1)
     assert rooted_code(P4, 0) == rooted_code(P4, 3)
     assert rooted_code(P4, 0) != rooted_code(P4, 1)
     assert rooted_code(BIN2, 1) == rooted_code(BIN2, 2)
-    assert rooted_iso(BIN2, 1, BIN2, 2)
-    assert not rooted_iso(BIN2, 0, BIN2, 1)
+    assert rooted_code(BIN2, 0) != rooted_code(BIN2, 1)
 
 
 def test_rooted_tree_rejects_non_trees():
@@ -83,6 +81,16 @@ def test_tree_aut_exprs():
     assert order(tree_aut_expr(h)) == automorphism_count(h)
     assert tree_aut_expr(BIN2) == Wreath(Sym(2), 2)
     assert tree_aut_expr(SPIDER) == Sym(2)
+
+
+def test_star_with_more_children_than_two_bytes_count():
+    star = make_graph(65537, [(0, i) for i in range(1, 65537)])
+    assert tree_aut_expr(star) == Sym(65536)
+
+
+def test_path_deeper_than_the_recursion_limit():
+    path = make_graph(5000, [(i, i + 1) for i in range(4999)])
+    assert tree_aut_expr(path) == Sym(2)
 
 
 def test_tree_expr_matches_oracle_exhaustively():
@@ -130,18 +138,18 @@ def test_orbits_and_fixed_vertices():
 
 
 def test_aligned_iso():
-    t1 = RootedTree(BIN2, 1)
-    t2 = RootedTree(BIN2, 2)
-    iso = aligned_iso(t1, t2)
+    t = RootedTree(BIN2, 0)
+    iso = aligned_iso(t, 1, 2)
     assert iso[1] == 2
-    assert set(iso) == {1, 3, 4, 0, 2, 5, 6}
+    assert set(iso) == {1, 3, 4}
+    assert set(iso.values()) == {2, 5, 6}
     with pytest.raises(ValueError):
-        aligned_iso(RootedTree(P2, 0), RootedTree(P4, 0))
+        aligned_iso(t, 0, 1)
 
 
 def test_rooted_generators():
     for g, root, want in ((STAR4, 0, 24), (BIN2, 0, 8), (P5, 2, 2), (P5, 0, 1)):
-        gens = rooted_aut_generators(g, root)
+        gens = rooted_aut_generators(RootedTree(g, root), root)
         for p in gens:
             assert is_automorphism(g, p)
             assert p[root] == root
