@@ -8,15 +8,16 @@ symmetries.  decompose roots every attached tree at once: one RootedTree
 over the graph without its core edges, with a virtual vertex n joined to
 every core vertex.  Each slot's code and expression, the rooted generators
 and the lifts of core symmetries (trees.aligned_iso) all come from that one
-tree.  Q is the subgroup of the bare core's symmetries
-(graphs.skeleton_perms) that keeps every slot's tree code, held as
-permutations of the positions in Decomposition.layout.  Assembly rewrites
-the extension into an explicit expression from the orbit structure of Q on
-the core: fixed slots contribute direct factors, an involution folds its
-2-orbits into a wreath with Sym(2), a Klein four-group becomes the
-two-involution semidirect form, and the larger tops either split into exact
-products of wreaths or stay as explicit semidirect terms (which always
-preserve the order).
+tree; the generators and lifts are support-only maps of the vertices they
+move, and emit_generators densifies them once, at n (trees.dense).  Q is
+the subgroup of the bare core's symmetries (graphs.skeleton_perms) that
+keeps every slot's tree code, held as permutations of the positions in
+Decomposition.layout.  Assembly rewrites the extension into an explicit
+expression from the orbit structure of Q on the core: fixed slots
+contribute direct factors, an involution folds its 2-orbits into a wreath
+with Sym(2), a Klein four-group becomes the two-involution semidirect form,
+and the larger tops either split into exact products of wreaths or stay as
+explicit semidirect terms (which always preserve the order).
 """
 from __future__ import annotations
 
@@ -47,6 +48,7 @@ from .oracle import Perm, close_generators, compose, identity_perm
 from .trees import (
     RootedTree,
     aligned_iso,
+    dense,
     rooted_aut_generators,
     rooted_exprs,
     tree_aut_expr,
@@ -417,13 +419,11 @@ def emit_generators(g: Graph, analysis: Analysis | None = None) -> list[Perm]:
         return tree_aut_generators(g)
     dec = a.dec
     t = dec.tree
-    # the tree's generators also fix its virtual vertex, the last entry
-    gens = [p[: g.n] for v in dec.layout for p in rooted_aut_generators(t, v)]
+    moves = [m for v in dec.layout for m in rooted_aut_generators(t, v)]
     for q in _generating_subset(a.symmetries):
-        out = list(range(g.n))
+        lift: dict[int, int] = {}
         for i, v in enumerate(dec.layout):
             if q[i] != i:
-                for x, y in aligned_iso(t, v, dec.layout[q[i]]).items():
-                    out[x] = y
-        gens.append(tuple(out))
-    return gens
+                lift.update(aligned_iso(t, v, dec.layout[q[i]]))
+        moves.append(lift)
+    return dense(g.n, moves)

@@ -388,13 +388,6 @@ def eccentricities(g: Graph) -> list[int]:
     return out
 
 
-def center(g: Graph) -> list[int]:
-    """Vertices of minimum eccentricity."""
-    ecc = eccentricities(g)
-    best = min(ecc)
-    return [v for v in range(g.n) if ecc[v] == best]
-
-
 def splice(g1: Graph, v1: int, g2: Graph, w1: int) -> tuple[Graph, list[int]]:
     """Glue g2 onto g1 by identifying w1 with v1.
 

@@ -223,7 +223,17 @@ def normalize(e: GroupExpr) -> GroupExpr:
     if isinstance(e, Trivial) or isinstance(e, Sym):
         return e
     if isinstance(e, Product):
-        return _product([normalize(f) for f in e.factors])
+        # nested products flatten with a stack (a tree's spine nests one per
+        # vertex), so recursion follows wreath depth only
+        leaves: list[GroupExpr] = []
+        stack = list(e.factors)
+        while stack:
+            f = stack.pop()
+            if isinstance(f, Product):
+                stack.extend(f.factors)
+            else:
+                leaves.append(normalize(f))
+        return _product(leaves)
     if isinstance(e, Wreath):
         base = normalize(e.base)
         if isinstance(base, Trivial):

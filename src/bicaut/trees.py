@@ -14,9 +14,16 @@ rooted_aut_generators and aligned_iso keep an explicit stack, so a deep
 tree needs no recursion.  One tree can carry many rooted trees below a
 virtual root: bicyclic roots every pendant tree of a graph that way and
 reads each slot's code, expression, generators and lifts off that tree.
+
+Generators stay support-only here: aligned_iso and rooted_aut_generators
+return dicts of just the vertices they move, so their size follows the
+swapped subtrees, not the tree.  dense turns such maps into permutation
+tuples of a given length over one shared identity; tree_aut_generators and
+bicyclic.emit_generators each call it once, at the graph's n.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .graphs import Graph, adjacency, make_graph
@@ -209,35 +216,43 @@ def aligned_iso(t: RootedTree, a: int, b: int) -> dict[int, int]:
     return out
 
 
-def _swap_perm(t: RootedTree, a: int, b: int) -> Perm:
-    out = list(range(len(t.order)))
-    for x, y in aligned_iso(t, a, b).items():
-        out[x] = y
-        out[y] = x
-    return tuple(out)
+def dense(n: int, moves: Iterable[dict[int, int]]) -> list[Perm]:
+    """Permutations of range(n) from support-only maps (vertex -> image):
+    one identity list, copied for each map, so every tuple shares its
+    entries' int objects."""
+    ident = list(range(n))
+    out: list[Perm] = []
+    for m in moves:
+        p = ident.copy()
+        for x, y in m.items():
+            p[x] = y
+        out.append(tuple(p))
+    return out
 
 
-def rooted_aut_generators(t: RootedTree, v: int) -> list[Perm]:
-    """Generators of the automorphisms of subtree(v) that fix v, as
-    permutations of all of t's vertices: adjacent swaps of isomorphic
-    sibling subtrees, descending into one representative per class."""
-    gens: list[Perm] = []
+def rooted_aut_generators(t: RootedTree, v: int) -> list[dict[int, int]]:
+    """Generators of the automorphisms of subtree(v) that fix v: adjacent
+    swaps of isomorphic sibling subtrees, descending into one representative
+    per class.  Each is a support-only map of the vertices it moves (never v
+    or t.root); dense turns them into permutations."""
+    gens: list[dict[int, int]] = []
     stack = [v]
     while stack:
         u = stack.pop()
         for members in _classes(t, u).values():
             stack.append(members[0])
-            gens.extend(_swap_perm(t, a, b) for a, b in zip(members, members[1:]))
+            for a, b in zip(members, members[1:]):
+                swap = aligned_iso(t, a, b)
+                swap.update({y: x for x, y in swap.items()})
+                gens.append(swap)
     return gens
 
 
 def tree_aut_generators(g: Graph) -> list[Perm]:
-    """Generators of the free tree's automorphism group."""
-    t, virtual = center_rooted(g)
-    gens = rooted_aut_generators(t, t.root)
-    if virtual:
-        return [p[: g.n] for p in gens]
-    return gens
+    """Generators of the free tree's automorphism group.  A virtual root
+    (index g.n) is never moved, so the maps densify at g.n."""
+    t, _ = center_rooted(g)
+    return dense(g.n, rooted_aut_generators(t, t.root))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Engine for unicyclic and bicyclic automorphism groups."""
 import random
+import tracemalloc
 
 import pytest
 
@@ -230,3 +231,45 @@ def test_deep_pendant_paths():
     for p in gens:
         assert is_automorphism(g, p)
     assert len(close_generators(g.n, gens, 4)) == 4
+
+
+def spine(d):
+    """A path of d vertices, each with two pendant leaves; its rooted
+    expression nests one product per path vertex."""
+    edges = [(i, i + 1) for i in range(d - 1)]
+    edges += [(i, d + 2 * i + j) for i in range(d) for j in (0, 1)]
+    return make_graph(3 * d, edges)
+
+
+def test_long_spine():
+    # deeper than the interpreter's default recursion limit: the leaf pairs
+    # give 2**d, the end-to-end reversal one more factor of 2
+    d = 1000
+    tree = spine(d)
+    on_c3 = splice(skeleton_core("cycle", (3,))[0], 0, tree, 0)[0]
+    for g in (tree, on_c3):
+        a = analyze(g)
+        assert order(a.expr) == 2 ** (d + 1)
+        for p in emit_generators(g, a):
+            assert is_automorphism(g, p)
+
+
+def test_generators_share_one_identity():
+    # dense tuples cost 8 bytes an entry when their ints come from one
+    # identity list; a fresh int per entry costs over 30
+    rng = random.Random(4)
+    core = skeleton_core("theta", (100, 200, 301))[0]
+    n = 2000
+    edges = list(core.edges) + [(rng.randrange(v), v) for v in range(core.n, n)]
+    g = make_graph(n, edges)
+    a = analyze(g)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        gens = emit_generators(g, a)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entries = sum(len(p) for p in gens)
+    assert len(gens) > 100 and all(len(p) == n for p in gens)
+    assert retained <= 12 * entries

@@ -63,6 +63,19 @@ def test_aut_reads_stdin_graph6(capsys, monkeypatch):
     assert "order=4" in capsys.readouterr().out
 
 
+def test_aut_long_spine(tmp_path, capsys):
+    # a path of 1000 vertices, each with two leaves: nested deeper than the
+    # interpreter's default recursion limit
+    d = 1000
+    edges = [(i, i + 1) for i in range(d - 1)]
+    edges += [(i, d + 2 * i + j) for i in range(d) for j in (0, 1)]
+    path = _write(tmp_path, make_graph(3 * d, edges))
+    assert run(["aut", path]) == EX_OK
+    got = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert got["order"] == str(2 ** (d + 1))
+    assert got["closure"] == "skipped"
+
+
 def test_aut_rejects_unsupported_family(tmp_path, capsys):
     k4 = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert run(["aut", _write(tmp_path, k4)]) == EX_FAMILY

@@ -9,7 +9,6 @@ from bicaut.graphs import (
     Graph,
     adjacency,
     attached_trees,
-    center,
     components,
     core_vertices,
     cyclomatic_number,
@@ -28,6 +27,7 @@ from bicaut.graphs import (
     to_edgelist,
     to_graph6,
 )
+from bicaut.trees import centers
 
 C3 = make_graph(3, [(0, 1), (1, 2), (0, 2)])
 P4 = make_graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -139,10 +139,9 @@ def test_cyclomatic_number_and_skeleton_kind():
 
 def test_eccentricities_and_center():
     assert eccentricities(P4) == [3, 2, 2, 3]
-    assert center(P4) == [1, 2]
+    assert centers(P4) == [1, 2]
     star = make_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert center(star) == [0]
-    assert center(C3) == [0, 1, 2]
+    assert centers(star) == [0]
 
 
 def test_splice_and_link():

@@ -16,6 +16,7 @@ from bicaut.trees import (
     bar_construction,
     center_rooted,
     centers,
+    dense,
     fix_info,
     is_vertex_fixed,
     rooted_aut_expr,
@@ -149,11 +150,25 @@ def test_aligned_iso():
 
 def test_rooted_generators():
     for g, root, want in ((STAR4, 0, 24), (BIN2, 0, 8), (P5, 2, 2), (P5, 0, 1)):
-        gens = rooted_aut_generators(RootedTree(g, root), root)
+        gens = dense(g.n, rooted_aut_generators(RootedTree(g, root), root))
         for p in gens:
             assert is_automorphism(g, p)
             assert p[root] == root
         assert len(close_generators(g.n, gens, 1000)) == want
+
+
+def test_rooted_generators_are_sparse_swaps():
+    # every map moves exactly the vertices it names: an involution on its
+    # keys that keeps v and the root, and an automorphism once densified
+    trees = [(g, 0) for g in free_trees(8)] + [(BIN2, 1), (SPIDER, 2), (P5, 1)]
+    for g, root in trees:
+        t = RootedTree(g, root)
+        for v in range(g.n):
+            for m in rooted_aut_generators(t, v):
+                assert m and all(m[y] == x and x != y for x, y in m.items())
+                assert v not in m and t.root not in m
+                (p,) = dense(g.n, [m])
+                assert is_automorphism(g, p)
 
 
 def test_tree_generators():
