@@ -10,10 +10,13 @@ every core vertex.  Each slot's code and expression, the rooted generators
 and the lifts of core symmetries (trees.aligned_iso) all come from that one
 tree; the generators and lifts are support-only maps of the vertices they
 move, and emit_generators densifies them once, at n (trees.dense).  Q is
-the subgroup of the bare core's symmetries (graphs.skeleton_perms) that
-keeps every slot's tree code, held as permutations of the positions in
-Decomposition.layout.  Assembly rewrites the extension into an explicit
-expression from the orbit structure of Q on the core: fixed slots
+the group of core symmetries that keep every slot's tree code, held as
+permutations of the positions in Decomposition.layout.  A bicyclic core
+filters its at most 12 bare symmetries (graphs.skeleton_perms); a cycle's
+candidates are the symmetries of its slot-code necklace
+(graphs.necklace_perms), read off its period and reflection in O(k), so
+they already keep every code.  Assembly rewrites the extension into an
+explicit expression from the orbit structure of Q on the core: fixed slots
 contribute direct factors, an involution folds its 2-orbits into a wreath
 with Sym(2), a Klein four-group becomes the two-involution semidirect form,
 and the larger tops either split into exact products of wreaths or stay as
@@ -31,6 +34,7 @@ from .graphs import (
     core_vertices,
     is_connected,
     make_graph,
+    necklace_perms,
     skeleton,
     skeleton_perms,
 )
@@ -112,10 +116,13 @@ def _cycle_order(g: Graph, core: list[int]) -> list[int]:
 
 
 def decompose(g: Graph) -> Decomposition:
-    """Split a unicyclic or bicyclic graph into its core and attached trees."""
-    if not is_connected(g):
-        raise UnsupportedFamilyError("graph is not connected")
+    """Split a unicyclic or bicyclic graph into its core and attached trees.
+
+    A graph with fewer than n - 1 edges cannot be connected, so it is
+    rejected before any adjacency is built."""
     c = len(g.edges) - g.n + 1
+    if c < 0 or not is_connected(g):
+        raise UnsupportedFamilyError("graph is not connected")
     if c not in (1, 2):
         raise UnsupportedFamilyError(
             "graph has cyclomatic number %d, need 1 or 2" % c
@@ -149,7 +156,11 @@ def reconstruct(dec: Decomposition) -> Graph:
 
 
 def candidate_symmetries(dec: Decomposition) -> list[Perm]:
-    """Every symmetry of the bare core, on layout positions."""
+    """Core symmetries on layout positions: every symmetry of a bare
+    bicyclic core (at most 12), and for a cycle only the symmetries of its
+    slot-code necklace, which already keep every slot's code."""
+    if dec.kind == "cycle":
+        return necklace_perms([dec.slots[v].code for v in dec.layout])
     return skeleton_perms(dec.kind, dec.lengths)
 
 
@@ -157,12 +168,11 @@ def core_symmetries(dec: Decomposition) -> list[Perm]:
     """The group Q: candidate core symmetries that preserve attached-tree
     shapes.  Shape preservation is closed under composition, so filtering
     the candidate group keeps a group."""
+    cands = candidate_symmetries(dec)
+    if dec.kind == "cycle":
+        return cands
     codes = [dec.slots[v].code for v in dec.layout]
-    return [
-        q
-        for q in candidate_symmetries(dec)
-        if all(codes[j] == c for j, c in zip(q, codes))
-    ]
+    return [q for q in cands if all(codes[j] == c for j, c in zip(q, codes))]
 
 
 # --- assembly ----------------------------------------------------------------
@@ -258,15 +268,25 @@ def _elt_order(q: Perm) -> int:
     return out
 
 
+def _reflects(q: Perm) -> bool:
+    """Whether a symmetry of a cycle of length at least 3 reverses it."""
+    return (q[1] - q[0]) % len(q) != 1
+
+
 def _top_name(dec: Decomposition, Q: list[Perm]) -> str:
-    n = len(Q)
-    if any(_elt_order(q) == n for q in Q):
-        return "Z%d" % n
-    if dec.kind == "theta" and n == 12:
+    """The name of a top that no exact rule splits.  A cycle's Q is the
+    rotations by multiples of its necklace period, plus as many reflections
+    if there are any: dih(r) or Zr.  The only bicyclic top that gets here
+    is the order-12 theta top that _theta_full_fold cannot split: every
+    other code-keeping subgroup of S3 x Z2 or D4 has its own rule, since
+    one of order 3, a Z4, or one of order 6 moving the branch vertices
+    would hold a 3-cycle of branches or one cycle's flip alone, and so be
+    larger."""
+    if dec.kind != "cycle":
         return "S3xZ2"
-    if n % 2 == 0:
-        return "dih(%d)" % (n // 2)
-    return "Z%d" % n
+    if any(map(_reflects, Q)):
+        return "dih(%d)" % (len(Q) // 2)
+    return "Z%d" % len(Q)
 
 
 def _honest_semi(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
@@ -377,16 +397,13 @@ class Analysis:
 
 def analyze(g: Graph) -> Analysis:
     """Family, case label and automorphism group expression of a connected
-    graph with at most two independent cycles."""
-    if not is_connected(g):
-        raise UnsupportedFamilyError("graph is not connected")
+    graph with at most two independent cycles.  Connectivity is checked
+    once: here for a tree, in decompose for every other graph."""
     c = len(g.edges) - g.n + 1
     if c == 0:
+        if not is_connected(g):
+            raise UnsupportedFamilyError("graph is not connected")
         return Analysis("tree", None, (), "-", tree_aut_expr(g), None, ())
-    if c > 2:
-        raise UnsupportedFamilyError(
-            "graph has cyclomatic number %d, need at most 2" % c
-        )
     dec = decompose(g)
     Q = core_symmetries(dec)
     expr = _assemble(dec, Q)
@@ -396,8 +413,8 @@ def analyze(g: Graph) -> Analysis:
 
 
 def _generating_subset(Q: tuple[Perm, ...]) -> list[Perm]:
-    """A greedy generating set, trying elements of higher order first: a
-    cyclic top then needs one generator, and D4 or S3xZ2 two."""
+    """A greedy generating set of a bicyclic top, trying elements of higher
+    order first: D4 and S3xZ2 then take two generators."""
     chosen: list[Perm] = []
     reached = {identity_perm(len(Q[0]))}
     for q in sorted(Q, key=lambda q: (-_elt_order(q), q)):
@@ -420,7 +437,16 @@ def emit_generators(g: Graph, analysis: Analysis | None = None) -> list[Perm]:
     dec = a.dec
     t = dec.tree
     moves = [m for v in dec.layout for m in rooted_aut_generators(t, v)]
-    for q in _generating_subset(a.symmetries):
+    Q = a.symmetries
+    if dec.kind == "cycle":
+        # the rotation by the necklace period (the least rotation but the
+        # identity) and one reflection generate Q
+        rotations = [q for q in Q[1:] if not _reflects(q)]
+        core_gens = [min(rotations)] if rotations else []
+        core_gens += [q for q in Q if _reflects(q)][:1]
+    else:
+        core_gens = _generating_subset(Q)
+    for q in core_gens:
         lift: dict[int, int] = {}
         for i, v in enumerate(dec.layout):
             if q[i] != i:

@@ -1,6 +1,7 @@
 """Engine for unicyclic and bicyclic automorphism groups."""
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -19,14 +20,17 @@ from bicaut.generate import (
     all_unicyclic,
     bicyclic_skeletons,
     case_instance,
+    decorate,
     random_bicyclic,
+    rooted_shapes,
     skeleton_core,
 )
-from bicaut.graphs import make_graph, splice
+from bicaut.graphs import Graph, make_graph, splice
 from bicaut.groups import (
     Dihedral,
     KleinWreath,
     Product,
+    SemiTop,
     Sym,
     Wreath,
     classify,
@@ -71,6 +75,32 @@ def test_decompose_rejects_unsupported():
         analyze(k4)
 
 
+def test_sparse_graph_rejected_before_adjacency():
+    # fewer than n - 1 edges: no adjacency list of 3 million rows is built
+    g = Graph(3_000_000, ())
+    for fn in (analyze, decompose):
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedFamilyError):
+                fn(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, fn.__name__
+
+
+def test_connectivity_checked_once(monkeypatch):
+    import bicaut.bicyclic as bicyclic
+
+    calls = []
+    real = bicyclic.is_connected
+    monkeypatch.setattr(bicyclic, "is_connected", lambda g: calls.append(g) or real(g))
+    for g in (make_graph(3, [(0, 1), (1, 2)]), C5, DIAMOND):
+        calls.clear()
+        analyze(g)
+        assert len(calls) == 1
+
+
 def test_analyze_handles_trees():
     a = analyze(make_graph(4, [(0, 1), (0, 2), (0, 3)]))
     assert a.family == "tree" and a.case == "-" and a.expr == Sym(3)
@@ -103,6 +133,60 @@ def test_filtered_symmetries_form_a_group():
             for b in Q:
                 assert compose(a, b) in members
         assert len(candidate_symmetries(dec)) % len(Q) == 0
+
+
+def reference_q(dec):
+    """Q by its definition on a cycle: all 2k rotations and reflections,
+    kept when they preserve every slot code, rotation by j then reflection
+    through j for j = 0 .. k-1."""
+    k = len(dec.layout)
+    codes = [dec.slots[v].code for v in dec.layout]
+    out = []
+    for j in range(k):
+        for q in (
+            tuple((i + j) % k for i in range(k)),
+            tuple((j - i) % k for i in range(k)),
+        ):
+            if all(codes[q[i]] == codes[i] for i in range(k)):
+                out.append(q)
+    return out
+
+
+def necklace_cycles(count, seed):
+    """Seeded cycles whose slots repeat a random pattern of rooted shapes
+    with at most three vertices; one in five has one slot redrawn.  One in
+    ten has 65 to 130 slots, beyond the oracle's bound; the rest 3 to 12."""
+    rng = random.Random(seed)
+    shapes = [sh for size in range(1, 4) for sh in rooted_shapes(size)]
+    for _ in range(count):
+        pattern = [rng.choice(shapes) for _ in range(rng.randint(1, 5))]
+        lo, hi = (65, 130) if rng.random() < 0.1 else (3, 12)
+        combo = pattern * rng.randint(-(-lo // len(pattern)), hi // len(pattern))
+        if rng.random() < 0.2:
+            combo[rng.randrange(len(combo))] = rng.choice(shapes)
+        core, slots = skeleton_core("cycle", (len(combo),))
+        yield decorate(core, slots, combo)
+
+
+def test_cycle_q_matches_its_definition():
+    bare = [skeleton_core("cycle", (k,))[0] for k in range(3, 65)]
+    necklaces = list(necklace_cycles(2000, 7))
+    tops = Counter()
+    for g in [g for n in range(3, 11) for g in all_unicyclic(n)] + bare + necklaces:
+        a = analyze(g)
+        assert a.symmetries == tuple(reference_q(a.dec)), g.edges
+        if isinstance(a.expr, SemiTop):
+            tops[a.expr.top.name] += 1
+    assert tops["Z3"] and tops["Z4"] and tops["dih(3)"], tops  # chiral tops too
+    # the orders: unicyclic graphs up to n = 10 are checked against the
+    # oracle in test_unicyclic_orders_exhaustive; the oracle's cost grows
+    # about as k**3 on C_k, so bare cycles past C_32 are checked against 2k
+    for g in bare:
+        assert order(analyze(g).expr) == 2 * g.n
+    distinct = {g.edges: g for g in bare[:30] + necklaces if g.n <= 64}
+    assert len(distinct) > 1000
+    for g in distinct.values():
+        assert order(analyze(g).expr) == automorphism_count(g), g.edges
 
 
 def test_frozen_expressions():
@@ -209,6 +293,21 @@ def test_emit_generators():
             assert is_automorphism(g, p), (g.edges, p)
         if want <= 100_000:
             assert len(close_generators(g.n, gens, want)) == want, g.edges
+
+
+def test_bare_cycle_999():
+    g = skeleton_core("cycle", (999,))[0]
+    a = analyze(g)
+    assert print_expr(a.expr) == "dih(999)" and len(a.symmetries) == 1998
+    gens = emit_generators(g, a)
+    assert len(gens) == 2
+    rotation, reflection = gens
+    assert all(is_automorphism(g, p) for p in gens)
+    assert compose(reflection, reflection) == tuple(range(999)) != reflection
+    v, steps = rotation[0], 1  # one cycle through all 999 vertices
+    while v != 0:
+        v, steps = rotation[v], steps + 1
+    assert steps == 999
 
 
 def test_d4_top_takes_two_core_generators():

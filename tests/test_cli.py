@@ -76,10 +76,22 @@ def test_aut_long_spine(tmp_path, capsys):
     assert got["closure"] == "skipped"
 
 
+def test_aut_bare_cycle_999(tmp_path, capsys):
+    c = make_graph(999, [(i, (i + 1) % 999) for i in range(999)])
+    assert run(["aut", _write(tmp_path, c)]) == EX_OK
+    got = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert got["expr"] == "dih(999)" and got["order"] == "1998"
+    assert got["generators"] == "2" and got["closure"] == "ok"
+
+
 def test_aut_rejects_unsupported_family(tmp_path, capsys):
     k4 = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert run(["aut", _write(tmp_path, k4)]) == EX_FAMILY
     assert "unsupported graph" in capsys.readouterr().err
+    # too few edges to be connected: rejected before any adjacency is built
+    (tmp_path / "sparse.txt").write_text("3000000 0\n", encoding="ascii")
+    assert run(["aut", str(tmp_path / "sparse.txt")]) == EX_FAMILY
+    assert "not connected" in capsys.readouterr().err
 
 
 def test_aut_bad_file_and_bad_text(tmp_path, capsys):

@@ -1,5 +1,7 @@
-"""Every imported name is used: a stdlib-ast scan of the package and tests."""
+"""Names are sound: every imported name is used (a stdlib-ast scan of the
+package and tests), and every name the benchmark's tracer wraps exists."""
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,3 +33,23 @@ def test_no_unused_imports():
     assert len(FILES) > 10
     unused = [u for path in FILES for u in _unused_imports(path)]
     assert unused == []
+
+
+def test_traced_names_resolve():
+    # bench/tracer.py rebinds these by name; a renamed one would crash only
+    # the traced benchmark run
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    wrapped = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets)
+    )
+    assert len(wrapped) >= 6
+    missing = [
+        "%s.%s" % (mod, name)
+        for mod, names in wrapped.items()
+        for name in names
+        if not hasattr(importlib.import_module("bicaut." + mod), name)
+    ]
+    assert missing == []
