@@ -11,16 +11,17 @@ and the lifts of core symmetries (trees.aligned_iso) all come from that one
 tree; the generators and lifts are support-only maps of the vertices they
 move, and emit_generators densifies them once, at n (trees.dense).  Q is
 the group of core symmetries that keep every slot's tree code, held as
-permutations of the positions in Decomposition.layout.  A bicyclic core
-filters its at most 12 bare symmetries (graphs.skeleton_perms); a cycle's
-candidates are the symmetries of its slot-code necklace
-(graphs.necklace_perms), read off its period and reflection in O(k), so
-they already keep every code.  Assembly rewrites the extension into an
-explicit expression from the orbit structure of Q on the core: fixed slots
-contribute direct factors, an involution folds its 2-orbits into a wreath
-with Sym(2), a Klein four-group becomes the two-involution semidirect form,
-and the larger tops either split into exact products of wreaths or stay as
-explicit semidirect terms (which always preserve the order).
+permutations of the positions in Decomposition.layout, which lists the core
+in the one slot layout of graphs.PATH_ENDS.  A bicyclic core filters its at
+most 12 bare symmetries (graphs.skeleton_perms); a cycle's candidates are
+the symmetries of its slot-code necklace (graphs.necklace_perms), read off
+its period and reflection in O(k), so they already keep every code.
+Assembly rewrites the extension into an explicit expression from the orbit
+structure of Q on the core: fixed slots contribute direct factors, an
+involution folds its 2-orbits into a wreath with Sym(2), a Klein four-group
+becomes the two-involution semidirect form, and the larger tops either
+split into exact products of wreaths or stay as explicit semidirect terms
+(which always preserve the order).
 """
 from __future__ import annotations
 
@@ -30,8 +31,8 @@ from math import lcm
 from .graphs import (
     Graph,
     Skeleton,
-    adjacency,
     core_vertices,
+    cycle_order,
     is_connected,
     make_graph,
     necklace_perms,
@@ -78,10 +79,10 @@ class _Slot:
 class Decomposition:
     """Core plus attached trees; kind is 'cycle' for unicyclic graphs.
 
-    layout lists the core vertices in the slot order of
-    graphs.skeleton_perms: the skeleton's anchors, then each path's
-    interior; a cycle in cyclic order.  Core symmetries permute positions
-    in it.  tree holds every attached tree in the graph's labels, rooted at
+    layout lists the core vertices in the slot layout of graphs.PATH_ENDS:
+    the skeleton's anchors, then each path's interior; a cycle in cyclic
+    order (graphs.cycle_order).  Core symmetries permute positions in it.
+    tree holds every attached tree in the graph's labels, rooted at
     the virtual vertex n whose children are the core vertices."""
 
     n: int
@@ -99,20 +100,6 @@ class Decomposition:
     def exprs(self) -> list[GroupExpr]:
         """The slot expressions in layout order."""
         return [self.slots[v].expr for v in self.layout]
-
-
-def _cycle_order(g: Graph, core: list[int]) -> list[int]:
-    core_set = set(core)
-    adj = adjacency(g)
-    start = min(core)
-    out = [start]
-    prev, cur = -1, start
-    while True:
-        nxt = min(w for w in adj[cur] if w in core_set and w != prev)
-        if nxt == start:
-            return out
-        out.append(nxt)
-        prev, cur = cur, nxt
 
 
 def decompose(g: Graph) -> Decomposition:
@@ -135,7 +122,7 @@ def decompose(g: Graph) -> Decomposition:
     exprs = rooted_exprs(tree)
     slots = {v: _Slot(tree.code[v], normalize(exprs[v])) for v in core}
     if c == 1:
-        layout = tuple(_cycle_order(g, core))
+        layout = tuple(cycle_order(g, core))
         return Decomposition(
             g.n, "cycle", layout, (len(core),), None, slots, tree, core_edges
         )
@@ -233,23 +220,24 @@ def _d4_assemble(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     """Exact expression for the full order-8 top on a shared-vertex or
     dumbbell core: the swap conjugates one cycle side onto the other, so the
     whole group is (side extended by its flip) wreathed with Sym(2), times
-    the globally fixed slots.  A full D4 always contains the one-sided flip
-    of cycle A."""
+    the globally fixed slots.
+
+    In the PATH_ENDS layout slot 0 is the shared vertex or anchor a and
+    slot 1 starts cycle A, so the largest element moves one of them
+    furthest and swaps the cycles.  Cycle A's side is what that swap moves
+    forward: cycle A, and for a dumbbell anchor a and the bridge half next
+    to it.  Its flip is the one element other than the identity that moves
+    nothing else."""
     exprs = dec.exprs()
     ident = identity_perm(len(exprs))
-    sk = dec.sk
-    lo, hi = len(sk.anchors), len(sk.anchors) + len(sk.paths[0])  # cycle A
-    fa = next(
-        q for q in Q if q != ident and q[:lo] + q[hi:] == ident[:lo] + ident[hi:]
+    forward = [j > i for i, j in enumerate(max(Q))]
+    flip = next(
+        q for q in Q
+        if q != ident and all(forward[i] for i, j in enumerate(q) if j != i)
     )
-    aside = list(range(lo, hi))
-    if sk.kind == "dumbbell":
-        # anchor a and the half of the bridge next to it; the bridge comes last
-        br = len(sk.paths[2])
-        start = len(exprs) - br
-        aside = [0] + aside + [start + i for i in range(br) if i < br - 1 - i]
+    aside = [i for i in ident if forward[i]]
     fixed_all = [exprs[i] for i in ident if all(q[i] == i for q in Q)]
-    x_side = _z2_fold(exprs, aside, fa)
+    x_side = _z2_fold(exprs, aside, flip)
     return normalize(_opt_product(fixed_all + [Wreath(x_side, 2)]))
 
 

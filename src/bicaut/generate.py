@@ -4,9 +4,9 @@ graphs, used by the tests and the fuzz command.
 Rooted tree shapes are canonical nested tuples with children in
 non-increasing order.  Free trees come from deduplicating rooted shapes by
 their centered code.  Unicyclic and bicyclic graphs enumerate as a bare core
-plus one rooted shape per core vertex, deduplicated by the minimum of the
-shape-code tuple over the bare core's symmetries, so each isomorphism class
-appears exactly once.
+(skeleton_core, laid out by graphs.PATH_ENDS) plus one rooted shape per core
+vertex, deduplicated by the minimum of the shape-code tuple over the bare
+core's symmetries, so each isomorphism class appears exactly once.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import random
 from functools import lru_cache
 from itertools import product
 
-from .graphs import Graph, make_graph, skeleton_perms, splice
+from .graphs import PATH_ENDS, Graph, make_graph, skeleton_perms, splice
 from .trees import node_code, tree_code
 
 Shape = tuple
@@ -78,51 +78,17 @@ def free_trees(n: int) -> tuple[Graph, ...]:
     return tuple(seen[k] for k in sorted(seen))
 
 
-def _ring_edges(vs: list[int]) -> list[tuple[int, int]]:
-    return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
-
-
-def _chain_edges(vs: list[int]) -> list[tuple[int, int]]:
-    return [(vs[i], vs[i + 1]) for i in range(len(vs) - 1)]
-
-
 def skeleton_core(kind: str, lengths: tuple[int, ...]) -> tuple[Graph, list[int]]:
-    """The bare core plus its slot list (anchors first, then the path
-    interiors in length order).  Slot indices equal vertex indices."""
-    if kind == "cycle":
-        (k,) = lengths
-        vs = list(range(k))
-        return make_graph(k, _ring_edges(vs)), vs
-    if kind == "theta":
-        edges: list[tuple[int, int]] = []
-        slots = [0, 1]
-        nxt = 2
-        for length in lengths:
-            inner = list(range(nxt, nxt + length - 1))
-            nxt += length - 1
-            edges += _chain_edges([0] + inner + [1])
-            slots += inner
-        return make_graph(nxt, edges), slots
-    if kind == "shared":
-        edges = []
-        slots = [0]
-        nxt = 1
-        for length in lengths:
-            inner = list(range(nxt, nxt + length - 1))
-            nxt += length - 1
-            edges += _ring_edges([0] + inner)
-            slots += inner
-        return make_graph(nxt, edges), slots
-    if kind == "dumbbell":
-        la, lb, lbr = lengths
-        ia = list(range(2, 2 + la - 1))
-        ib = list(range(2 + la - 1, 2 + la - 1 + lb - 1))
-        ibr = list(range(2 + la + lb - 2, 2 + la + lb - 2 + lbr - 1))
-        edges = _ring_edges([0] + ia) + _ring_edges([1] + ib)
-        edges += _chain_edges([0] + ibr + [1])
-        n = 2 + la + lb + lbr - 3
-        return make_graph(n, edges), [0, 1] + ia + ib + ibr
-    raise ValueError("unknown core kind %r" % (kind,))
+    """The bare core plus its slot list, laid out as in graphs.PATH_ENDS:
+    the anchors, then each path's interior, chained from its first end to
+    its second.  Slot indices equal vertex indices."""
+    nxt, ends = PATH_ENDS[kind]
+    edges: list[tuple[int, int]] = []
+    for (a, b), length in zip(ends, lengths):
+        chain = [a, *range(nxt, nxt + length - 1), b]
+        edges += zip(chain, chain[1:])
+        nxt += length - 1
+    return make_graph(nxt, edges), list(range(nxt))
 
 
 def _compositions(total: int, parts: int):

@@ -1,7 +1,12 @@
 """Undirected simple graphs on vertices 0..n-1, plus the structural
-decomposition used everywhere else: cyclomatic number, the pruned core of a
-unicyclic or bicyclic graph, its skeleton paths and their symmetries, and
-the trees hanging off core vertices.
+decomposition used everywhere else: the pruned core of a unicyclic or
+bicyclic graph, its skeleton paths and their symmetries, and the trees
+hanging off core vertices.
+
+Every bare core is a few anchors joined by paths, and PATH_ENDS is the one
+slot layout of all of them: skeleton reads a core off a graph in that
+layout, generate.skeleton_core builds one from it, and skeleton_perms and
+the D4 fold in bicyclic permute its slots.
 
 Graphs are immutable: a sorted tuple of sorted edge pairs plus the vertex
 count.  Formats: a plain edge-list text form and graph6.
@@ -9,7 +14,7 @@ count.  Formats: a plain edge-list text form and graph6.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 
 @dataclass(frozen=True)
@@ -74,13 +79,6 @@ def is_connected(g: Graph) -> bool:
     return count == g.n
 
 
-def cyclomatic_number(g: Graph) -> int:
-    """Edges minus vertices plus one, for a connected graph."""
-    if not is_connected(g):
-        raise ValueError("cyclomatic number needs a connected graph")
-    return len(g.edges) - g.n + 1
-
-
 def components(g: Graph) -> list[tuple[Graph, list[int]]]:
     """Connected components as (subgraph, original vertex list) pairs,
     ordered by smallest member."""
@@ -104,17 +102,6 @@ def components(g: Graph) -> list[tuple[Graph, list[int]]]:
         sub, _ = induced_subgraph(g, comp)
         out.append((sub, comp))
     return out
-
-
-def relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
-    """Image of g under the vertex map v -> perm[v]."""
-    return make_graph(g.n, ((perm[u], perm[v]) for u, v in g.edges))
-
-
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    """a and b side by side, b's vertices shifted up by a.n."""
-    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
-    return make_graph(a.n + b.n, edges)
 
 
 def induced_subgraph(g: Graph, vertices: list[int]) -> tuple[Graph, dict[int, int]]:
@@ -187,9 +174,21 @@ def attached_trees(g: Graph, core: list[int]) -> dict[int, AttachedTree]:
     return out
 
 
+# The layout of every bare core: per kind, the number of anchors and the
+# pair of anchors each path joins (a loop joins an anchor to itself).  Slots
+# are the anchors, then each path's interior from its first end on; a path
+# of l edges has l - 1 interior slots.
+PATH_ENDS: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
+    "cycle": (1, ((0, 0),)),
+    "theta": (2, ((0, 1), (0, 1), (0, 1))),
+    "shared": (1, ((0, 0), (0, 0))),
+    "dumbbell": (2, ((0, 0), (1, 1), (0, 1))),
+}
+
+
 @dataclass(frozen=True)
 class Skeleton:
-    """Shape of the core of a bicyclic graph.
+    """Shape of the core of a bicyclic graph, laid out as in PATH_ENDS.
 
     kind is 'theta' (two branch vertices joined by three internally disjoint
     paths), 'shared' (two cycles meeting in exactly one vertex), or
@@ -201,8 +200,8 @@ class Skeleton:
     starting and ending next to c, sorted by (length, labels); lengths are
     cycle lengths.
     For dumbbell: anchors = (a, b) the cycle vertices of degree 3 in the
-    core, paths = (cycle A minus a, cycle B minus b, bridge interior),
-    lengths = (|cycle A|, |cycle B|, bridge edge count).
+    core, paths = (cycle A minus a, cycle B minus b, bridge interior from
+    a), lengths = (|cycle A|, |cycle B|, bridge edge count).
     """
 
     kind: str
@@ -286,6 +285,15 @@ def skeleton(g: Graph) -> Skeleton:
     )
 
 
+def cycle_order(g: Graph, core: list[int]) -> list[int]:
+    """The core of a unicyclic graph in cyclic order, from its smallest
+    vertex towards that vertex's smaller neighbour."""
+    adj = _core_adjacency(g, core)
+    start = min(core)
+    interior, _ = _walk(adj, start, adj[start][0], {start})
+    return [start, *interior]
+
+
 def _first_match(pattern: list[int], text: list[int]) -> int | None:
     """Start of the first occurrence of pattern in text, or None: the
     Knuth-Morris-Pratt failure function of pattern, -1, text (entries of
@@ -337,101 +345,51 @@ def necklace_perms(labels) -> list[tuple[int, ...]]:
     return out
 
 
-def skeleton_perms(kind: str, lengths: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every symmetry of the bare core, as a permutation p of slot indices
-    sending slot i to slot p[i].
+# Per bicyclic kind, every (anchor map, path map, reversals) that sends each
+# path onto one with the same ends: 12 for a theta, 8 for the others.
+_END_MAPS = {
+    kind: [
+        (alpha, pi, rev)
+        for alpha in permutations(range(anchors))
+        for pi in permutations(range(len(ends)))
+        for rev in product((False, True), repeat=len(ends))
+        if all(
+            ends[j] == ((alpha[b], alpha[a]) if r else (alpha[a], alpha[b]))
+            for (a, b), j, r in zip(ends, pi, rev)
+        )
+    ]
+    for kind, (anchors, ends) in PATH_ENDS.items()
+    if kind != "cycle"
+}
 
-    Slots are laid out as the anchors, then each path's interior in order
-    (a cycle is its vertices in cyclic order), as in Skeleton.  Bare cores
-    are determined by (kind, lengths), so this is the whole symmetry group:
-    at most S3 x Z2 for a theta, D4 for two cycles, D_k for a k-cycle.
+
+def skeleton_perms(kind: str, lengths: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every symmetry of the bare core, as a permutation p of the
+    PATH_ENDS slots sending slot i to slot p[i].
+
+    Bare cores are determined by (kind, lengths), so this is the whole
+    symmetry group: D_k for a k-cycle, and for a bicyclic core the maps in
+    _END_MAPS that send each path onto one of equal length, at most S3 x Z2
+    for a theta and D4 for two cycles.
     """
     if kind == "cycle":
         (k,) = lengths
         return necklace_perms([0] * k)
-    if kind == "theta":
-        offs = []
-        nxt = 2
-        for length in lengths:
-            offs.append(nxt)
-            nxt += length - 1
-        out = []
-        for pi in permutations(range(3)):
-            if any(lengths[pi[i]] != lengths[i] for i in range(3)):
-                continue
-            for flip in (False, True):
-                perm = list(range(nxt))
-                if flip:
-                    perm[0], perm[1] = 1, 0
-                for i in range(3):
-                    li = lengths[i]
-                    for j in range(li - 1):
-                        jj = li - 2 - j if flip else j
-                        perm[offs[i] + j] = offs[pi[i]] + jj
-                out.append(tuple(perm))
-        return out
-    if kind == "shared":
-        offs = [1, lengths[0]]
-        total = lengths[0] + lengths[1] - 1
-        swaps = (False, True) if lengths[0] == lengths[1] else (False,)
-        out = []
-        for sw in swaps:
-            for f0 in (False, True):
-                for f1 in (False, True):
-                    perm = list(range(total))
-                    for i, flip in ((0, f0), (1, f1)):
-                        li = lengths[i]
-                        ti = 1 - i if sw else i
-                        for j in range(li - 1):
-                            jj = li - 2 - j if flip else j
-                            perm[offs[i] + j] = offs[ti] + jj
-                    out.append(tuple(perm))
-        return out
-    if kind == "dumbbell":
-        la, lb, lbr = lengths
-        offs = [2, 2 + la - 1, 2 + la + lb - 2]
-        total = 2 + la + lb + lbr - 3
-        swaps = (False, True) if la == lb else (False,)
-        out = []
-        for sw in swaps:
-            for f0 in (False, True):
-                for f1 in (False, True):
-                    perm = list(range(total))
-                    if sw:
-                        perm[0], perm[1] = 1, 0
-                        for j in range(lbr - 1):
-                            perm[offs[2] + j] = offs[2] + (lbr - 2 - j)
-                    for i, flip in ((0, f0), (1, f1)):
-                        li = (la, lb)[i]
-                        ti = 1 - i if sw else i
-                        for j in range(li - 1):
-                            jj = li - 2 - j if flip else j
-                            perm[offs[i] + j] = offs[ti] + jj
-                    out.append(tuple(perm))
-        return out
-    raise ValueError("unknown core kind %r" % (kind,))
-
-
-def eccentricities(g: Graph) -> list[int]:
-    adj = adjacency(g)
+    nxt = PATH_ENDS[kind][0]
+    interiors = []
+    for x in lengths:
+        interiors.append(tuple(range(nxt, nxt + x - 1)))
+        nxt += x - 1
+    # each path's interior slots, indexed by [reversed][path]
+    runs = (interiors, [t[::-1] for t in interiors])
+    want = list(lengths)
     out = []
-    for s in range(g.n):
-        dist = [-1] * g.n
-        dist[s] = 0
-        frontier = [s]
-        far = 0
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if dist[w] < 0:
-                        dist[w] = dist[u] + 1
-                        far = dist[w]
-                        nxt.append(w)
-            frontier = nxt
-        if min(dist) < 0:
-            raise ValueError("graph is not connected")
-        out.append(far)
+    for alpha, pi, rev in _END_MAPS[kind]:
+        if [lengths[j] for j in pi] == want:
+            perm = alpha
+            for j, r in zip(pi, rev):
+                perm += runs[r][j]
+            out.append(perm)
     return out
 
 

@@ -319,7 +319,11 @@ def classify(e: GroupExpr) -> str:
 #       | "dih(" INT ")"
 #
 # "*" is left associative, whitespace is insignificant.  Positions in error
-# messages are 1-based byte offsets.
+# messages are 1-based byte offsets.  The parser recurses once per nested
+# expr, so nesting past MAX_DEPTH is a syntax error and not a RecursionError;
+# within the realization budget a wreath nests fewer than 8 deep.
+
+MAX_DEPTH = 100
 
 
 class ExprSyntaxError(ValueError):
@@ -356,6 +360,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -380,6 +385,11 @@ class _Parser:
         return e
 
     def expr(self) -> GroupExpr:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(
+                self.peek()[2], "expression nested deeper than %d levels" % MAX_DEPTH
+            )
         factors = [self.atom()]
         while True:
             kind, val, pos = self.peek()
@@ -388,6 +398,7 @@ class _Parser:
                 factors.append(self.atom())
             else:
                 break
+        self.depth -= 1
         if len(factors) == 1:
             return factors[0]
         return Product(tuple(factors))

@@ -198,22 +198,30 @@ def _tree_host(e: GroupExpr) -> tuple[Graph, list[tuple[str, tuple[int, ...]]]]:
     return g, manifest
 
 
-def _klein_host(e: GroupExpr) -> tuple[Graph, list[tuple[str, tuple[int, ...]]]]:
+_Roles = list[tuple[str, GroupExpr, tuple[int, ...]]]
+
+
+def _klein_roles(e: GroupExpr) -> _Roles:
+    """(role, expression, theta (2,4,4) slots) of each payload of a B1/B2
+    expression.  Slots: branch vertices 0,1; short-branch midpoint 2;
+    long-branch interiors 3,4,5 and 6,7,8 with midpoints 4 and 7."""
     special, cofactor = _split_special(e)
     if isinstance(special, KleinWreath):
         quad, pair_h, pair_k = special.base, Trivial(), Trivial()
     else:
         quad, pair_h, pair_k = special.quad, special.pair_h, special.pair_k
-    g, slots = skeleton_core("theta", (2, 4, 4))
-    # slots: branch vertices 0,1; short-branch midpoint 2; long-branch
-    # interiors 3,4,5 and 6,7,8 with midpoints 4 and 7.
-    manifest = [("core", tuple(slots))]
-    for role, expr, targets in (
+    return [
         ("quad", quad, (3, 5, 6, 8)),
         ("pair", pair_h, (4, 7)),
         ("pair", pair_k, (0, 1)),
         ("cofactor", cofactor, (2,)),
-    ):
+    ]
+
+
+def _klein_host(roles: _Roles) -> tuple[Graph, list[tuple[str, tuple[int, ...]]]]:
+    g, slots = skeleton_core("theta", (2, 4, 4))
+    manifest = [("core", tuple(slots))]
+    for role, expr, targets in roles:
         if isinstance(normalize(expr), Trivial):
             continue
         payload, anchor = realize_tree(expr)
@@ -223,11 +231,33 @@ def _klein_host(e: GroupExpr) -> tuple[Graph, list[tuple[str, tuple[int, ...]]]]
     return g, manifest
 
 
+def _tree_size(e: GroupExpr) -> int:
+    """Vertices of the plain tree _build_tree makes for a normalized
+    tree-class expression before it separates equal children: a lower bound
+    on the size of realize_tree(e)."""
+    if isinstance(e, Sym):
+        return e.n + 1
+    if isinstance(e, Wreath):
+        return 1 + e.n * _tree_size(e.base)
+    if isinstance(e, Product):
+        return 1 + sum(map(_tree_size, e.factors))
+    return 1
+
+
+def _check_budget(n: int, bound: str = "") -> None:
+    if n > SIZE_BUDGET:
+        raise SizeBudgetError(
+            "realization needs %s%d vertices, budget is %d" % (bound, n, SIZE_BUDGET)
+        )
+
+
 def realize(e: GroupExpr) -> Realization:
     """A bicyclic graph whose automorphism group matches the expression.
 
     Raises RealizeError for expressions outside the three realizable
-    classes and SizeBudgetError past the vertex budget."""
+    classes and SizeBudgetError past the vertex budget, before building
+    anything when a lower bound on the size read off the expression is
+    already past it."""
     norm = normalize(e)
     cls = classify(norm)
     if cls == "OutsideS":
@@ -235,11 +265,16 @@ def realize(e: GroupExpr) -> Realization:
             "expression is outside the realizable classes: %s" % print_expr(norm)
         )
     if cls == "T":
+        # the (4,5) shared core has 8 vertices and each of its two
+        # asymmetric decorations at least 7; the payload shares its anchor
+        _check_budget(8 + 2 * 7 + _tree_size(norm) - 1, "at least ")
         g, manifest = _tree_host(norm)
     else:
-        g, manifest = _klein_host(norm)
-    if g.n > SIZE_BUDGET:
-        raise SizeBudgetError(
-            "realization needs %d vertices, budget is %d" % (g.n, SIZE_BUDGET)
+        # every payload shares its anchor with a slot of the 9-vertex core
+        roles = _klein_roles(norm)
+        _check_budget(
+            9 + sum(len(vs) * (_tree_size(x) - 1) for _, x, vs in roles), "at least "
         )
+        g, manifest = _klein_host(roles)
+    _check_budget(g.n)
     return Realization(g, norm, cls, tuple(manifest))

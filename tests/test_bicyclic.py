@@ -113,8 +113,10 @@ def test_candidate_group_sizes():
     for kind, lengths in cores:
         g = skeleton_core(kind, lengths)[0]
         dec = decompose(g)
+        # skeleton, PATH_ENDS and skeleton_core agree on the slot layout
+        assert dec.layout == tuple(range(g.n)), (kind, lengths)
         cands = candidate_symmetries(dec)
-        assert len(cands) == automorphism_count(g), (kind, lengths)
+        assert len(set(cands)) == len(cands) == automorphism_count(g), (kind, lengths)
         for q in cands:
             lift = list(range(g.n))
             for i, v in enumerate(dec.layout):

@@ -1,4 +1,6 @@
 """End-to-end runs of the command line interface."""
+import time
+
 from bicaut.cli import (
     EX_BUDGET,
     EX_FAMILY,
@@ -154,6 +156,14 @@ def test_realize_error_codes(capsys):
     assert "not realizable" in capsys.readouterr().err
     assert run(["realize", "wr(wr(S5,S6),S6)"]) == EX_BUDGET
     assert "too large" in capsys.readouterr().err
+    # rejected from a size bound read off the expression, before building
+    start = time.process_time()
+    assert run(["realize", "S2000000"]) == EX_BUDGET
+    assert time.process_time() - start < 1.0
+    assert "at least 2000022 vertices" in capsys.readouterr().err
+    # nesting past the parser's depth limit is an input error, not a traceback
+    assert run(["realize", "wr(" * 1000]) == EX_INPUT
+    assert "nested deeper than" in capsys.readouterr().err
 
 
 def test_fuzz_small_run(capsys):

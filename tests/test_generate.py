@@ -47,11 +47,11 @@ def test_skeleton_cores():
     g, slots = skeleton_core("theta", (2, 4, 4))
     assert g.n == 9 and len(g.edges) == 10 and slots == list(range(9))
     g, slots = skeleton_core("shared", (3, 4))
-    assert g.n == 6 and len(g.edges) == 7
+    assert g.n == 6 and len(g.edges) == 7 and slots == list(range(6))
     g, slots = skeleton_core("dumbbell", (3, 3, 2))
-    assert g.n == 7 and len(g.edges) == 8
+    assert g.n == 7 and len(g.edges) == 8 and slots == list(range(7))
     g, slots = skeleton_core("cycle", (5,))
-    assert g.n == 5 and len(g.edges) == 5
+    assert g.n == 5 and len(g.edges) == 5 and slots == list(range(5))
 
 
 def _labeled_class_count(n: int, extra_edges: int) -> int:

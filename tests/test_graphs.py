@@ -11,17 +11,13 @@ from bicaut.graphs import (
     attached_trees,
     components,
     core_vertices,
-    cyclomatic_number,
     degrees,
-    disjoint_union,
-    eccentricities,
     from_edgelist,
     from_graph6,
     induced_subgraph,
     is_connected,
     link,
     make_graph,
-    relabel,
     skeleton,
     splice,
     to_edgelist,
@@ -55,13 +51,10 @@ def test_basic_views():
     assert is_connected(g)
     assert not is_connected(make_graph(2, []))
     assert is_connected(make_graph(1, []))
-    assert cyclomatic_number(C3) == 1
-    with pytest.raises(ValueError):
-        cyclomatic_number(make_graph(2, []))
 
 
 def test_components_and_union():
-    g = disjoint_union(C3, P4)
+    g = make_graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)])
     assert g.n == 7
     comps = components(g)
     assert [c.n for c, _ in comps] == [3, 4]
@@ -69,9 +62,7 @@ def test_components_and_union():
     assert comps[0][0].edges == C3.edges
 
 
-def test_relabel_and_induced():
-    g = relabel(P4, (3, 2, 1, 0))
-    assert sorted(g.edges) == [(0, 1), (1, 2), (2, 3)]
+def test_induced_subgraph():
     sub, old_to_new = induced_subgraph(P4, [2, 1, 3])
     assert sub.n == 3
     assert old_to_new == {2: 0, 1: 1, 3: 2}
@@ -120,25 +111,18 @@ def test_skeleton_dumbbell():
     assert sk.paths == ((1, 2), (5, 6), (3,))
 
 
-def test_cyclomatic_number_and_skeleton_kind():
-    assert cyclomatic_number(P4) == 0
-    assert cyclomatic_number(C3) == 1
+def test_skeleton_kind():
     theta = make_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
-    assert cyclomatic_number(theta) == 2 and skeleton(theta).kind == "theta"
+    assert skeleton(theta).kind == "theta"
     shared = make_graph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
     assert skeleton(shared).kind == "shared"
     dumb = make_graph(
         7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 6), (6, 4)]
     )
     assert skeleton(dumb).kind == "dumbbell"
-    k4 = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    assert cyclomatic_number(k4) == 3
-    with pytest.raises(ValueError):
-        cyclomatic_number(make_graph(2, []))
 
 
-def test_eccentricities_and_center():
-    assert eccentricities(P4) == [3, 2, 2, 3]
+def test_centers():
     assert centers(P4) == [1, 2]
     star = make_graph(4, [(0, 1), (0, 2), (0, 3)])
     assert centers(star) == [0]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicaut.groups import (
+    MAX_DEPTH,
     Dihedral,
     ExprSyntaxError,
     KleinSemidirect,
@@ -161,6 +162,11 @@ def test_parse_errors_report_byte_positions():
         parse_expr("semi(S2,Q8)")
     with pytest.raises(ExprSyntaxError):
         parse_expr("S1")
+    # one wreath per nesting level below the top expression
+    deep = "wr(" * (MAX_DEPTH - 1) + "S2" + ",S2)" * (MAX_DEPTH - 1)
+    assert isinstance(parse_expr(deep), Wreath)
+    with pytest.raises(ExprSyntaxError, match="nested deeper than %d" % MAX_DEPTH):
+        parse_expr("wr(" + deep + ",S2)")
 
 
 def test_print_examples():

@@ -2,7 +2,7 @@
 import pytest
 
 from bicaut.generate import free_trees
-from bicaut.graphs import disjoint_union, make_graph
+from bicaut.graphs import make_graph
 from bicaut.groups import Sym, Trivial, Wreath, order, print_expr
 from bicaut.oracle import (
     automorphism_count,
@@ -126,7 +126,12 @@ def test_tree_code_separates_sizes():
     b = make_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 7), (5, 6)])
     assert automorphism_count(a) == 1 and automorphism_count(b) == 1
     assert tree_code(a) != tree_code(b)
-    assert order(forest_aut_expr(disjoint_union(a, b))) == 1
+    ab = make_graph(
+        15,
+        [(0, 1), (1, 2), (2, 3), (3, 4), (3, 6), (4, 5), (7, 8), (8, 9),
+         (9, 10), (10, 11), (11, 12), (11, 14), (12, 13)],
+    )  # a beside b
+    assert order(forest_aut_expr(ab)) == 1
 
 
 def test_orbits_and_fixed_vertices():
@@ -203,11 +208,11 @@ def test_bar_construction():
 def test_forest_expr():
     from bicaut.trees import forest_aut_expr
 
-    two_paths = disjoint_union(P4, P4)
+    two_paths = make_graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
     e = forest_aut_expr(two_paths)
     # each path keeps its swap, the two components swap as a block
     assert order(e) == 8
     assert print_expr(e) == "wr(S2,S2)"
-    mixed = disjoint_union(P4, STAR4)
+    mixed = make_graph(9, [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (4, 7), (4, 8)])
     assert order(forest_aut_expr(mixed)) == 2 * 24
     assert order(forest_aut_expr(P4)) == 2
