@@ -126,7 +126,7 @@ def decompose(g: Graph) -> Decomposition:
         return Decomposition(
             g.n, "cycle", layout, (len(core),), None, slots, tree, core_edges
         )
-    sk = skeleton(g)
+    sk = skeleton(g, core)
     layout = sk.anchors + tuple(v for p in sk.paths for v in p)
     return Decomposition(
         g.n, sk.kind, layout, sk.lengths, sk, slots, tree, core_edges

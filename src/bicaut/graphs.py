@@ -236,9 +236,9 @@ def _walk(
     return tuple(path), cur
 
 
-def skeleton(g: Graph) -> Skeleton:
-    """Classify the core of a graph with cyclomatic number 2."""
-    core = core_vertices(g)
+def skeleton(g: Graph, core: list[int]) -> Skeleton:
+    """Classify the core (core_vertices(g)) of a graph with cyclomatic
+    number 2."""
     adj = _core_adjacency(g, core)
     branch = sorted(v for v in core if len(adj[v]) >= 3)
     if len(branch) == 1:

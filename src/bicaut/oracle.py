@@ -1,10 +1,14 @@
 """Brute-force automorphism oracle, independent of the structural engines.
 
-Everything here works from first principles on the adjacency structure:
-color refinement plus individualization gives exact automorphism counts via
-the orbit-stabilizer recursion, witness permutations double as a generating
-set, and the same search answers graph isomorphism.  Intended for graphs up
-to BICAUT_ORACLE_BOUND vertices (default 64).
+It reads only graphs.Graph and graphs.adjacency and shares no code with
+trees or bicyclic, whose answers it checks.  One individualize-refine
+search (McKay, "Practical graph isomorphism", 1981) does all the work:
+equitable refinement of ordered partitions with a splitter queue, a base
+path that individualizes one vertex per level, and the orbit-stabilizer
+recursion down that base with orbit pruning (McKay & Piperno, 2014).  The
+witnesses double as a generating set, and the same search answers graph
+isomorphism.  Intended for graphs up to BICAUT_ORACLE_BOUND vertices
+(default 64).
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ def identity_perm(n: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """Permutation applying q first, then p."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def invert(p: Perm) -> Perm:
@@ -47,140 +51,210 @@ def _check_size(g: Graph) -> None:
         )
 
 
-def _refine(
-    adj1: list[list[int]],
-    adj2: list[list[int]],
-    c1: list[int],
-    c2: list[int],
-) -> bool:
-    """Jointly refine the colorings of two graphs until stable.
-
-    Color ids are assigned from the sorted union of refinement keys, so equal
-    structures end with equal colors.  Returns False when the color multisets
-    diverge (no isomorphism can match the pins applied so far).
-    """
-    while True:
-        def key(adj, c, v):
-            return (c[v], tuple(sorted(c[w] for w in adj[v])))
-
-        keys1 = [key(adj1, c1, v) for v in range(len(adj1))]
-        keys2 = [key(adj2, c2, v) for v in range(len(adj2))]
-        table = {k: i for i, k in enumerate(sorted(set(keys1) | set(keys2)))}
-        new1 = [table[k] for k in keys1]
-        new2 = [table[k] for k in keys2]
-        if sorted(new1) != sorted(new2):
-            return False
-        stable = len(set(new1)) == len(set(c1)) and new1 == _renumber(c1)
-        c1[:] = new1
-        c2[:] = new2
-        if stable:
-            return True
+def _individualize(cell_of: list[int], cells: dict[int, list[int]], v: int):
+    """Split v off the back of its cell; returns the splitter queue for
+    refining after it (the singleton suffices: the old cell was already a
+    splitter, and the rest's counts are the old cell's minus v's)."""
+    c = cell_of[v]
+    rest = cells[c][:]
+    if len(rest) == 1:
+        return []
+    rest.remove(v)
+    at = c + len(rest)
+    cells[c], cells[at], cell_of[v] = rest, [v], at
+    return [at]
 
 
-def _renumber(c: list[int]) -> list[int]:
-    table = {k: i for i, k in enumerate(sorted(set(c)))}
-    return [table[x] for x in c]
+def _refine(adj, cell_of, cells, queue, expect=None) -> list | None:
+    """Refine an ordered partition in place until it is equitable.
 
-
-def _iso_search(
-    g1: Graph, g2: Graph, pins: list[tuple[int, int]]
-) -> Perm | None:
-    """One isomorphism g1 -> g2 sending pins[i][0] to pins[i][1], or None."""
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
-        return None
-    adj1, adj2 = adjacency(g1), adjacency(g2)
-    edgeset2 = set(g2.edges)
-
-    def solve(pins: list[tuple[int, int]]) -> Perm | None:
-        c1 = [0] * g1.n
-        c2 = [0] * g2.n
-        for i, (a, b) in enumerate(pins):
-            c1[a] = i + 1
-            c2[b] = i + 1
-        if sorted(c1) != sorted(c2):
+    A cell is named by its first position, and a split keeps its fragments
+    in place, ordered by their neighbour count in the splitter, so two
+    partitions refined alike name their cells alike.  Returns the splits
+    made (per splitter, each touched cell with its counts and fragment
+    sizes), or None as soon as a split differs from `expect`.  Fragments
+    are queued Hopcroft-style: all but a largest one, unless the split
+    cell was still queued.  Cell lists are replaced, never mutated, so a
+    shallow copy of `cells` is a snapshot."""
+    pending = set(queue)
+    made: list = []
+    while queue:
+        s = queue.pop()
+        pending.discard(s)
+        counts: dict[int, int] = {}
+        for u in cells[s]:
+            for w in adj[u]:
+                counts[w] = counts.get(w, 0) + 1
+        step = []
+        for c in sorted({cell_of[w] for w in counts}):
+            by: dict[int, list[int]] = {}
+            for x in cells[c]:
+                by.setdefault(counts.get(x, 0), []).append(x)
+            keys = sorted(by)
+            step.append((c, [(k, len(by[k])) for k in keys]))
+            if len(keys) == 1:
+                continue
+            starts, at = [], c
+            for k in keys:
+                cells[at] = by[k]
+                if at != c:
+                    for x in by[k]:
+                        cell_of[x] = at
+                starts.append(at)
+                at += len(by[k])
+            if c not in pending:
+                del starts[max(range(len(keys)), key=lambda i: len(by[keys[i]]))]
+            queue.extend(starts)
+            pending.update(starts)
+        if expect is not None and expect[len(made):len(made) + 1] != [step]:
             return None
-        if not _refine(adj1, adj2, c1, c2):
-            return None
-        cells: dict[int, list[int]] = {}
-        for v in range(g1.n):
-            cells.setdefault(c1[v], []).append(v)
-        split = [
-            (len(vs), color, vs) for color, vs in cells.items() if len(vs) > 1
-        ]
-        if not split:
-            where = {}
-            for w in range(g2.n):
-                where[c2[w]] = w
-            mapping = tuple(where[c1[v]] for v in range(g1.n))
-            for u, v in g1.edges:
-                a, b = mapping[u], mapping[v]
-                if (min(a, b), max(a, b)) not in edgeset2:
-                    return None
-            return mapping
-        _, color, vs = min(split)
-        v = vs[0]
-        targets = sorted(w for w in range(g2.n) if c2[w] == color)
-        for w in targets:
-            found = solve(pins + [(v, w)])
-            if found is not None:
-                return found
+        made.append(step)
+    if expect is not None and len(made) != len(expect):
+        return None
+    return made
+
+
+class _Search:
+    """Individualize-refine search for isomorphisms from g onto h.
+
+    The left side is one path of g's search tree, built once: parts[0] is
+    the unit partition refined, then individualized at each pin and
+    refined; parts[k+1] is parts[k] with its base vertex b_k (first of the
+    smallest non-singleton cell) individualized and refined, down to a
+    discrete partition.  Each level keeps the splits its refinement made,
+    so a partition of h refined from the same parent is dropped as soon as
+    one of its splits differs."""
+
+    def __init__(self, g: Graph, h: Graph, pins: tuple[int, ...] = ()):
+        self.adj = adjacency(g)
+        self.adj_h = self.adj if h is g else adjacency(h)
+        self.edges, self.edges_h = g.edges, set(h.edges)
+        cell_of, cells = [0] * g.n, {0: list(range(g.n))}
+        self.root_splits = _refine(self.adj, cell_of, cells, [0])
+        for p in pins:
+            _refine(self.adj, cell_of, cells, _individualize(cell_of, cells, p))
+        self.parts = [(cell_of, cells)]
+        self.levels = []  # (target cell, b_k, splits) per level
+        while len(cells) < g.n:
+            _, target = min((len(vs), c) for c, vs in cells.items() if len(vs) > 1)
+            b = cells[target][0]
+            cell_of, cells = cell_of[:], dict(cells)
+            queue = _individualize(cell_of, cells, b)
+            splits = _refine(self.adj, cell_of, cells, queue)
+            self.levels.append((target, b, splits))
+            self.parts.append((cell_of, cells))
+
+    def match(self, k: int, cell_of, cells, images) -> Perm | None:
+        """An isomorphism that maps parts[k] onto (cell_of, cells) and b_k
+        into `images`, or None.  Depth first on an explicit stack, so a long
+        base cannot exhaust the recursion limit.  The first node below k
+        also tries the guess of `fit`, which settles a swap of two vertices
+        or branches without descending to a leaf."""
+        stack = [(k, cell_of, cells, iter(images))]
+        while stack:
+            j, cell_of, cells, ys = stack[-1]
+            y = next(ys, None)
+            if y is None:
+                stack.pop()
+                continue
+            cell_of, cells = cell_of[:], dict(cells)
+            queue = _individualize(cell_of, cells, y)
+            if _refine(self.adj_h, cell_of, cells, queue, self.levels[j][2]) is None:
+                continue
+            if j == k or j + 1 == len(self.levels):
+                perm = self.fit(j + 1, cells)
+                if perm is not None:
+                    return perm
+            if j + 1 < len(self.levels):
+                target = self.levels[j + 1][0]
+                stack.append((j + 1, cell_of, cells, iter(cells[target])))
         return None
 
-    return solve(list(pins))
+    def fit(self, k: int, cells: dict[int, list[int]]) -> Perm | None:
+        """The map sending each cell of parts[k] onto the cell of `cells` at
+        its position, fixing the vertices they share and pairing the rest
+        in order, if that map is an isomorphism.  On discrete partitions it
+        is the only map that respects them."""
+        perm = list(range(len(self.adj)))
+        for c, xs in self.parts[k][1].items():
+            ys = cells[c]
+            if xs is not ys:
+                xset, yset = set(xs), set(ys)
+                moved = [y for y in ys if y not in xset]
+                for x, y in zip([x for x in xs if x not in yset], moved):
+                    perm[x] = y
+        for u, v in self.edges:
+            a, b = perm[u], perm[v]
+            if (a, b) not in self.edges_h and (b, a) not in self.edges_h:
+                return None
+        return tuple(perm)
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return False
-    if sorted(map(len, adjacency(g1))) != sorted(map(len, adjacency(g2))):
+    search = _Search(g1, g2)
+    cell_of, cells = [0] * g2.n, {0: list(range(g2.n))}
+    if _refine(search.adj_h, cell_of, cells, [0], search.root_splits) is None:
         return False
-    return _iso_search(g1, g2, []) is not None
+    if search.fit(0, cells) is not None:
+        return True
+    if not search.levels:  # discrete: fit was the only candidate
+        return False
+    return search.match(0, cell_of, cells, cells[search.levels[0][0]]) is not None
 
 
-def _count_and_generators(
-    g: Graph, fixed: tuple[int, ...]
-) -> tuple[int, list[Perm]]:
-    """Orbit-stabilizer recursion: |orbit of a branch vertex| times the count
-    with that vertex also fixed.  The orbit witnesses generate the group."""
-    adj = adjacency(g)
-    prefix = [(f, f) for f in fixed]
-    c1 = [0] * g.n
-    c2 = [0] * g.n
-    for i, (a, b) in enumerate(prefix):
-        c1[a] = i + 1
-        c2[b] = i + 1
-    _refine(adj, adj, c1, c2)
-    cells: dict[int, list[int]] = {}
-    for v in range(g.n):
-        cells.setdefault(c1[v], []).append(v)
-    split = [(len(vs), color, vs) for color, vs in cells.items() if len(vs) > 1]
-    if not split:
-        return 1, []
-    _, _, vs = min(split)
-    v = vs[0]
-    orbit = 1
-    gens: list[Perm] = []
-    for w in vs[1:]:
-        witness = _iso_search(g, g, prefix + [(v, w)])
-        if witness is not None:
-            orbit += 1
+def _automorphisms(g: Graph, fixed: tuple[int, ...]):
+    """Order, generators and orbit roots of the group fixing `fixed`.
+
+    Orbit-stabilizer down the base: with G_k fixing the pins and b_0 ..
+    b_k-1, |G_k| = |orbit of b_k under G_k| * |G_k+1|.  Levels run deepest
+    first, so every witness found so far lies in G_k.  An image w of b_k
+    in its cell is searched for only when the witnesses join it neither to
+    b_k nor to an image already refuted.  The witnesses generate the group,
+    and their union-find roots name its vertex orbits."""
+    search = _Search(g, g, fixed)
+    parent = list(range(g.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    count, gens = 1, []
+    for k in reversed(range(len(search.levels))):
+        cell_of, cells = search.parts[k]
+        target, b, _ = search.levels[k]
+        refuted: list[int] = []
+        for w in cells[target]:
+            r = find(w)
+            if r == find(b) or any(r == find(f) for f in refuted):
+                continue
+            witness = search.match(k, cell_of, cells, [w])
+            if witness is None:
+                refuted.append(w)
+                continue
             gens.append(witness)
-    sub_count, sub_gens = _count_and_generators(g, fixed + (v,))
-    return orbit * sub_count, gens + sub_gens
+            for v, img in enumerate(witness):
+                a, c = find(v), find(img)
+                if a != c:
+                    parent[a] = c
+        root = find(b)
+        count *= sum(find(w) == root for w in cells[target])
+    return count, gens, [find(v) for v in range(g.n)]
 
 
 def automorphism_count(g: Graph, fixed: tuple[int, ...] = ()) -> int:
     """Exact number of automorphisms fixing each vertex in `fixed`."""
     _check_size(g)
-    count, _ = _count_and_generators(g, fixed)
-    return count
+    return _automorphisms(g, fixed)[0]
 
 
 def automorphism_generators(g: Graph) -> list[Perm]:
     """Generators for the full automorphism group (empty for a rigid graph)."""
     _check_size(g)
-    _, gens = _count_and_generators(g, ())
-    return gens
+    return _automorphisms(g, ())[1]
 
 
 def close_generators(n: int, gens: list[Perm], cap: int) -> list[Perm]:
@@ -194,7 +268,7 @@ def close_generators(n: int, gens: list[Perm], cap: int) -> list[Perm]:
         nxt = []
         for p in frontier:
             for gen in gens:
-                q = compose(gen, p)
+                q = tuple(map(gen.__getitem__, p))
                 if q not in elements:
                     if len(elements) >= cap:
                         raise ValueError(
@@ -209,7 +283,7 @@ def close_generators(n: int, gens: list[Perm], cap: int) -> list[Perm]:
 def all_automorphisms(g: Graph, cap: int = 100_000) -> list[Perm]:
     """Every automorphism, via closure of the witness generators."""
     _check_size(g)
-    count, gens = _count_and_generators(g, ())
+    count, gens, _ = _automorphisms(g, ())
     if count > cap:
         raise ValueError(
             "automorphism group has %d elements, above the cap of %d"
@@ -228,23 +302,9 @@ def vertex_orbits(g: Graph) -> list[list[int]]:
     """Orbits of the automorphism group on vertices, each sorted, sorted by
     first element."""
     _check_size(g)
-    _, gens = _count_and_generators(g, ())
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for gen in gens:
-        for v in range(g.n):
-            a, b = find(v), find(gen[v])
-            if a != b:
-                parent[a] = b
     groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
+    for v, root in enumerate(_automorphisms(g, ())[2]):
+        groups.setdefault(root, []).append(v)
     return sorted(groups.values())
 
 

@@ -81,7 +81,7 @@ def test_core_and_attached_trees():
 
 def test_skeleton_theta():
     g = make_graph(5, [(0, 1), (0, 2), (2, 1), (0, 3), (3, 4), (4, 1)])
-    sk = skeleton(g)
+    sk = skeleton(g, core_vertices(g))
     assert sk.kind == "theta"
     assert sk.anchors == (0, 1)
     assert sk.lengths == (1, 2, 3)
@@ -92,7 +92,7 @@ def test_skeleton_shared():
     g = make_graph(
         5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
     )
-    sk = skeleton(g)
+    sk = skeleton(g, core_vertices(g))
     assert sk.kind == "shared"
     assert sk.anchors == (0,)
     assert sk.lengths == (3, 3)
@@ -104,7 +104,7 @@ def test_skeleton_dumbbell():
         7,
         [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 6), (6, 4)],
     )
-    sk = skeleton(g)
+    sk = skeleton(g, core_vertices(g))
     assert sk.kind == "dumbbell"
     assert sk.anchors == (0, 4)
     assert sk.lengths == (3, 3, 2)
@@ -113,13 +113,13 @@ def test_skeleton_dumbbell():
 
 def test_skeleton_kind():
     theta = make_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
-    assert skeleton(theta).kind == "theta"
+    assert skeleton(theta, core_vertices(theta)).kind == "theta"
     shared = make_graph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
-    assert skeleton(shared).kind == "shared"
+    assert skeleton(shared, core_vertices(shared)).kind == "shared"
     dumb = make_graph(
         7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 6), (6, 4)]
     )
-    assert skeleton(dumb).kind == "dumbbell"
+    assert skeleton(dumb, core_vertices(dumb)).kind == "dumbbell"
 
 
 def test_centers():

@@ -8,7 +8,8 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SRC = sorted((ROOT / "src" / "bicaut").glob("*.py"))
+SRC_DIR = ROOT / "src" / "bicaut"
+SRC = sorted(SRC_DIR.glob("*.py"))
 FILES = SRC + sorted((ROOT / "tests").glob("*.py"))
 
 # public names whose only callers are tests, and why each stays
@@ -122,3 +123,21 @@ def test_traced_names_resolve():
         if not hasattr(importlib.import_module("bicaut." + mod), name)
     ]
     assert missing == []
+
+
+def test_oracle_imports_only_graphs():
+    # the oracle checks trees and bicyclic, so it may share no code with them
+    tree = ast.parse((SRC_DIR / "oracle.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module] if node.module else [a.name for a in node.names]
+            imported.update("." * node.level + m for m in modules)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    package = {
+        m.lstrip(".").removeprefix("bicaut.")
+        for m in imported
+        if m.startswith((".", "bicaut"))
+    }
+    assert package == {"graphs"}

@@ -1,7 +1,11 @@
 """Brute-force automorphism oracle."""
+import random
+
 import pytest
 
+from bicaut.generate import skeleton_core
 from bicaut.graphs import make_graph
+from bicaut.groups import parse_expr
 from bicaut.oracle import (
     all_automorphisms,
     are_isomorphic,
@@ -15,6 +19,7 @@ from bicaut.oracle import (
     oracle_bound,
     vertex_orbits,
 )
+from bicaut.realize import realize
 
 P4 = make_graph(4, [(0, 1), (1, 2), (2, 3)])
 C5 = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -89,6 +94,70 @@ def test_are_isomorphic():
     a = make_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     b = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
     assert not are_isomorphic(a, b)
+    # regular pairs of equal degree and size, which colour refinement alone
+    # cannot tell apart: prism against K33, pentagonal prism against Petersen
+    k33 = make_graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    assert not are_isomorphic(_prism(3), k33)
+    assert not are_isomorphic(_prism(5), PETERSEN)
+    assert are_isomorphic(PETERSEN, _relabel(PETERSEN, random.Random(3)))
+    assert are_isomorphic(_prism(5), _relabel(_prism(5), random.Random(4)))
+
+
+def _prism(k):
+    """The circular ladder: two k-cycles joined by a perfect matching."""
+    return make_graph(
+        2 * k,
+        [(i, (i + 1) % k) for i in range(k)]
+        + [(k + i, k + (i + 1) % k) for i in range(k)]
+        + [(i, k + i) for i in range(k)],
+    )
+
+
+def _relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def test_counts_match_vf2_enumeration():
+    # regular and random graphs, where refinement alone leaves big cells;
+    # networkx is a test-time reference only
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    rng = random.Random(2024)
+    hs = [
+        nx.petersen_graph(),
+        nx.cubical_graph(),
+        nx.heawood_graph(),
+        nx.moebius_kantor_graph(),
+        nx.circular_ladder_graph(6),
+        # unions of cycles: some witness searches first try an image in the
+        # wrong cycle and must backtrack
+        nx.disjoint_union_all([nx.cycle_graph(k) for k in (3, 4, 3)]),
+        nx.disjoint_union_all([nx.cycle_graph(k) for k in (3, 6, 3)]),
+    ]
+    for _ in range(12):
+        d = rng.choice((2, 3))
+        n = 2 * rng.randint(3, 6)
+        hs.append(nx.random_regular_graph(d, n, seed=rng.randrange(10**6)))
+    for _ in range(24):
+        hs.append(nx.gnp_random_graph(
+            rng.randint(5, 10), rng.uniform(0.2, 0.6), seed=rng.randrange(10**6)
+        ))
+    for h in hs:
+        g = make_graph(h.number_of_nodes(), h.edges)
+        want = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+        assert automorphism_count(g) == want, g.edges
+
+
+def test_counts_past_the_default_bound(monkeypatch):
+    monkeypatch.setenv("BICAUT_ORACLE_BOUND", "300")
+    for k in (65, 128, 300):
+        assert automorphism_count(skeleton_core("cycle", (k,))[0]) == 2 * k
+    g = realize(parse_expr("wr(wr(S3,S3),S4)")).graph
+    assert g.n == 75
+    assert automorphism_count(g) == 1296**4 * 24
 
 
 def test_oracle_bound_env(monkeypatch):
