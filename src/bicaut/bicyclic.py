@@ -4,15 +4,17 @@ Every automorphism preserves the 2-core, so it splits into a symmetry of the
 core that preserves attached-tree shapes plus independent automorphisms of
 the attached trees fixing their roots.  The whole group is the product of
 the rooted-tree stabilizers extended by the group Q of shape-preserving core
-symmetries.  decompose roots every attached tree at once: one RootedTree
-over the graph without its core edges, with a virtual vertex n joined to
-every core vertex.  Each slot's code and expression, the rooted generators
-and the lifts of core symmetries (trees.aligned_iso) all come from that one
-tree; the generators and lifts are support-only maps of the vertices they
-move, and emit_generators densifies them once, at n (trees.dense).  Q is
-the group of core symmetries that keep every slot's tree code, held as
-permutations of the positions in Decomposition.layout, which lists the core
-in the one slot layout of graphs.PATH_ENDS.  A bicyclic core filters its at
+symmetries.  decompose reads everything off one adjacency and one leaf
+peel (graphs.peel): the vertices left are the core, which graphs.skeleton
+lays out in the one slot layout of graphs.PATH_ENDS (Decomposition.layout),
+and the parents root every attached tree at once, as one RootedTree whose
+virtual root n has the core vertices for children.  Each slot's code and
+expression, the rooted generators and the lifts of core symmetries
+(trees.aligned_iso) all come from that one tree; the generators and lifts
+are support-only maps of the vertices they move, and emit_generators
+densifies them once, at n (trees.dense).  Q is the group of core
+symmetries that keep every slot's tree code, held as permutations of the
+positions in the layout.  A bicyclic core filters its at
 most 12 bare symmetries (graphs.skeleton_perms); a cycle's candidates are
 the symmetries of its slot-code necklace (graphs.necklace_perms), read off
 its period and reflection in O(k), so they already keep every code.
@@ -28,14 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
+from .generate import skeleton_core
 from .graphs import (
     Graph,
-    Skeleton,
-    core_vertices,
-    cycle_order,
+    adjacency,
     is_connected,
     make_graph,
     necklace_perms,
+    peel,
     skeleton,
     skeleton_perms,
 )
@@ -79,20 +81,18 @@ class _Slot:
 class Decomposition:
     """Core plus attached trees; kind is 'cycle' for unicyclic graphs.
 
-    layout lists the core vertices in the slot layout of graphs.PATH_ENDS:
-    the skeleton's anchors, then each path's interior; a cycle in cyclic
-    order (graphs.cycle_order).  Core symmetries permute positions in it.
-    tree holds every attached tree in the graph's labels, rooted at
-    the virtual vertex n whose children are the core vertices."""
+    layout lists the core vertices in the slot layout of graphs.PATH_ENDS
+    (graphs.skeleton): the anchors, then each path's interior.  Core
+    symmetries permute positions in it.  tree holds every attached tree in
+    the graph's labels, rooted at the virtual vertex n whose children are
+    the core vertices."""
 
     n: int
     kind: str
     layout: tuple[int, ...]
     lengths: tuple[int, ...]
-    sk: Skeleton | None
     slots: dict[int, _Slot]
     tree: RootedTree
-    core_edges: tuple[tuple[int, int], ...]
 
     def is_bare(self) -> bool:
         return self.n == len(self.layout)
@@ -103,40 +103,39 @@ class Decomposition:
 
 
 def decompose(g: Graph) -> Decomposition:
-    """Split a unicyclic or bicyclic graph into its core and attached trees.
+    """Split a unicyclic or bicyclic graph into its core and attached trees,
+    all from one adjacency and one leaf peel (graphs.peel).
 
     A graph with fewer than n - 1 edges cannot be connected, so it is
     rejected before any adjacency is built."""
     c = len(g.edges) - g.n + 1
-    if c < 0 or not is_connected(g):
+    if c < 0:
+        raise UnsupportedFamilyError("graph is not connected")
+    adj = adjacency(g)
+    if not is_connected(adj):
         raise UnsupportedFamilyError("graph is not connected")
     if c not in (1, 2):
         raise UnsupportedFamilyError(
             "graph has cyclomatic number %d, need 1 or 2" % c
         )
-    core = core_vertices(g)
-    core_set = set(core)
-    core_edges = tuple(e for e in g.edges if e[0] in core_set and e[1] in core_set)
-    pendant = [e for e in g.edges if e[0] not in core_set or e[1] not in core_set]
-    tree = RootedTree(make_graph(g.n + 1, pendant + [(v, g.n) for v in core]), g.n)
+    parent = peel(adj)
+    core = [v for v, p in enumerate(parent) if p < 0]
+    kind, layout, lengths = skeleton(adj, core)
+    # the peel's parents with the core hung below the virtual root n
+    tree = RootedTree(g, g.n, [p if p >= 0 else g.n for p in parent] + [-1])
     exprs = rooted_exprs(tree)
     slots = {v: _Slot(tree.code[v], normalize(exprs[v])) for v in core}
-    if c == 1:
-        layout = tuple(cycle_order(g, core))
-        return Decomposition(
-            g.n, "cycle", layout, (len(core),), None, slots, tree, core_edges
-        )
-    sk = skeleton(g, core)
-    layout = sk.anchors + tuple(v for p in sk.paths for v in p)
-    return Decomposition(
-        g.n, sk.kind, layout, sk.lengths, sk, slots, tree, core_edges
-    )
+    return Decomposition(g.n, kind, layout, lengths, slots, tree)
 
 
 def reconstruct(dec: Decomposition) -> Graph:
-    """Rebuild the original graph from a decomposition (exact round-trip)."""
-    pendant = tuple(e for e in dec.tree.g.edges if e[1] != dec.n)
-    return Graph(dec.n, tuple(sorted(dec.core_edges + pendant)))
+    """Rebuild the original graph from a decomposition (exact round-trip):
+    the core by chaining PATH_ENDS over the layout (generate.skeleton_core
+    with its slots renamed), the pendant edges from the tree's parents."""
+    core, _ = skeleton_core(dec.kind, dec.lengths)
+    edges = [(dec.layout[a], dec.layout[b]) for a, b in core.edges]
+    edges += [(v, p) for v, p in enumerate(dec.tree.parent[: dec.n]) if p != dec.n]
+    return make_graph(dec.n, edges)
 
 
 # --- core symmetry candidates ----------------------------------------------
@@ -285,12 +284,11 @@ def _honest_semi(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
 
 def _theta_s3_fold(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     """Three pointwise-isomorphic branches permuted without the end swap:
-    the branches wreathe with Sym(3), the two branch vertices stay fixed."""
-    sk = dec.sk
-    u, v = sk.anchors
-    block = _opt_product([dec.slots[x].expr for x in sk.paths[0]])
-    factors = (dec.slots[u].expr, dec.slots[v].expr, Wreath(block, 3))
-    return normalize(Product(factors))
+    the branches wreathe with Sym(3), the two branch vertices (positions 0
+    and 1) stay fixed.  The first branch's interior follows them."""
+    exprs = dec.exprs()
+    block = _opt_product(exprs[2 : 1 + dec.lengths[0]])
+    return normalize(Product((exprs[0], exprs[1], Wreath(block, 3))))
 
 
 def _theta_full_fold(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
@@ -298,20 +296,13 @@ def _theta_full_fold(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     vertices and the S3 part only on the branch midpoints whenever every
     off-center branch slot is trivial; then the two wreaths split off
     exactly.  Otherwise fall back to the explicit semidirect form."""
-    sk = dec.sk
-    length = sk.lengths[0]
-    interior = len(sk.paths[0])
-    for j in range(interior):
-        if j < interior - 1 - j:
-            if not isinstance(dec.slots[sk.paths[0][j]].expr, Trivial):
-                return _honest_semi(dec, Q)
-    mid = (
-        dec.slots[sk.paths[0][(interior - 1) // 2]].expr
-        if length % 2 == 0
-        else Trivial()
-    )
-    u = sk.anchors[0]
-    return normalize(Product((Wreath(dec.slots[u].expr, 2), Wreath(mid, 3))))
+    exprs = dec.exprs()
+    branch = exprs[2 : 1 + dec.lengths[0]]  # the first branch's interior
+    half = len(branch) // 2
+    if not all(isinstance(e, Trivial) for e in branch[:half]):
+        return _honest_semi(dec, Q)
+    mid = branch[half] if len(branch) % 2 else Trivial()
+    return normalize(Product((Wreath(exprs[0], 2), Wreath(mid, 3))))
 
 
 def _case_label(dec: Decomposition, Q: list[Perm]) -> str:
@@ -321,17 +312,17 @@ def _case_label(dec: Decomposition, Q: list[Perm]) -> str:
     if dec.kind == "theta":
         return "lem2" if k == 4 else "generic"
     if dec.kind == "shared":
-        c = dec.sk.anchors[0]
         if k == 8:
             if dec.is_bare():
                 return "M1"
-            codes = {dec.slots[v].code for v in dec.layout if v != c}
+            codes = {dec.slots[v].code for v in dec.layout[1:]}
             return "M2" if len(codes) == 1 else "M3"
         if k == 4:
             return "M6" if dec.is_bare() else "M7"
         if k == 2:
-            # does the involution send cycle A (from position 1) to cycle B?
-            return "M4" if dec.layout[max(Q)[1]] in dec.sk.paths[1] else "M8"
+            # does the involution send cycle A (from position 1) into cycle
+            # B, whose slots start at position lengths[0]?
+            return "M4" if max(Q)[1] >= dec.lengths[0] else "M8"
         return "M5"
     if dec.kind == "dumbbell":
         if k == 8:
@@ -389,7 +380,7 @@ def analyze(g: Graph) -> Analysis:
     once: here for a tree, in decompose for every other graph."""
     c = len(g.edges) - g.n + 1
     if c == 0:
-        if not is_connected(g):
+        if not is_connected(adjacency(g)):
             raise UnsupportedFamilyError("graph is not connected")
         return Analysis("tree", None, (), "-", tree_aut_expr(g), None, ())
     dec = decompose(g)

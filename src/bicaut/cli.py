@@ -15,7 +15,6 @@ exceeded.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from collections import Counter
@@ -104,8 +103,6 @@ def _cmd_verify(args) -> int:
         return EX_INPUT
     a = analyze(g)
     formula = order(a.expr)
-    if os.environ.get("BICAUT_CORRUPT"):
-        formula += 1
     counted = automorphism_count(g)
     if formula == counted:
         print("formula=%d oracle=%d OK" % (formula, counted))
@@ -158,6 +155,11 @@ def _fuzz_stream(args, rng: random.Random):
 
 
 def _cmd_fuzz(args) -> int:
+    if not args.exhaustive and args.max_n < 5:
+        # random bicyclic graphs are drawn with 5 to --max-n vertices
+        raise ValueError(
+            "--max-n must be at least 5 without --exhaustive, got %d" % args.max_n
+        )
     rng = random.Random(args.seed)
     counts: Counter[str] = Counter()
     checked = 0

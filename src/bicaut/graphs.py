@@ -1,12 +1,14 @@
 """Undirected simple graphs on vertices 0..n-1, plus the structural
-decomposition used everywhere else: the pruned core of a unicyclic or
-bicyclic graph, its skeleton paths and their symmetries, and the trees
-hanging off core vertices.
+decomposition used everywhere else.
 
-Every bare core is a few anchors joined by paths, and PATH_ENDS is the one
-slot layout of all of them: skeleton reads a core off a graph in that
-layout, generate.skeleton_core builds one from it, and skeleton_perms and
-the D4 fold in bicyclic permute its slots.
+One leaf peel (peel) finds both what a graph's group is read off: the
+2-core of a unicyclic or bicyclic graph, or the centres of a tree, with
+the parent of every deleted vertex, which roots the trees hanging off them.
+
+Every core is a few anchors joined by paths, and PATH_ENDS is the one slot
+layout of all of them, the cycle included: skeleton lays a peeled core out
+in it, generate.skeleton_core builds a bare core from it, and
+skeleton_perms and the D4 fold in bicyclic permute its slots.
 
 Graphs are immutable: a sorted tuple of sorted edge pairs plus the vertex
 count.  Formats: a plain edge-list text form and graph6.
@@ -55,17 +57,9 @@ def adjacency(g: Graph) -> list[list[int]]:
     return adj
 
 
-def degrees(g: Graph) -> list[int]:
-    deg = [0] * g.n
-    for u, v in g.edges:
-        deg[u] += 1
-        deg[v] += 1
-    return deg
-
-
-def is_connected(g: Graph) -> bool:
-    adj = adjacency(g)
-    seen = [False] * g.n
+def is_connected(adj: list[list[int]]) -> bool:
+    """Whether the graph with this adjacency (see adjacency) is connected."""
+    seen = [False] * len(adj)
     stack = [0]
     seen[0] = True
     count = 1
@@ -76,7 +70,7 @@ def is_connected(g: Graph) -> bool:
                 seen[w] = True
                 count += 1
                 stack.append(w)
-    return count == g.n
+    return count == len(adj)
 
 
 def components(g: Graph) -> list[tuple[Graph, list[int]]]:
@@ -116,25 +110,43 @@ def induced_subgraph(g: Graph, vertices: list[int]) -> tuple[Graph, dict[int, in
 # --- core decomposition ---------------------------------------------------
 
 
-def core_vertices(g: Graph) -> list[int]:
-    """Vertices left after repeatedly deleting degree-1 vertices.
+def peel(adj: list[list[int]]) -> list[int]:
+    """Delete leaves in rounds while more than two vertices are left; the
+    parent of every vertex: the neighbour a deleted vertex hung from, -1 for
+    a vertex left.
 
-    Empty for a tree; the unique cycle for cyclomatic number 1; the union of
-    both cycles and any path joining them for cyclomatic number 2.
+    On a connected graph with a cycle the rounds run out of leaves first (a
+    cycle has three vertices or more), leaving the 2-core; on a tree they
+    leave its one or two centres.  Either way every deleted vertex hangs
+    from its neighbour towards the vertices left, so the parents root the
+    trees hanging from them.
     """
-    deg = degrees(g)
-    adj = adjacency(g)
-    alive = [True] * g.n
-    queue = [v for v in range(g.n) if deg[v] == 1]
-    while queue:
-        v = queue.pop()
-        alive[v] = False
-        for w in adj[v]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    queue.append(w)
-    return [v for v in range(g.n) if alive[v]]
+    deg = [len(row) for row in adj]
+    parent = [-1] * len(adj)
+    left = len(adj)
+    layer = [v for v, d in enumerate(deg) if d == 1]
+    while layer and left > 2:
+        nxt = []
+        for v in layer:
+            # the neighbour not deleted yet; none only in a disconnected
+            # graph, when v's neighbour was a leaf of this round too
+            w = next((w for w in adj[v] if parent[w] < 0), -1)
+            if w < 0:
+                continue
+            parent[v] = w
+            left -= 1
+            deg[w] -= 1
+            if deg[w] == 1:
+                nxt.append(w)
+        layer = nxt
+    return parent
+
+
+def core_vertices(g: Graph) -> list[int]:
+    """The vertices peel leaves: for a connected graph with a cycle its
+    2-core (the unique cycle, or both cycles and any path joining them), for
+    a tree its centres."""
+    return [v for v, p in enumerate(peel(adjacency(g))) if p < 0]
 
 
 @dataclass(frozen=True)
@@ -186,112 +198,63 @@ PATH_ENDS: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
 }
 
 
-@dataclass(frozen=True)
-class Skeleton:
-    """Shape of the core of a bicyclic graph, laid out as in PATH_ENDS.
+def skeleton(
+    adj: list[list[int]], core: list[int]
+) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
+    """Lay out the core (the vertices peel leaves, ascending) of a connected
+    graph with one or two independent cycles in the PATH_ENDS slot order;
+    returns (kind, layout, lengths), lengths being the paths' edge counts.
 
-    kind is 'theta' (two branch vertices joined by three internally disjoint
-    paths), 'shared' (two cycles meeting in exactly one vertex), or
-    'dumbbell' (two disjoint cycles joined by a path).
-
-    For theta: anchors = (u, v), paths = three internal-vertex lists sorted
-    by (length, vertex labels); lengths = edge counts of the paths.
-    For shared: anchors = (c,), paths = the two cycles as vertex lists
-    starting and ending next to c, sorted by (length, labels); lengths are
-    cycle lengths.
-    For dumbbell: anchors = (a, b) the cycle vertices of degree 3 in the
-    core, paths = (cycle A minus a, cycle B minus b, bridge interior from
-    a), lengths = (|cycle A|, |cycle B|, bridge edge count).
+    kind is 'cycle'; 'theta' (two branch vertices joined by three internally
+    disjoint paths); 'shared' (two cycles meeting in exactly one vertex); or
+    'dumbbell' (two disjoint cycles joined by a path).  The anchors are the
+    core's branch vertices, or a cycle's smallest vertex.  A path is walked
+    from its first end, and a cycle leaves its anchor towards the smaller of
+    its two neighbours there.  The paths are, in order:
+    - cycle: the cycle through its anchor;
+    - theta: anchors u < v, the three u-v paths sorted by (length, labels);
+    - shared: the two cycles through the anchor, sorted the same way;
+    - dumbbell: anchors (a, b), a's cycle the smaller by (length, labels);
+      a's cycle, b's cycle, then the bridge from a.
     """
-
-    kind: str
-    anchors: tuple[int, ...]
-    paths: tuple[tuple[int, ...], ...]
-    lengths: tuple[int, ...]
-
-
-def _core_adjacency(g: Graph, core: list[int]) -> dict[int, list[int]]:
-    core_set = set(core)
-    adj: dict[int, list[int]] = {v: [] for v in core}
-    for u, v in g.edges:
-        if u in core_set and v in core_set:
-            adj[u].append(v)
-            adj[v].append(u)
-    for row in adj.values():
-        row.sort()
-    return adj
-
-
-def _walk(
-    adj: dict[int, list[int]], start: int, first: int, stops: set[int]
-) -> tuple[tuple[int, ...], int]:
-    """Follow degree-2 vertices from start through first until hitting a stop
-    vertex; returns (interior vertices, stop vertex reached)."""
-    path: list[int] = []
-    prev, cur = start, first
-    while cur not in stops:
-        path.append(cur)
-        nxt = [w for w in adj[cur] if w != prev]
-        prev, cur = cur, nxt[0]
-    return tuple(path), cur
-
-
-def skeleton(g: Graph, core: list[int]) -> Skeleton:
-    """Classify the core (core_vertices(g)) of a graph with cyclomatic
-    number 2."""
-    adj = _core_adjacency(g, core)
-    branch = sorted(v for v in core if len(adj[v]) >= 3)
-    if len(branch) == 1:
-        c = branch[0]
-        # four core edges at c pair up into two cycles through it
-        cycles = []
-        seen_first = set()
-        for first in adj[c]:
-            if first in seen_first:
+    in_core = set(core)
+    branch = [v for v in core if sum(w in in_core for w in adj[v]) > 2]
+    anchors = branch or [core[0]]
+    stops = set(anchors)
+    found = []  # (first end, interior, second end) of each path
+    seen = set()  # (end, next vertex) that starts a path already walked
+    for a in anchors:
+        for first in adj[a]:
+            if first not in in_core or (a, first) in seen:
                 continue
-            interior, _ = _walk(adj, c, first, {c})
-            seen_first.add(first)
-            seen_first.add(interior[-1])
-            cycles.append(interior)
-        cycles.sort(key=lambda p: (len(p), p))
-        return Skeleton(
-            "shared", (c,), tuple(cycles), tuple(len(p) + 1 for p in cycles)
-        )
-    u, v = branch
-    walks = [(first, *_walk(adj, u, first, {u, v})) for first in adj[u]]
-    if all(end == v for _, _, end in walks):
-        three = sorted((p for _, p, _ in walks), key=lambda p: (len(p), p))
-        return Skeleton(
-            "theta", (u, v), tuple(three), tuple(len(p) + 1 for p in three)
-        )
-    # dumbbell: the walks back to u trace u's cycle, the walk to v the bridge
-    cyc_u = next(p for _, p, end in walks if end == u)
-    bridge = next(p for _, p, end in walks if end == v)
-    cyc_v = next(
-        p
-        for first in adj[v]
-        for p, end in [_walk(adj, v, first, {u, v})]
-        if end == v
-    )
-    a, b, ca, cb = u, v, cyc_u, cyc_v
-    if (len(cb), cb) < (len(ca), ca):
-        a, b, ca, cb = v, u, cyc_v, cyc_u
-        bridge = tuple(reversed(bridge))
-    return Skeleton(
-        "dumbbell",
-        (a, b),
-        (ca, cb, bridge),
-        (len(ca) + 1, len(cb) + 1, len(bridge) + 1),
-    )
+            path, prev, cur = [], a, first
+            while cur not in stops:
+                path.append(cur)
+                prev, cur = cur, next(
+                    w for w in adj[cur] if w != prev and w in in_core
+                )
+            seen.add((cur, path[-1] if path else a))
+            found.append((a, tuple(path), cur))
 
+    def size(p):
+        return (len(p), p)
 
-def cycle_order(g: Graph, core: list[int]) -> list[int]:
-    """The core of a unicyclic graph in cyclic order, from its smallest
-    vertex towards that vertex's smaller neighbour."""
-    adj = _core_adjacency(g, core)
-    start = min(core)
-    interior, _ = _walk(adj, start, adj[start][0], {start})
-    return [start, *interior]
+    if len(anchors) == 2 and any(a == b for a, _, b in found):
+        kind = "dumbbell"
+        loops = {a: p for a, p, b in found if a == b}
+        (bridge,) = [p for a, p, b in found if a != b]
+        if size(loops[anchors[1]]) < size(loops[anchors[0]]):
+            anchors.reverse()
+            bridge = bridge[::-1]
+        paths = [loops[anchors[0]], loops[anchors[1]], bridge]
+    else:
+        if len(anchors) == 2:
+            kind = "theta"
+        else:
+            kind = "cycle" if len(found) == 1 else "shared"
+        paths = sorted((p for _, p, _ in found), key=size)
+    layout = tuple(anchors) + tuple(v for p in paths for v in p)
+    return kind, layout, tuple(len(p) + 1 for p in paths)
 
 
 def _first_match(pattern: list[int], text: list[int]) -> int | None:
@@ -448,8 +411,15 @@ def from_edgelist(text: str) -> Graph:
 
 
 def to_graph6(g: Graph) -> str:
-    if g.n > 62:
-        raise ValueError("graph6 writer here only handles n <= 62")
+    """graph6 text of g: the size (one character, or '~' and three for
+    63 <= n <= 258047), then the upper triangle column by column, six bits a
+    character."""
+    if g.n <= 62:
+        head = [g.n]
+    elif g.n <= 258047:
+        head = [63, g.n >> 12, (g.n >> 6) & 63, g.n & 63]
+    else:
+        raise ValueError("graph6 writer here only handles n <= 258047")
     bits = []
     present = set(g.edges)
     for v in range(1, g.n):
@@ -457,7 +427,7 @@ def to_graph6(g: Graph) -> str:
             bits.append(1 if (u, v) in present else 0)
     while len(bits) % 6:
         bits.append(0)
-    chars = [chr(g.n + 63)]
+    chars = [chr(x + 63) for x in head]
     for i in range(0, len(bits), 6):
         value = 0
         for b in bits[i : i + 6]:
@@ -475,19 +445,22 @@ def from_graph6(text: str) -> Graph:
     data = [ord(c) - 63 for c in s]
     if any(d < 0 or d > 63 for d in data):
         raise ValueError("invalid graph6 character")
-    if data[0] == 63:
-        raise ValueError("graph6 reader here only handles n <= 62")
-    n = data[0]
+    if data[0] < 63:
+        n, body = data[0], data[1:]
+    elif len(data) >= 4 and data[1] < 63:
+        n, body = data[1] << 12 | data[2] << 6 | data[3], data[4:]
+    else:
+        raise ValueError("graph6 reader here only handles n <= 258047")
     if n < 1:
         raise ValueError("graph6 graph must have at least one vertex")
     need = (n * (n - 1) // 2 + 5) // 6
-    if len(data) - 1 != need:
+    if len(body) != need:
         raise ValueError(
             "graph6 length mismatch: n=%d needs %d data characters, got %d"
-            % (n, need, len(data) - 1)
+            % (n, need, len(body))
         )
     bits = []
-    for d in data[1:]:
+    for d in body:
         for shift in range(5, -1, -1):
             bits.append((d >> shift) & 1)
     edges = []

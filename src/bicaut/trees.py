@@ -1,19 +1,21 @@
 """Tree automorphism engine.
 
-A RootedTree gives every vertex a canonical shape code (node_code: the
-child count, then the child codes sorted and concatenated, so distinct
-shapes never share a prefix).  The automorphism group of a rooted tree is
-the iterated wreath product over classes of isomorphic child subtrees; a
-free tree reduces to the rooted case by rooting at the center, subdividing
-the central edge first when there are two centers.  All expressions come
-back normalized.
+A RootedTree is built from one parent list and gives every vertex a
+canonical shape code (node_code: the child count, then the child codes
+sorted and concatenated, so distinct shapes never share a prefix).  The
+automorphism group of a rooted tree is the iterated wreath product over
+classes of isomorphic child subtrees; a free tree reduces to the rooted
+case by rooting at the center, straight from graphs.peel's parents, with
+two centers hung below a virtual root.  All expressions come back
+normalized.
 
 The walks take a RootedTree, and the vertices to start from, and work in
 the tree's own labels: rooted_exprs runs children first along t.order,
 rooted_aut_generators and aligned_iso keep an explicit stack, so a deep
 tree needs no recursion.  One tree can carry many rooted trees below a
-virtual root: bicyclic roots every pendant tree of a graph that way and
-reads each slot's code, expression, generators and lifts off that tree.
+virtual root: bicyclic hangs every pendant tree of a graph from its core
+that way, from the same peel, and reads each slot's code, expression,
+generators and lifts off that tree.
 
 Generators stay support-only here: aligned_iso and rooted_aut_generators
 return dicts of just the vertices they move, so their size follows the
@@ -26,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .graphs import Graph, adjacency, make_graph
+from .graphs import Graph, adjacency, make_graph, peel
 from .groups import GroupExpr, Product, Trivial, Wreath, normalize
 from .oracle import Perm
 
@@ -39,40 +41,51 @@ def node_code(kid_codes) -> bytes:
 
 
 class RootedTree:
-    """Parent/children structure plus shape codes for a tree graph.
+    """Parent/children structure plus shape codes for a tree.
 
-    order is a discovery order with parents before children, so iterating it
-    reversed visits children first.
+    parent[v] is v's parent, -1 for the root; when it is not given, a walk
+    of the tree g from root fills it.  A root of g.n is virtual: the tree
+    then has g.n + 1 vertices and the root's children are those with parent
+    g.n.  order lists the vertices parents first (breadth first), so
+    iterating it reversed visits children first; children are in ascending
+    order.
     """
 
-    def __init__(self, g: Graph, root: int):
-        adj = adjacency(g)
-        self.g = g
+    def __init__(self, g: Graph, root: int, parent: list[int] | None = None):
+        if parent is None:
+            parent = _walk_parents(g, root)
         self.root = root
-        self.parent: dict[int, int] = {root: -1}
-        self.children: dict[int, list[int]] = {}
-        self.order: list[int] = [root]
-        if len(g.edges) != g.n - 1:
-            raise ValueError("graph is not a tree")
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            kids = []
-            for w in adj[u]:
-                if w == self.parent[u]:
-                    continue
-                if w in self.parent:
-                    raise ValueError("graph is not a tree")
-                self.parent[w] = u
-                kids.append(w)
-                self.order.append(w)
-                stack.append(w)
-            self.children[u] = kids
-        if len(self.order) != g.n:
+        self.parent = parent
+        self.children: list[list[int]] = [[] for _ in parent]
+        for v, p in enumerate(parent):
+            if p >= 0:
+                self.children[p].append(v)
+        self.order = [root]
+        for u in self.order:  # grows while read: a breadth-first walk
+            self.order.extend(self.children[u])
+        if len(self.order) != len(parent):
             raise ValueError("graph is not a connected tree")
-        self.code: dict[int, bytes] = {}
+        self.code: list[bytes] = [b""] * len(parent)
         for u in reversed(self.order):
             self.code[u] = node_code(self.code[w] for w in self.children[u])
+
+
+def _walk_parents(g: Graph, root: int) -> list[int]:
+    """Parents of a tree rooted at root; a vertex the walk does not reach
+    keeps -2, which RootedTree rejects."""
+    if len(g.edges) != g.n - 1:
+        raise ValueError("graph is not a tree")
+    adj = adjacency(g)
+    parent = [-2] * g.n
+    parent[root] = -1
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if parent[w] == -2:
+                parent[w] = u
+                stack.append(w)
+    return parent
 
 
 def rooted_code(g: Graph, root: int) -> bytes:
@@ -114,44 +127,38 @@ def rooted_aut_expr(g: Graph, root: int) -> GroupExpr:
     return normalize(rooted_exprs(RootedTree(g, root))[root])
 
 
+def _peel_tree(g: Graph) -> tuple[list[int], list[int]]:
+    """graphs.peel's parents of a tree and its one or two centres, the
+    vertices left.  Raises ValueError unless g is a tree: with n - 1 edges a
+    graph that is not one has a cycle, whose vertices peel leaves."""
+    if len(g.edges) != g.n - 1:
+        raise ValueError("graph is not a tree")
+    parent = peel(adjacency(g))
+    cs = [v for v, p in enumerate(parent) if p < 0]
+    if len(cs) > 2:
+        raise ValueError("graph is not a tree")
+    return parent, cs
+
+
 def centers(g: Graph) -> list[int]:
     """The one or two middle vertices of a tree."""
-    adj = adjacency(g)
-    if g.n == 1:
-        return [0]
-    deg = [len(row) for row in adj]
-    alive = g.n
-    layer = [v for v in range(g.n) if deg[v] == 1]
-    removed = [False] * g.n
-    while alive > 2:
-        nxt = []
-        for v in layer:
-            removed[v] = True
-            alive -= 1
-            for w in adj[v]:
-                if not removed[w]:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return sorted(v for v in range(g.n) if not removed[v])
+    return _peel_tree(g)[1]
 
 
 def center_rooted(g: Graph) -> tuple[RootedTree, bool]:
-    """Root a free tree at its center.
+    """Root a free tree at its center, straight from the peel's parents.
 
-    With two centers the central edge is subdivided by a virtual vertex
-    (index g.n), which every automorphism then fixes; the flag reports
-    whether that happened.  Automorphisms of the original tree correspond
-    exactly to rooted automorphisms of the result.
+    Two centers both hang below a virtual vertex (index g.n), which every
+    automorphism then fixes; the flag reports whether that happened.
+    Automorphisms of the original tree correspond exactly to rooted
+    automorphisms of the result.
     """
-    cs = centers(g)
+    parent, cs = _peel_tree(g)
     if len(cs) == 1:
-        return RootedTree(g, cs[0]), False
-    c1, c2 = cs
-    edges = [e for e in g.edges if e != (c1, c2)]
-    edges += [(c1, g.n), (c2, g.n)]
-    return RootedTree(make_graph(g.n + 1, edges), g.n), True
+        return RootedTree(g, cs[0], parent), False
+    for c in cs:
+        parent[c] = g.n
+    return RootedTree(g, g.n, parent + [-1]), True
 
 
 def tree_code(g: Graph) -> bytes:

@@ -55,6 +55,8 @@ C6 = skeleton_core("cycle", (6,))[0]
 
 
 def test_decompose_round_trip():
+    # reconstruct chains PATH_ENDS over the layout, so this checks the
+    # layout as well as the attached trees
     for n in range(4, 8):
         for g in all_bicyclic(n):
             assert reconstruct(decompose(g)) == g
@@ -99,6 +101,28 @@ def test_connectivity_checked_once(monkeypatch):
         calls.clear()
         analyze(g)
         assert len(calls) == 1
+
+
+def test_one_adjacency_per_decompose(monkeypatch):
+    # one adjacency list feeds the connectivity check, the leaf peel and the
+    # skeleton; a tree's analyze needs one for connectivity, one to peel
+    import bicaut.bicyclic as bicyclic
+    import bicaut.graphs as graphs
+    import bicaut.trees as trees
+
+    calls = []
+    real = graphs.adjacency
+    for mod in (graphs, trees, bicyclic):
+        monkeypatch.setattr(mod, "adjacency", lambda g: calls.append(g) or real(g))
+    decorated = decorate(*skeleton_core("theta", (2, 3, 3)), [(), ((),), ((), ())])
+    for g in (C5, DIAMOND, DUMB331, decorated):
+        calls.clear()
+        decompose(g)
+        assert len(calls) == 1, g.edges
+    for g in (make_graph(1, []), make_graph(4, [(0, 1), (1, 2), (2, 3)]), spine(5)):
+        calls.clear()
+        analyze(g)
+        assert len(calls) <= 2, g.edges
 
 
 def test_analyze_handles_trees():

@@ -10,7 +10,13 @@ from bicaut.cli import (
     EX_OUTSIDE,
     run,
 )
-from bicaut.graphs import from_edgelist, make_graph, to_edgelist, to_graph6
+from bicaut.graphs import (
+    from_edgelist,
+    from_graph6,
+    make_graph,
+    to_edgelist,
+    to_graph6,
+)
 from bicaut.oracle import automorphism_count
 
 DIAMOND = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
@@ -109,7 +115,11 @@ def test_verify_ok_and_corrupt(tmp_path, capsys, monkeypatch):
     assert run(["verify", path]) == EX_OK
     assert capsys.readouterr().out.strip() == "formula=4 oracle=4 OK"
 
-    monkeypatch.setenv("BICAUT_CORRUPT", "1")
+    # a formula off by one takes the mismatch path
+    import bicaut.cli
+
+    real = bicaut.cli.order
+    monkeypatch.setattr(bicaut.cli, "order", lambda e: real(e) + 1)
     assert run(["verify", path]) == EX_MISMATCH
     assert capsys.readouterr().out.strip() == "formula=5 oracle=4 MISMATCH"
 
@@ -144,9 +154,17 @@ def test_realize_roundtrip(tmp_path, capsys):
 def test_realize_stdout_pipe(tmp_path, capsys):
     assert run(["realize", "S3", "--format", "graph6"]) == EX_OK
     line = capsys.readouterr().out.strip()
-    from bicaut.graphs import from_graph6
-
     assert automorphism_count(from_graph6(line)) == 6
+
+
+def test_realize_graph6_past_62_vertices(capsys):
+    # 71 vertices: graph6 writes the size as '~' and three characters
+    assert run(["realize", "wr(S3,S12)", "--format", "graph6"]) == EX_OK
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("~?@F")  # 71 = 0 * 4096 + 1 * 64 + 7
+    assert run(["realize", "wr(S3,S12)"]) == EX_OK
+    g = from_edgelist(capsys.readouterr().out)
+    assert g.n == 71 and from_graph6(line) == g
 
 
 def test_realize_error_codes(capsys):
@@ -170,6 +188,11 @@ def test_fuzz_small_run(capsys):
     assert run(["fuzz", "--count", "30", "--max-n", "9", "--seed", "7"]) == EX_OK
     out = capsys.readouterr().out
     assert out.strip().splitlines()[-1].startswith("checked=30 mismatches=0")
+
+
+def test_fuzz_rejects_small_max_n(capsys):
+    assert run(["fuzz", "--max-n", "4"]) == EX_INPUT
+    assert "--max-n must be at least 5" in capsys.readouterr().err
 
 
 def test_fuzz_exhaustive(capsys):

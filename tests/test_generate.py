@@ -18,7 +18,7 @@ from bicaut.generate import (
     skeleton_core,
 )
 from bicaut.bicyclic import analyze
-from bicaut.graphs import is_connected, make_graph
+from bicaut.graphs import adjacency, is_connected, make_graph
 from bicaut.oracle import are_isomorphic
 from bicaut.trees import rooted_code
 
@@ -62,7 +62,7 @@ def _labeled_class_count(n: int, extra_edges: int) -> int:
     reps = []
     for chosen in combinations(pairs, n - 1 + extra_edges):
         g = make_graph(n, chosen)
-        if not is_connected(g):
+        if not is_connected(adjacency(g)):
             continue
         if not any(are_isomorphic(g, r) for r in reps):
             reps.append(g)

@@ -11,13 +11,13 @@ from bicaut.graphs import (
     attached_trees,
     components,
     core_vertices,
-    degrees,
     from_edgelist,
     from_graph6,
     induced_subgraph,
     is_connected,
     link,
     make_graph,
+    peel,
     skeleton,
     splice,
     to_edgelist,
@@ -46,11 +46,12 @@ def test_graph_validation():
 
 def test_basic_views():
     g = make_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert adjacency(g) == [[1, 2, 3], [0], [0], [0]]
-    assert degrees(g) == [3, 1, 1, 1]
-    assert is_connected(g)
-    assert not is_connected(make_graph(2, []))
-    assert is_connected(make_graph(1, []))
+    adj = adjacency(g)
+    assert adj == [[1, 2, 3], [0], [0], [0]]
+    assert [len(row) for row in adj] == [3, 1, 1, 1]
+    assert is_connected(adj)
+    assert not is_connected(adjacency(make_graph(2, [])))
+    assert is_connected(adjacency(make_graph(1, [])))
 
 
 def test_components_and_union():
@@ -79,24 +80,41 @@ def test_core_and_attached_trees():
     assert set(trees[0].edges) == {(0, 3), (3, 4)}
 
 
+def test_peel_parents():
+    # the same triangle: 4 hangs from 3, 3 from the core vertex 0
+    g = make_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)])
+    assert peel(adjacency(g)) == [-1, -1, -1, 0, 3]
+    # a tree keeps its centres: P4 peels to its middle edge, the star to 0
+    assert peel(adjacency(P4)) == [1, -1, -1, 2]
+    star = make_graph(4, [(0, 1), (0, 2), (0, 3)])
+    assert peel(adjacency(star)) == [-1, 0, 0, 0]
+    # a disconnected graph: an edge component keeps one end
+    assert peel(adjacency(make_graph(5, [(0, 1), (2, 3), (3, 4)]))) == [1, -1, 3, -1, 3]
+
+
+def _skeleton(g):
+    adj = adjacency(g)
+    return skeleton(adj, [v for v, p in enumerate(peel(adj)) if p < 0])
+
+
+def test_skeleton_cycle():
+    # C5 labelled around as 0 3 1 4 2, plus a leaf at 1: the layout starts
+    # at the smallest vertex and goes towards its smaller neighbour
+    g = make_graph(6, [(0, 3), (3, 1), (1, 4), (4, 2), (2, 0), (1, 5)])
+    assert _skeleton(g) == ("cycle", (0, 2, 4, 1, 3), (5,))
+
+
 def test_skeleton_theta():
+    # anchors, then the paths' interiors from anchor 0, shortest first
     g = make_graph(5, [(0, 1), (0, 2), (2, 1), (0, 3), (3, 4), (4, 1)])
-    sk = skeleton(g, core_vertices(g))
-    assert sk.kind == "theta"
-    assert sk.anchors == (0, 1)
-    assert sk.lengths == (1, 2, 3)
-    assert sk.paths == ((), (2,), (3, 4))
+    assert _skeleton(g) == ("theta", (0, 1, 2, 3, 4), (1, 2, 3))
 
 
 def test_skeleton_shared():
     g = make_graph(
         5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
     )
-    sk = skeleton(g, core_vertices(g))
-    assert sk.kind == "shared"
-    assert sk.anchors == (0,)
-    assert sk.lengths == (3, 3)
-    assert sk.paths == ((1, 2), (3, 4))
+    assert _skeleton(g) == ("shared", (0, 1, 2, 3, 4), (3, 3))
 
 
 def test_skeleton_dumbbell():
@@ -104,22 +122,26 @@ def test_skeleton_dumbbell():
         7,
         [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 6), (6, 4)],
     )
-    sk = skeleton(g, core_vertices(g))
-    assert sk.kind == "dumbbell"
-    assert sk.anchors == (0, 4)
-    assert sk.lengths == (3, 3, 2)
-    assert sk.paths == ((1, 2), (5, 6), (3,))
+    # anchors (0, 4), cycle A (1, 2), cycle B (5, 6), bridge (3,)
+    assert _skeleton(g) == ("dumbbell", (0, 4, 1, 2, 5, 6, 3), (3, 3, 2))
+    # the smaller cycle comes first, and the bridge is walked from its anchor
+    h = make_graph(
+        8,
+        [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 7), (7, 5)],
+    )
+    assert _skeleton(h) == ("dumbbell", (5, 0, 6, 7, 1, 2, 3, 4), (3, 4, 2))
 
 
 def test_skeleton_kind():
     theta = make_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
-    assert skeleton(theta, core_vertices(theta)).kind == "theta"
+    assert _skeleton(theta)[0] == "theta"
     shared = make_graph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
-    assert skeleton(shared, core_vertices(shared)).kind == "shared"
+    assert _skeleton(shared)[0] == "shared"
     dumb = make_graph(
         7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 6), (6, 4)]
     )
-    assert skeleton(dumb, core_vertices(dumb)).kind == "dumbbell"
+    assert _skeleton(dumb)[0] == "dumbbell"
+    assert _skeleton(C3) == ("cycle", (0, 1, 2), (3,))
 
 
 def test_centers():
@@ -132,7 +154,8 @@ def test_splice_and_link():
     g, remap = splice(C3, 1, P4, 2)
     assert g.n == 3 + 4 - 1
     assert remap[2] == 1 and remap[0] == 3
-    assert sorted(degrees(g))[-1] == 4  # vertex 1 has cycle + both path arms
+    # vertex 1 has cycle + both path arms
+    assert max(len(row) for row in adjacency(g)) == 4
     h, remap = link(C3, 1, P4, 0)
     assert h.n == 7
     assert remap == [3, 4, 5, 6]
@@ -163,10 +186,18 @@ def test_graph6_known_values():
     assert from_graph6(to_graph6(P4)) == P4
     with pytest.raises(ValueError):
         from_graph6("")
+    # 63 vertices and up: '~' and the size in three characters
+    empty63 = to_graph6(make_graph(63, []))
+    assert empty63 == "~??~" + "?" * ((63 * 62 // 2 + 5) // 6)
+    assert from_graph6(empty63) == make_graph(63, [])
+    for bad in ("~", "~??", "~~??????"):
+        with pytest.raises(ValueError):
+            from_graph6(bad)
 
 
 def _random_graph(rng: random.Random) -> Graph:
-    n = rng.randint(1, 20)
+    # one in four past graph6's one-character size, up to 200 vertices
+    n = rng.randint(1, 20) if rng.random() < 0.75 else rng.randint(21, 200)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     m = rng.randint(0, len(pairs))
     return make_graph(n, rng.sample(pairs, m))

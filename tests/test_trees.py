@@ -52,6 +52,8 @@ def test_rooted_tree_rejects_non_trees():
         RootedTree(make_graph(3, [(0, 1), (1, 2), (0, 2)]), 0)
     with pytest.raises(ValueError):
         RootedTree(make_graph(3, [(0, 1)]), 0)
+    with pytest.raises(ValueError):  # n - 1 edges, not connected
+        RootedTree(make_graph(4, [(0, 1), (1, 2), (0, 2)]), 3)
 
 
 def test_rooted_aut_exprs():
@@ -101,9 +103,20 @@ def test_tree_expr_matches_oracle_exhaustively():
 
 
 def test_centers():
+    assert centers(make_graph(1, [])) == [0]
+    assert centers(P2) == [0, 1]
     assert centers(P4) == [1, 2]
     assert centers(P5) == [2]
     assert centers(STAR4) == [0]
+    # n - 1 edges but a cycle: the peel leaves the cycle, not centres
+    with pytest.raises(ValueError):
+        centers(make_graph(4, [(0, 1), (1, 2), (0, 2)]))
+    with pytest.raises(ValueError):
+        centers(make_graph(4, [(0, 1), (2, 3)]))
+    # n - 1 edges: K4, an edge and two lone vertices
+    k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    with pytest.raises(ValueError):
+        centers(make_graph(8, k4 + [(4, 5)]))
     t, virtual = center_rooted(P5)
     assert not virtual and t.root == 2
     t, virtual = center_rooted(P4)
