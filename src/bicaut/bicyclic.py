@@ -55,6 +55,7 @@ from .oracle import Perm, close_generators, compose, identity_perm
 from .trees import (
     RootedTree,
     aligned_iso,
+    center_rooted,
     dense,
     rooted_aut_generators,
     rooted_exprs,
@@ -372,6 +373,7 @@ class Analysis:
     expr: GroupExpr
     dec: Decomposition | None
     symmetries: tuple[Perm, ...]  # Q, on the positions of dec.layout
+    tree: RootedTree | None = None  # a tree's center_rooted tree
 
 
 def analyze(g: Graph) -> Analysis:
@@ -382,7 +384,8 @@ def analyze(g: Graph) -> Analysis:
     if c == 0:
         if not is_connected(adjacency(g)):
             raise UnsupportedFamilyError("graph is not connected")
-        return Analysis("tree", None, (), "-", tree_aut_expr(g), None, ())
+        t, _ = center_rooted(g)
+        return Analysis("tree", None, (), "-", tree_aut_expr(g, t), None, (), t)
     dec = decompose(g)
     Q = core_symmetries(dec)
     expr = _assemble(dec, Q)
@@ -412,7 +415,7 @@ def emit_generators(g: Graph, analysis: Analysis | None = None) -> list[Perm]:
     group (extended over the trees by code-aligned isomorphisms)."""
     a = analysis if analysis is not None else analyze(g)
     if a.family == "tree":
-        return tree_aut_generators(g)
+        return tree_aut_generators(g, a.tree)
     dec = a.dec
     t = dec.tree
     moves = [m for v in dec.layout for m in rooted_aut_generators(t, v)]

@@ -9,10 +9,18 @@ recursion down that base with orbit pruning (McKay & Piperno, 2014).  The
 witnesses double as a generating set, and the same search answers graph
 isomorphism.  Intended for graphs up to BICAUT_ORACLE_BOUND vertices
 (default 64).
+
+Generator sets, the oracle's own and the engines' witnesses, are checked by
+a deterministic Schreier-Sims base and strong generating set (Sims 1970;
+Seress, Permutation Group Algorithms, 2003; Holt, Handbook of Computational
+Group Theory, 2005): group_order multiplies its transversal sizes, and
+close_generators lists the group as the product of its transversals, each
+element built once, after checking the order against a cap.
 """
 from __future__ import annotations
 
 import os
+from math import prod
 
 from .graphs import Graph, adjacency
 
@@ -257,26 +265,135 @@ def automorphism_generators(g: Graph) -> list[Perm]:
     return _automorphisms(g, ())[1]
 
 
-def close_generators(n: int, gens: list[Perm], cap: int) -> list[Perm]:
-    """All products of the generators, as long as there are at most cap.
+class _Level:
+    """One level of a base and strong generating set: the base point b, the
+    strong generators that fix the earlier base points, the basic orbit in
+    the order it was reached, and the transversal point -> (u, u^-1) with
+    u[b] == point.  `pending` holds the (point, generator) pairs whose
+    Schreier generator is still to be sifted."""
 
-    Raises ValueError if the closure exceeds cap elements.
+    def __init__(self, n: int, b: int):
+        ident = identity_perm(n)
+        self.b = b
+        self.gens: list[tuple[Perm, Perm]] = []
+        self.orbit = [b]
+        self.T: dict[int, tuple[Perm, Perm]] = {b: (ident, ident)}
+        self.pending: list[tuple[int, Perm]] = []
+
+    def add(self, g: tuple[Perm, Perm]) -> None:
+        """Add a strong generator (with its inverse) and extend the orbit
+        breadth first.  A pair (x, s) that reaches a new point defines its
+        transversal element as s * u_x, so its Schreier generator is the
+        identity and is not queued."""
+        self.gens.append(g)
+        i = len(self.orbit)
+        for x in self.orbit[:i]:
+            self._visit(x, g)
+        while i < len(self.orbit):  # the points the walk reaches
+            for t in self.gens:
+                self._visit(self.orbit[i], t)
+            i += 1
+
+    def _visit(self, x: int, g: tuple[Perm, Perm]) -> None:
+        s, s_inv = g
+        y = s[x]
+        if y in self.T:
+            # s fixing b is also a strong generator of the next level, so
+            # the pair (b, s), whose Schreier generator is s, needs no sift
+            if y != self.b or x != self.b:
+                self.pending.append((x, s))
+        else:
+            u, u_inv = self.T[x]
+            self.T[y] = (compose(s, u), compose(u_inv, s_inv))
+            self.orbit.append(y)
+
+
+def _sift(levels: list[_Level], start: int, h: Perm) -> tuple[Perm, int]:
+    """Strip h through levels start, start + 1, ...; returns the residue and
+    the level where it dropped out, len(levels) if it passed them all."""
+    for j in range(start, len(levels)):
+        level = levels[j]
+        x = h[level.b]
+        if x != level.b:
+            if x not in level.T:
+                return h, j
+            h = compose(level.T[x][1], h)
+    return h, len(levels)
+
+
+def _moved(p: Perm) -> int:
+    return next(x for x, y in enumerate(p) if x != y)
+
+
+def _bsgs(n: int, gens: list[Perm]) -> list[_Level]:
+    """A base and strong generating set of the group the generators
+    generate, by deterministic Schreier-Sims (Sims 1970; Seress, Permutation
+    Group Algorithms, 2003; Holt, Handbook of Computational Group Theory,
+    2005, SCHREIERSIMS in 4.4.2).
+
+    A generator joins each level down to the first whose base point it
+    moves; one that fixes every base point adds a level, based at the first
+    point it moves.  Levels are completed deepest first: each queued
+    Schreier generator u_{s(x)}^-1 * s * u_x of level i is sifted through
+    the levels below it, and a residue other than the identity joins the
+    strong generators of levels i+1 .. j, j being the level where it dropped
+    out (a new one when it passed them all); the work then resumes at level
+    j.  When no pair is queued, each orbit is the full basic orbit and the
+    group is the product of the transversals."""
+    ident = identity_perm(n)
+    gens = [g for g in dict.fromkeys(gens) if g != ident]
+    levels: list[_Level] = []
+    for g in gens:
+        pair = (g, invert(g))
+        for level in levels:
+            level.add(pair)
+            if g[level.b] != level.b:
+                break
+        else:
+            levels.append(_Level(n, _moved(g)))
+            levels[-1].add(pair)
+    i = len(levels) - 1
+    while i >= 0:
+        level = levels[i]
+        if not level.pending:
+            i -= 1
+            continue
+        x, s = level.pending.pop()
+        u_inv = level.T[s[x]][1]  # h = u_{s(x)}^-1 * s * u_x, in one pass
+        h = tuple(map(u_inv.__getitem__, map(s.__getitem__, level.T[x][0])))
+        h, j = _sift(levels, i + 1, h)
+        if j == len(levels):
+            if h == ident:
+                continue
+            levels.append(_Level(n, _moved(h)))
+        pair = (h, invert(h))
+        for below in levels[i + 1:j + 1]:
+            below.add(pair)
+        i = j
+    return levels
+
+
+def group_order(n: int, gens: list[Perm]) -> int:
+    """Order of the group the generators generate, without listing it."""
+    return prod(len(level.orbit) for level in _bsgs(n, gens))
+
+
+def close_generators(n: int, gens: list[Perm], cap: int) -> list[Perm]:
+    """All elements of the group the generators generate, sorted.
+
+    Raises ValueError when the group has more than cap elements, before
+    building any.  Otherwise each element g = u_0 * u_1 * ... is one product
+    of transversal elements of a base and strong generating set, built from
+    the deepest level up by at most one composition: u * identity is u.
     """
-    elements = {identity_perm(n)}
-    frontier = [identity_perm(n)]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for gen in gens:
-                q = tuple(map(gen.__getitem__, p))
-                if q not in elements:
-                    if len(elements) >= cap:
-                        raise ValueError(
-                            "generator closure exceeds cap of %d elements" % cap
-                        )
-                    elements.add(q)
-                    nxt.append(q)
-        frontier = nxt
+    levels = _bsgs(n, gens)
+    if prod(len(level.orbit) for level in levels) > cap:
+        raise ValueError("generator closure exceeds cap of %d elements" % cap)
+    elements = [identity_perm(n)]
+    for level in reversed(levels):
+        us = [level.T[x][0] for x in level.orbit[1:]]
+        rest = elements[1:]
+        elements += us + [tuple(map(u.__getitem__, e)) for u in us for e in rest]
     return sorted(elements)
 
 

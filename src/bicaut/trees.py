@@ -169,9 +169,11 @@ def tree_code(g: Graph) -> bytes:
     return (b"\x01" if virtual else b"\x00") + t.code[t.root]
 
 
-def tree_aut_expr(g: Graph) -> GroupExpr:
-    """Automorphism group of a free tree as a normalized expression."""
-    t, _ = center_rooted(g)
+def tree_aut_expr(g: Graph, t: RootedTree | None = None) -> GroupExpr:
+    """Automorphism group of a free tree as a normalized expression; t is
+    the tree's center_rooted tree, rooted afresh when not given."""
+    if t is None:
+        t, _ = center_rooted(g)
     return normalize(rooted_exprs(t)[t.root])
 
 
@@ -255,10 +257,12 @@ def rooted_aut_generators(t: RootedTree, v: int) -> list[dict[int, int]]:
     return gens
 
 
-def tree_aut_generators(g: Graph) -> list[Perm]:
-    """Generators of the free tree's automorphism group.  A virtual root
-    (index g.n) is never moved, so the maps densify at g.n."""
-    t, _ = center_rooted(g)
+def tree_aut_generators(g: Graph, t: RootedTree | None = None) -> list[Perm]:
+    """Generators of the free tree's automorphism group; t is as in
+    tree_aut_expr.  A virtual root (index g.n) is never moved, so the maps
+    densify at g.n."""
+    if t is None:
+        t, _ = center_rooted(g)
     return dense(g.n, rooted_aut_generators(t, t.root))
 
 

@@ -125,6 +125,27 @@ def test_one_adjacency_per_decompose(monkeypatch):
         assert len(calls) <= 2, g.edges
 
 
+def test_tree_rooted_once_per_aut(monkeypatch):
+    # analyze keeps the centre-rooted tree and emit_generators reads it
+    import bicaut.trees as trees
+
+    made = []
+    real = trees.RootedTree.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        real(self, *args)
+
+    star = make_graph(5, [(0, i) for i in range(1, 5)])
+    for g in (make_graph(1, []), star, spine(6), make_graph(4, [(0, 1), (1, 2), (2, 3)])):
+        want = trees.tree_aut_generators(g)
+        monkeypatch.setattr(trees.RootedTree, "__init__", counted)
+        made.clear()
+        assert emit_generators(g, analyze(g)) == want
+        assert len(made) == 1, g.edges
+        monkeypatch.undo()
+
+
 def test_analyze_handles_trees():
     a = analyze(make_graph(4, [(0, 1), (0, 2), (0, 3)]))
     assert a.family == "tree" and a.case == "-" and a.expr == Sym(3)

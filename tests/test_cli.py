@@ -92,6 +92,18 @@ def test_aut_bare_cycle_999(tmp_path, capsys):
     assert got["generators"] == "2" and got["closure"] == "ok"
 
 
+def test_aut_closure_fail(tmp_path, capsys, monkeypatch):
+    # generators that miss part of the group take the mismatch path
+    import bicaut.cli
+
+    real = bicaut.cli.emit_generators
+    monkeypatch.setattr(bicaut.cli, "emit_generators", lambda g, a: real(g, a)[1:])
+    assert run(["aut", _write(tmp_path, DIAMOND)]) == EX_MISMATCH
+    got = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert got["order"] == "4" and got["generators"] == "1"
+    assert got["closure"] == "FAIL"
+
+
 def test_aut_rejects_unsupported_family(tmp_path, capsys):
     k4 = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert run(["aut", _write(tmp_path, k4)]) == EX_FAMILY

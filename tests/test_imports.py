@@ -18,7 +18,6 @@ TEST_ONLY = {
     "bar_construction": "criterion 7",
     "fix_info": "criterion 7",
     "forest_aut_expr": "disjoint unions of trees, which analyze rejects",
-    "invert": "oracle reference",
     "reconstruct": "decomposition round-trip check",
     "shape_size": "enumeration check",
 }

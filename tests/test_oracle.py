@@ -1,11 +1,13 @@
 """Brute-force automorphism oracle."""
+import math
 import random
 
 import pytest
 
-from bicaut.generate import skeleton_core
+from bicaut.bicyclic import analyze, emit_generators
+from bicaut.generate import all_bicyclic, all_unicyclic, free_trees, skeleton_core
 from bicaut.graphs import make_graph
-from bicaut.groups import parse_expr
+from bicaut.groups import order, parse_expr
 from bicaut.oracle import (
     all_automorphisms,
     are_isomorphic,
@@ -13,6 +15,7 @@ from bicaut.oracle import (
     automorphism_generators,
     close_generators,
     compose,
+    group_order,
     identity_perm,
     invert,
     is_automorphism,
@@ -77,6 +80,127 @@ def test_close_generators_cap():
     gens = automorphism_generators(K4)
     with pytest.raises(ValueError):
         close_generators(4, gens, 10)
+
+
+def _bfs_closure(n, gens, cap):
+    """Reference closure: breadth first over a set of products, raising
+    ValueError once it holds more than cap elements."""
+    elements = {identity_perm(n)}
+    frontier = list(elements)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = compose(g, p)
+                if q not in elements:
+                    elements.add(q)
+                    nxt.append(q)
+        if len(elements) > cap:
+            raise ValueError("closure above cap")
+        frontier = nxt
+    return sorted(elements)
+
+
+def _random_perm(rng, n, support):
+    """A random permutation of `support` random points of range(n)."""
+    p = list(range(n))
+    points = rng.sample(range(n), support)
+    images = points[:]
+    rng.shuffle(images)
+    for x, y in zip(points, images):
+        p[x] = y
+    return tuple(p)
+
+
+def test_closure_matches_bfs_on_random_groups():
+    rng = random.Random(9)
+    cap = 5000
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        gens = []
+        for _ in range(rng.randint(0, 4)):
+            roll = rng.random()
+            if roll < 0.15:
+                gens.append(identity_perm(n))
+            elif roll < 0.3 and gens:
+                gens.append(rng.choice(gens))
+            else:
+                gens.append(_random_perm(rng, n, rng.randint(1, min(n, 4))))
+        try:
+            want = _bfs_closure(n, gens, cap)
+        except ValueError:
+            with pytest.raises(ValueError):
+                close_generators(n, gens, cap)
+            continue
+        assert close_generators(n, gens, cap) == want, gens
+        assert group_order(n, gens) == len(want)
+
+
+def test_closure_of_emitted_generators():
+    graphs = [g for n in range(1, 10) for g in free_trees(n)]
+    graphs += [g for n in range(3, 9) for g in all_unicyclic(n)]
+    graphs += [g for n in range(4, 9) for g in all_bicyclic(n)]
+    for g in graphs:
+        a = analyze(g)
+        gens = emit_generators(g, a)
+        want = _bfs_closure(g.n, gens, order(a.expr))
+        assert close_generators(g.n, gens, order(a.expr)) == want, g.edges
+
+
+def _cycle(points, n):
+    p = list(range(n))
+    for x, y in zip(points, points[1:] + points[:1]):
+        p[x] = y
+    return tuple(p)
+
+
+def test_group_order_matches_sympy():
+    # sympy is a test-time reference only
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(30)
+    cases = [
+        (30, [_cycle([0, 1], 30), _cycle(list(range(30)), 30)]),  # S_30
+        (6, [_cycle([0, 1], 6), _cycle(list(range(6)), 6)]),  # S_6
+    ]
+    # S_5 wr S_6 and S_3 wr (S_3 wr S_3), on 30 and 27 points
+    block = [_cycle([0, 1], 30), _cycle(list(range(5)), 30)]
+    top = [tuple((x + 5) % 30 for x in range(30))]
+    top.append(tuple((x + 5) % 10 if x < 10 else x for x in range(30)))
+    cases.append((30, block + top))
+    inner = [_cycle([0, 1], 27), _cycle([0, 1, 2], 27)]
+    middle = [tuple((x + 3) % 9 if x < 9 else x for x in range(27))]
+    middle.append(tuple((x + 3) % 6 if x < 6 else x for x in range(27)))
+    outer = [tuple((x + 9) % 27 for x in range(27))]
+    outer.append(tuple((x + 9) % 18 if x < 18 else x for x in range(27)))
+    cases.append((27, inner + middle + outer))
+    for _ in range(40):
+        n = rng.randint(1, 30)
+        gens = [_random_perm(rng, n, rng.randint(1, min(n, 5)))
+                for _ in range(rng.randint(0, 4))]
+        cases.append((n, gens))
+    for n, gens in cases:
+        want = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g)) for g in gens]
+            or [combinatorics.Permutation(list(range(n)))]
+        ).order()
+        assert group_order(n, gens) == want, (n, gens)
+    assert group_order(30, cases[0][1]) == math.factorial(30)
+    assert group_order(30, cases[2][1]) == 120 ** 6 * 720
+    assert group_order(27, cases[3][1]) == 1296 ** 3 * 6
+
+
+def test_close_generators_cap_boundaries():
+    for g in (PETERSEN, C6, K4, STAR):
+        gens = automorphism_generators(g)
+        count = automorphism_count(g)
+        assert len(close_generators(g.n, gens, count)) == count
+        with pytest.raises(ValueError):
+            close_generators(g.n, gens, count - 1)
+    s12 = [_cycle([0, 1], 12), _cycle(list(range(12)), 12)]
+    with pytest.raises(ValueError):
+        close_generators(12, s12, 10)
+    assert close_generators(1, [], 1) == [(0,)]
+    assert close_generators(3, [identity_perm(3)], 1) == [(0, 1, 2)]
 
 
 def test_vertex_orbits():
