@@ -12,12 +12,13 @@ virtual root n has the core vertices for children.  Each slot's code and
 expression, the rooted generators and the lifts of core symmetries
 (trees.aligned_iso) all come from that one tree; the generators and lifts
 are support-only maps of the vertices they move, and emit_generators
-densifies them once, at n (trees.dense).  Q is the group of core
-symmetries that keep every slot's tree code, held as permutations of the
-positions in the layout.  A bicyclic core filters its at
-most 12 bare symmetries (graphs.skeleton_perms); a cycle's candidates are
-the symmetries of its slot-code necklace (graphs.necklace_perms), read off
-its period and reflection in O(k), so they already keep every code.
+returns them so, as permutations of range(n) that store only their moves
+(trees.SparsePerm).  Q is the group of core symmetries that keep every
+slot's tree code, held as permutations of the positions in the layout.  A
+bicyclic core filters its at most 12 bare symmetries
+(graphs.skeleton_perms); a cycle's candidates are the symmetries of its
+slot-code necklace (graphs.necklace_perms), read off its period and
+reflection in O(k), so they already keep every code.
 Assembly rewrites the extension into an explicit expression from the orbit
 structure of Q on the core: fixed slots contribute direct factors, an
 involution folds its 2-orbits into a wreath with Sym(2), a Klein four-group
@@ -54,6 +55,7 @@ from .groups import (
 from .oracle import Perm, close_generators, compose, identity_perm
 from .trees import (
     RootedTree,
+    SparsePerm,
     aligned_iso,
     center_rooted,
     dense,
@@ -409,7 +411,7 @@ def _generating_subset(Q: tuple[Perm, ...]) -> list[Perm]:
     return chosen
 
 
-def emit_generators(g: Graph, analysis: Analysis | None = None) -> list[Perm]:
+def emit_generators(g: Graph, analysis: Analysis | None = None) -> list[SparsePerm]:
     """Generators of the full automorphism group: rooted generators of each
     attached tree, plus one lift of each generator of the core symmetry
     group (extended over the trees by code-aligned isomorphisms)."""

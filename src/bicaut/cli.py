@@ -53,6 +53,21 @@ def _write_graph(g: Graph, fmt: str) -> str:
     return to_graph6(g) + "\n" if fmt == "graph6" else to_edgelist(g)
 
 
+def _digits(n: int) -> str:
+    """n in decimal, also past the interpreter's limit on the digits str()
+    converts (4300 by default): a star on 2000 leaves already has an order
+    of 5736 digits."""
+    try:
+        return str(n)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def _report(g: Graph, cap: int) -> tuple[list[str], int]:
     a = analyze(g)
     n = order(a.expr)
@@ -62,7 +77,7 @@ def _report(g: Graph, cap: int) -> tuple[list[str], int]:
         ("lengths", ",".join(map(str, a.lengths)) if a.lengths else "-"),
         ("case", a.case),
         ("expr", print_expr(a.expr)),
-        ("order", str(n)),
+        ("order", _digits(n)),
         ("class", classify(a.expr)),
     ]
     status = EX_OK

@@ -20,6 +20,7 @@ element built once, after checking the order against a cap.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable, Sequence
 from math import prod
 
 from .graphs import Graph, adjacency
@@ -325,7 +326,7 @@ def _moved(p: Perm) -> int:
     return next(x for x, y in enumerate(p) if x != y)
 
 
-def _bsgs(n: int, gens: list[Perm]) -> list[_Level]:
+def _bsgs(n: int, gens: Iterable[Sequence[int]]) -> list[_Level]:
     """A base and strong generating set of the group the generators
     generate, by deterministic Schreier-Sims (Sims 1970; Seress, Permutation
     Group Algorithms, 2003; Holt, Handbook of Computational Group Theory,
@@ -339,9 +340,11 @@ def _bsgs(n: int, gens: list[Perm]) -> list[_Level]:
     strong generators of levels i+1 .. j, j being the level where it dropped
     out (a new one when it passed them all); the work then resumes at level
     j.  When no pair is queued, each orbit is the full basic orbit and the
-    group is the product of the transversals."""
+    group is the product of the transversals.  Each generator may be any
+    length-n sequence of ints; it is read into a tuple here, once, for
+    group_order and close_generators alike."""
     ident = identity_perm(n)
-    gens = [g for g in dict.fromkeys(gens) if g != ident]
+    gens = [g for g in dict.fromkeys(map(tuple, gens)) if g != ident]
     levels: list[_Level] = []
     for g in gens:
         pair = (g, invert(g))
@@ -373,13 +376,16 @@ def _bsgs(n: int, gens: list[Perm]) -> list[_Level]:
     return levels
 
 
-def group_order(n: int, gens: list[Perm]) -> int:
-    """Order of the group the generators generate, without listing it."""
+def group_order(n: int, gens: Iterable[Sequence[int]]) -> int:
+    """Order of the group the generators generate, without listing it.  A
+    generator may be any length-n sequence of ints: a tuple, a list, or one
+    of the engines' support-only permutations."""
     return prod(len(level.orbit) for level in _bsgs(n, gens))
 
 
-def close_generators(n: int, gens: list[Perm], cap: int) -> list[Perm]:
-    """All elements of the group the generators generate, sorted.
+def close_generators(n: int, gens: Iterable[Sequence[int]], cap: int) -> list[Perm]:
+    """All elements of the group the generators generate, as sorted
+    tuples; a generator may be any length-n sequence of ints.
 
     Raises ValueError when the group has more than cap elements, before
     building any.  Otherwise each element g = u_0 * u_1 * ... is one product
@@ -425,12 +431,15 @@ def vertex_orbits(g: Graph) -> list[list[int]]:
     return sorted(groups.values())
 
 
-def is_automorphism(g: Graph, p: Perm) -> bool:
-    if sorted(p) != list(range(g.n)):
+def is_automorphism(g: Graph, p: Sequence[int]) -> bool:
+    """Whether p, any length-n sequence of ints, is an automorphism of g.
+    p is read once, into a tuple that each edge then indexes."""
+    img = tuple(p)
+    if sorted(img) != list(range(g.n)):
         return False
     edges = set(g.edges)
     for u, v in g.edges:
-        a, b = p[u], p[v]
+        a, b = img[u], img[v]
         if (min(a, b), max(a, b)) not in edges:
             return False
     return True

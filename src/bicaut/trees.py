@@ -17,20 +17,20 @@ virtual root: bicyclic hangs every pendant tree of a graph from its core
 that way, from the same peel, and reads each slot's code, expression,
 generators and lifts off that tree.
 
-Generators stay support-only here: aligned_iso and rooted_aut_generators
-return dicts of just the vertices they move, so their size follows the
-swapped subtrees, not the tree.  dense turns such maps into permutation
-tuples of a given length over one shared identity; tree_aut_generators and
+Generators stay support-only throughout: aligned_iso and
+rooted_aut_generators return dicts of just the vertices they move, so their
+size follows the swapped subtrees, not the tree.  dense wraps such maps as
+SparsePerms, read-only permutations of range(n) that read like the tuple of
+their images but store only the moves; tree_aut_generators and
 bicyclic.emit_generators each call it once, at the graph's n.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .graphs import Graph, adjacency, make_graph, peel
 from .groups import GroupExpr, Product, Trivial, Wreath, normalize
-from .oracle import Perm
 
 
 def node_code(kid_codes) -> bytes:
@@ -225,25 +225,56 @@ def aligned_iso(t: RootedTree, a: int, b: int) -> dict[int, int]:
     return out
 
 
-def dense(n: int, moves: Iterable[dict[int, int]]) -> list[Perm]:
-    """Permutations of range(n) from support-only maps (vertex -> image):
-    one identity list, copied for each map, so every tuple shares its
-    entries' int objects."""
-    ident = list(range(n))
-    out: list[Perm] = []
-    for m in moves:
-        p = ident.copy()
-        for x, y in m.items():
-            p[x] = y
-        out.append(tuple(p))
-    return out
+class SparsePerm(Sequence):
+    """A read-only permutation of range(n) that stores only the vertices it
+    moves.  It reads like the tuple of its n images: len, indexing
+    (negative indices and slices too), iteration, and equality and hash
+    equal to that tuple's; tuple(p) densifies it."""
+
+    __slots__ = ("n", "moves")
+
+    def __init__(self, n: int, moves: dict[int, int]):
+        self.n = n
+        self.moves = {x: y for x, y in moves.items() if x != y}
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i):
+        j = range(self.n)[i]
+        if isinstance(j, range):
+            return tuple(map(self.moves.get, j, j))
+        return self.moves.get(j, j)
+
+    def __iter__(self):
+        r = range(self.n)
+        return map(self.moves.get, r, r)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SparsePerm):
+            return self.n == other.n and self.moves == other.moves
+        if isinstance(other, tuple):
+            return len(other) == self.n and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return "SparsePerm(%d, %r)" % (self.n, self.moves)
+
+
+def dense(n: int, moves: Iterable[dict[int, int]]) -> list[SparsePerm]:
+    """Permutations of range(n) from support-only maps (vertex -> image),
+    each stored as the vertices it moves."""
+    return [SparsePerm(n, m) for m in moves]
 
 
 def rooted_aut_generators(t: RootedTree, v: int) -> list[dict[int, int]]:
     """Generators of the automorphisms of subtree(v) that fix v: adjacent
     swaps of isomorphic sibling subtrees, descending into one representative
     per class.  Each is a support-only map of the vertices it moves (never v
-    or t.root); dense turns them into permutations."""
+    or t.root); dense wraps them as permutations."""
     gens: list[dict[int, int]] = []
     stack = [v]
     while stack:
@@ -257,10 +288,10 @@ def rooted_aut_generators(t: RootedTree, v: int) -> list[dict[int, int]]:
     return gens
 
 
-def tree_aut_generators(g: Graph, t: RootedTree | None = None) -> list[Perm]:
+def tree_aut_generators(g: Graph, t: RootedTree | None = None) -> list[SparsePerm]:
     """Generators of the free tree's automorphism group; t is as in
     tree_aut_expr.  A virtual root (index g.n) is never moved, so the maps
-    densify at g.n."""
+    are permutations of range(g.n)."""
     if t is None:
         t, _ = center_rooted(g)
     return dense(g.n, rooted_aut_generators(t, t.root))

@@ -2,11 +2,12 @@
 few inputs: a change to close_generators' result or to its cap path would
 make bench/run.py fail its run, and shows here first."""
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
 
-from bicaut.generate import shape_to_graph, skeleton_core
+from bicaut.generate import random_tree, shape_to_graph, skeleton_core
 from bicaut.graphs import make_graph
 from bicaut.groups import normalize, parse_expr
 
@@ -35,7 +36,16 @@ def _inputs(Input):
         Input("star9", make_graph(9, [(0, i) for i in range(1, 9)])),  # order 40 320
         Input("C128", skeleton_core("cycle", (128,))[0]),
         realized("b2(S2,S2,S3)"),  # class B2, order 9216
+        # above the oracle's bound: generators take the sparse check
+        Input("tree2000", random_tree(random.Random(2), 2000)),
+        Input("theta2000", _decorated_theta(random.Random(4), 2000)),
     ]
+
+
+def _decorated_theta(rng, n):
+    core = skeleton_core("theta", (100, 200, 301))[0]
+    edges = list(core.edges) + [(rng.randrange(v), v) for v in range(core.n, n)]
+    return make_graph(n, edges)
 
 
 def test_run_input_checks_pass(bench_run):
@@ -55,3 +65,20 @@ def test_run_input_catches_a_short_closure(bench_run, monkeypatch):
     monkeypatch.setattr(bc.oracle, "close_generators", lambda *a: real(*a)[1:])
     with pytest.raises(bench_run.Wrong, match="generator closure"):
         bench_run.run_input(bc, _inputs(bench_run.Input)[0], [], None)
+
+
+def test_run_input_catches_a_wrong_sparse_generator(bench_run, monkeypatch):
+    # swapping a leaf with a vertex of higher degree is no automorphism
+    bc = bench_run.Modules()
+    inp = next(i for i in _inputs(bench_run.Input) if i.name == "tree2000")
+    g = inp.graph
+    adj = bc.graphs.adjacency(g)
+    leaf = next(v for v in range(g.n) if len(adj[v]) == 1)
+    hub = next(v for v in range(g.n) if len(adj[v]) > 1)
+    wrong = bc.trees.SparsePerm(g.n, {leaf: hub, hub: leaf})
+    real = bc.bicyclic.emit_generators
+    monkeypatch.setattr(
+        bc.bicyclic, "emit_generators", lambda g, a: real(g, a) + [wrong]
+    )
+    with pytest.raises(bench_run.Wrong, match="emitted generator is not an automorphism"):
+        bench_run.run_input(bc, inp, [], None)

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from bicaut import bicyclic, trees
 from bicaut.bicyclic import (
     UnsupportedFamilyError,
     analyze,
@@ -21,7 +22,9 @@ from bicaut.generate import (
     bicyclic_skeletons,
     case_instance,
     decorate,
+    free_trees,
     random_bicyclic,
+    random_tree,
     rooted_shapes,
     skeleton_core,
 )
@@ -397,22 +400,75 @@ def test_long_spine():
             assert is_automorphism(g, p)
 
 
-def test_generators_share_one_identity():
-    # dense tuples cost 8 bytes an entry when their ints come from one
-    # identity list; a fresh int per entry costs over 30
+def _theta_2000():
     rng = random.Random(4)
     core = skeleton_core("theta", (100, 200, 301))[0]
     n = 2000
     edges = list(core.edges) + [(rng.randrange(v), v) for v in range(core.n, n)]
-    g = make_graph(n, edges)
+    return make_graph(n, edges)
+
+
+def _tuple_dense(n, moves):
+    """The dense construction the generators had before they kept only
+    their moves: one identity list, copied and patched per map."""
+    ident = list(range(n))
+    out = []
+    for m in moves:
+        p = ident.copy()
+        for x, y in m.items():
+            p[x] = y
+        out.append(tuple(p))
+    return out
+
+
+def test_generators_densify_to_the_tuple_construction(monkeypatch):
+    graphs = [g for n in range(1, 11) for g in free_trees(n)]
+    graphs += [g for n in range(3, 9) for g in all_unicyclic(n)]
+    graphs += [g for n in range(4, 9) for g in all_bicyclic(n)]
+    graphs += [skeleton_core("cycle", (128,))[0], _theta_2000()]
+    graphs.append(random_tree(random.Random(2), 2000))
+    analyses = [analyze(g) for g in graphs]
+    got = [emit_generators(g, a) for g, a in zip(graphs, analyses)]
+    monkeypatch.setattr(bicyclic, "dense", _tuple_dense)
+    monkeypatch.setattr(trees, "dense", _tuple_dense)
+    for g, a, gens in zip(graphs, analyses, got):
+        want = emit_generators(g, a)
+        assert all(type(p) is tuple for p in want)
+        assert [tuple(p) for p in gens] == want, g.edges
+        assert gens == want
+        assert all(x != y for p in gens for x, y in p.moves.items())
+
+
+def test_generator_memory_follows_moved_vertices():
+    # a generator costs a small constant plus its moved vertices, whatever
+    # n is; measured 280-300 B per generator of two to eight moved vertices
+    # and 37-45 B per moved vertex of a lift moving hundreds, so the bound
+    # leaves about 2x headroom
+    star = make_graph(3000, [(0, v) for v in range(1, 3000)])
+    for g in (_theta_2000(), star, skeleton_core("cycle", (1000,))[0]):
+        a = analyze(g)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            gens = emit_generators(g, a)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        moved = sum(len(p.moves) for p in gens)
+        assert gens and all(len(p) == g.n for p in gens)
+        assert retained <= 400 * len(gens) + 90 * moved
+
+
+def test_generators_of_a_tree_at_1e5_vertices():
+    # dense tuples would take 8 bytes per vertex per generator: about 12 GB
+    # for the 15 870 generators here
+    g = random_tree(random.Random(1), 100_000)
     a = analyze(g)
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
         gens = emit_generators(g, a)
-        retained = tracemalloc.get_traced_memory()[0] - before
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    entries = sum(len(p) for p in gens)
-    assert len(gens) > 100 and all(len(p) == n for p in gens)
-    assert retained <= 12 * entries
+    assert len(gens) > 10_000
+    assert peak < 300 * 2**20

@@ -92,6 +92,16 @@ def test_aut_bare_cycle_999(tmp_path, capsys):
     assert got["generators"] == "2" and got["closure"] == "ok"
 
 
+def test_aut_star_70001(tmp_path, capsys):
+    # 69 999 leaf swaps, and an order, 70000!, of 308 760 digits: past the
+    # default limit on the digits str() converts
+    star = make_graph(70_001, [(0, v) for v in range(1, 70_001)])
+    assert run(["aut", _write(tmp_path, star)]) == EX_OK
+    got = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert got["expr"] == "S70000" and len(got["order"]) == 308_760
+    assert got["generators"] == "69999" and got["closure"] == "skipped"
+
+
 def test_aut_closure_fail(tmp_path, capsys, monkeypatch):
     # generators that miss part of the group take the mismatch path
     import bicaut.cli

@@ -143,8 +143,25 @@ def test_closure_of_emitted_generators():
     for g in graphs:
         a = analyze(g)
         gens = emit_generators(g, a)
-        want = _bfs_closure(g.n, gens, order(a.expr))
+        want = _bfs_closure(g.n, [tuple(p) for p in gens], order(a.expr))
         assert close_generators(g.n, gens, order(a.expr)) == want, g.edges
+
+
+def test_generators_may_be_any_sequence():
+    # the engines' support-only permutations, tuples and lists mix freely,
+    # and a generator given twice, once in each form, counts once
+    graphs = [skeleton_core("theta", (3, 3, 3))[0], STAR]
+    graphs += all_bicyclic(7)[:40]
+    for g in graphs:
+        a = analyze(g)
+        gens = emit_generators(g, a)
+        dense = [tuple(p) for p in gens]
+        mixed = [p if i % 2 else tuple(p) for i, p in enumerate(gens)]
+        mixed += [list(p) for p in gens[:1]] + gens[:1] + dense[:1]
+        want = group_order(g.n, dense)
+        assert group_order(g.n, mixed) == want == order(a.expr)
+        assert close_generators(g.n, mixed, want) == close_generators(g.n, dense, want)
+        assert all(is_automorphism(g, p) for p in mixed)
 
 
 def _cycle(points, n):

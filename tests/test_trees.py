@@ -12,6 +12,7 @@ from bicaut.oracle import (
 )
 from bicaut.trees import (
     RootedTree,
+    SparsePerm,
     aligned_iso,
     bar_construction,
     center_rooted,
@@ -187,6 +188,35 @@ def test_rooted_generators_are_sparse_swaps():
                 assert v not in m and t.root not in m
                 (p,) = dense(g.n, [m])
                 assert is_automorphism(g, p)
+
+
+def test_sparse_perm_reads_like_its_tuple():
+    # a 3-cycle and a swap on 8 points, plus the identity
+    for moves in ({1: 4, 4: 6, 6: 1, 2: 7, 7: 2}, {}):
+        p = SparsePerm(8, moves)
+        want = tuple(moves.get(i, i) for i in range(8))
+        assert tuple(p) == want and list(p) == list(want)
+        assert p == want and want == p and not p != want
+        assert hash(p) == hash(want)
+        assert p in {want} and want in {p}
+        assert p == SparsePerm(8, dict(moves))
+        assert len(p) == 8 and bool(p)
+        for i in range(-8, 8):
+            assert p[i] == want[i]
+        for i in (8, -9):
+            with pytest.raises(IndexError):
+                p[i]
+        assert p[2:6] == want[2:6] and p[::-3] == want[::-3]
+        assert isinstance(p[1:3], tuple)
+        assert p.index(want[5]) == 5 and 7 in p and 8 not in p
+    # fixed points are dropped; other types and lengths never compare equal
+    p = SparsePerm(4, {0: 1, 1: 0, 2: 2})
+    assert p.moves == {0: 1, 1: 0}
+    assert p != [1, 0, 2, 3] and p != (1, 0, 2) and p != (1, 0, 2, 3, 4)
+    assert p != SparsePerm(5, {0: 1, 1: 0})
+    assert len(SparsePerm(0, {})) == 0 and tuple(SparsePerm(0, {})) == ()
+    with pytest.raises(TypeError):
+        p[0] = 3
 
 
 def test_tree_generators():
