@@ -19,6 +19,11 @@ bicyclic core filters its at most 12 bare symmetries
 (graphs.skeleton_perms); a cycle's candidates are the symmetries of its
 slot-code necklace (graphs.necklace_perms), read off its period and
 reflection in O(k), so they already keep every code.
+Q is cyclic or dihedral, so at most two of its elements generate it, and
+_core_generators reads them off Q itself: a cycle's rotation by its period
+and first reflection; for any other core the least element of largest
+order and, unless its powers fill Q, the least element outside them.  The
+engine shares no code with the oracle that checks it.
 Assembly rewrites the extension into an explicit expression from the orbit
 structure of Q on the core: fixed slots contribute direct factors, an
 involution folds its 2-orbits into a wreath with Sym(2), a Klein four-group
@@ -28,12 +33,13 @@ split into exact products of wreaths or stay as explicit semidirect terms
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from math import lcm
 
 from .generate import skeleton_core
 from .graphs import (
     Graph,
+    Perm,
     adjacency,
     is_connected,
     make_graph,
@@ -52,7 +58,6 @@ from .groups import (
     Wreath,
     normalize,
 )
-from .oracle import Perm, close_generators, compose, identity_perm
 from .trees import (
     RootedTree,
     SparsePerm,
@@ -185,11 +190,6 @@ def _z2_fold(exprs: list[GroupExpr], vs: range | list[int], sigma: Perm) -> Grou
     return normalize(_opt_product(fixed + [Wreath(_opt_product(pairs), 2)]))
 
 
-def _is_klein(Q: list[Perm]) -> bool:
-    ident = identity_perm(len(Q[0]))
-    return len(Q) == 4 and all(compose(q, q) == ident for q in Q)
-
-
 def _klein_assemble(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     """Exact expression for a Klein four-group of core symmetries.
 
@@ -231,7 +231,7 @@ def _d4_assemble(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     to it.  Its flip is the one element other than the identity that moves
     nothing else."""
     exprs = dec.exprs()
-    ident = identity_perm(len(exprs))
+    ident = tuple(range(len(exprs)))
     forward = [j > i for i, j in enumerate(max(Q))]
     flip = next(
         q for q in Q
@@ -243,24 +243,33 @@ def _d4_assemble(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     return normalize(_opt_product(fixed_all + [Wreath(x_side, 2)]))
 
 
-def _elt_order(q: Perm) -> int:
-    """The lcm of the cycle lengths of q."""
-    seen = [False] * len(q)
-    out = 1
-    for start in range(len(q)):
-        k, i = 0, start
-        while not seen[i]:
-            seen[i] = True
-            i = q[i]
-            k += 1
-        if k:
-            out = lcm(out, k)
-    return out
-
-
 def _reflects(q: Perm) -> bool:
     """Whether a symmetry of a cycle of length at least 3 reverses it."""
     return (q[1] - q[0]) % len(q) != 1
+
+
+def _core_generators(dec: Decomposition, Q: Sequence[Perm]) -> list[Perm]:
+    """At most two generators of Q, read off Q alone.  A cycle's Q is
+    generated by the rotation by its necklace period (the least rotation
+    but the identity) and any one reflection.  Every other Q is a subgroup
+    of D4 or S3 x Z2, so cyclic or dihedral: the least element of largest
+    order generates it or its rotations, and then any element outside its
+    powers, a reflection, generates the rest."""
+    if dec.kind == "cycle":
+        rotations = [q for q in Q[1:] if not _reflects(q)]
+        gens = [min(rotations)] if rotations else []
+        return gens + [q for q in Q if _reflects(q)][:1]
+    ident = tuple(range(len(dec.layout)))
+
+    def powers(q: Perm) -> list[Perm]:
+        out, p = [ident], q
+        while p != ident:
+            out.append(p)
+            p = tuple(map(q.__getitem__, p))
+        return out
+
+    cyclic = max(map(powers, sorted(Q)), key=len)  # the first of largest order
+    return cyclic[1:2] + sorted(set(Q).difference(cyclic))[:1]
 
 
 def _top_name(dec: Decomposition, Q: list[Perm]) -> str:
@@ -344,7 +353,7 @@ def _assemble(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
         return normalize(_opt_product(dec.exprs()))
     if k == 2:  # the identity sorts first, so max(Q) is the involution
         return _z2_fold(dec.exprs(), range(len(dec.layout)), max(Q))
-    if _is_klein(Q):
+    if k == 4 and len(_core_generators(dec, Q)) == 2:
         return _klein_assemble(dec, Q)
     if dec.kind in ("shared", "dumbbell") and k == 8:
         return _d4_assemble(dec, Q)
@@ -396,21 +405,6 @@ def analyze(g: Graph) -> Analysis:
     return Analysis(family, dec.kind, dec.lengths, case, expr, dec, tuple(Q))
 
 
-def _generating_subset(Q: tuple[Perm, ...]) -> list[Perm]:
-    """A greedy generating set of a bicyclic top, trying elements of higher
-    order first: D4 and S3xZ2 then take two generators."""
-    chosen: list[Perm] = []
-    reached = {identity_perm(len(Q[0]))}
-    for q in sorted(Q, key=lambda q: (-_elt_order(q), q)):
-        if q in reached:
-            continue
-        chosen.append(q)
-        reached = set(close_generators(len(q), chosen, len(Q)))
-        if len(reached) == len(Q):
-            break
-    return chosen
-
-
 def emit_generators(g: Graph, analysis: Analysis | None = None) -> list[SparsePerm]:
     """Generators of the full automorphism group: rooted generators of each
     attached tree, plus one lift of each generator of the core symmetry
@@ -421,16 +415,7 @@ def emit_generators(g: Graph, analysis: Analysis | None = None) -> list[SparsePe
     dec = a.dec
     t = dec.tree
     moves = [m for v in dec.layout for m in rooted_aut_generators(t, v)]
-    Q = a.symmetries
-    if dec.kind == "cycle":
-        # the rotation by the necklace period (the least rotation but the
-        # identity) and one reflection generate Q
-        rotations = [q for q in Q[1:] if not _reflects(q)]
-        core_gens = [min(rotations)] if rotations else []
-        core_gens += [q for q in Q if _reflects(q)][:1]
-    else:
-        core_gens = _generating_subset(Q)
-    for q in core_gens:
+    for q in _core_generators(dec, a.symmetries):
         lift: dict[int, int] = {}
         for i, v in enumerate(dec.layout):
             if q[i] != i:

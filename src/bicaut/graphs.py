@@ -18,6 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 
+# a permutation of range(len(p)), i -> p[i]
+Perm = tuple[int, ...]
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -71,31 +74,6 @@ def is_connected(adj: list[list[int]]) -> bool:
                 count += 1
                 stack.append(w)
     return count == len(adj)
-
-
-def components(g: Graph) -> list[tuple[Graph, list[int]]]:
-    """Connected components as (subgraph, original vertex list) pairs,
-    ordered by smallest member."""
-    adj = adjacency(g)
-    seen = [False] * g.n
-    out = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        comp.sort()
-        sub, _ = induced_subgraph(g, comp)
-        out.append((sub, comp))
-    return out
 
 
 def induced_subgraph(g: Graph, vertices: list[int]) -> tuple[Graph, dict[int, int]]:
@@ -277,7 +255,7 @@ def _first_match(pattern: list[int], text: list[int]) -> int | None:
     return None
 
 
-def necklace_perms(labels) -> list[tuple[int, ...]]:
+def necklace_perms(labels) -> list[Perm]:
     """Every symmetry of a cycle that keeps its labels (hashable, one per
     vertex in cyclic order), as permutations p of positions with
     labels[p[i]] == labels[i].
@@ -326,7 +304,7 @@ _END_MAPS = {
 }
 
 
-def skeleton_perms(kind: str, lengths: tuple[int, ...]) -> list[tuple[int, ...]]:
+def skeleton_perms(kind: str, lengths: tuple[int, ...]) -> list[Perm]:
     """Every symmetry of the bare core, as a permutation p of the
     PATH_ENDS slots sending slot i to slot p[i].
 

@@ -23,9 +23,7 @@ import os
 from collections.abc import Iterable, Sequence
 from math import prod
 
-from .graphs import Graph, adjacency
-
-Perm = tuple[int, ...]
+from .graphs import Graph, Perm, adjacency
 
 
 def identity_perm(n: int) -> Perm:

@@ -335,23 +335,3 @@ def bar_construction(g: Graph) -> tuple[Graph, int, int]:
     edges = [e for e in g.edges if e != (c1, c2)]
     edges += [(c1, u), (c2, u), (u, v)]
     return make_graph(g.n + 2, edges), u, v
-
-
-def forest_aut_expr(g: Graph) -> GroupExpr:
-    """Automorphism group of a disjoint union of trees: isomorphic components
-    wreathe with the symmetric group permuting them."""
-    from .graphs import components
-
-    groups: dict[bytes, tuple[int, GroupExpr]] = {}
-    for sub, _ in components(g):
-        code = tree_code(sub)
-        if code in groups:
-            k, e = groups[code]
-            groups[code] = (k + 1, e)
-        else:
-            groups[code] = (1, tree_aut_expr(sub))
-    factors: list[GroupExpr] = []
-    for code in sorted(groups):
-        k, e = groups[code]
-        factors.append(e if k == 1 else Wreath(e, k))
-    return normalize(Product(tuple(factors)) if len(factors) > 1 else factors[0])

@@ -342,6 +342,51 @@ def test_emit_generators():
             assert len(close_generators(g.n, gens, want)) == want, g.edges
 
 
+def reference_generators(Q):
+    """The closure greedy that chose a bicyclic top's generators before
+    they were read off Q: elements by decreasing order, ties by the
+    permutation, each kept unless the closure of those kept holds it."""
+
+    def elt_order(q):
+        k, p = 1, q
+        while p != tuple(range(len(q))):
+            k, p = k + 1, compose(q, p)
+        return k
+
+    chosen, reached = [], {tuple(range(len(Q[0])))}
+    for q in sorted(Q, key=lambda q: (-elt_order(q), q)):
+        if q not in reached:
+            chosen.append(q)
+            reached = set(close_generators(len(q), chosen, len(Q)))
+    return chosen
+
+
+def test_core_generators_match_the_closure_greedy():
+    rng = random.Random(13)
+    graphs = [g for n in range(4, 10) for g in all_bicyclic(n)]
+    graphs += [case_instance(label, rng) for label in CASE_LABELS for _ in range(20)]
+    graphs += [skeleton_core(kind, lengths)[0] for kind, lengths in bicyclic_skeletons(12)]
+    sizes = Counter()
+    for g in graphs:
+        a = analyze(g)
+        Q = list(a.symmetries)
+        assert bicyclic._core_generators(a.dec, Q) == reference_generators(Q), g.edges
+        sizes[len(Q)] += 1
+    assert {2, 4, 6, 8, 12} <= set(sizes), sizes
+
+
+def test_core_generators_generate_q():
+    graphs = [g for n in range(3, 10) for g in all_unicyclic(n)]
+    graphs += [g for n in range(4, 10) for g in all_bicyclic(n)]
+    graphs += [skeleton_core("cycle", (k,))[0] for k in range(3, 65)]
+    for g in graphs:
+        a = analyze(g)
+        Q = a.symmetries
+        gens = bicyclic._core_generators(a.dec, Q)
+        assert len(gens) <= 2, g.edges
+        assert close_generators(len(a.dec.layout), gens, len(Q)) == sorted(Q), g.edges
+
+
 def test_bare_cycle_999():
     g = skeleton_core("cycle", (999,))[0]
     a = analyze(g)

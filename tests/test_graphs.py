@@ -9,7 +9,6 @@ from bicaut.graphs import (
     Graph,
     adjacency,
     attached_trees,
-    components,
     core_vertices,
     from_edgelist,
     from_graph6,
@@ -52,15 +51,6 @@ def test_basic_views():
     assert is_connected(adj)
     assert not is_connected(adjacency(make_graph(2, [])))
     assert is_connected(adjacency(make_graph(1, [])))
-
-
-def test_components_and_union():
-    g = make_graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)])
-    assert g.n == 7
-    comps = components(g)
-    assert [c.n for c, _ in comps] == [3, 4]
-    assert comps[1][1] == [3, 4, 5, 6]
-    assert comps[0][0].edges == C3.edges
 
 
 def test_induced_subgraph():

@@ -17,7 +17,6 @@ TEST_ONLY = {
     "are_isomorphic": "oracle reference for the enumeration counts",
     "bar_construction": "criterion 7",
     "fix_info": "criterion 7",
-    "forest_aut_expr": "disjoint unions of trees, which analyze rejects",
     "reconstruct": "decomposition round-trip check",
     "shape_size": "enumeration check",
 }
@@ -124,9 +123,9 @@ def test_traced_names_resolve():
     assert missing == []
 
 
-def test_oracle_imports_only_graphs():
-    # the oracle checks trees and bicyclic, so it may share no code with them
-    tree = ast.parse((SRC_DIR / "oracle.py").read_text(encoding="utf-8"))
+def _package_imports(name: str) -> set[str]:
+    """The bicaut modules that the module name imports."""
+    tree = ast.parse((SRC_DIR / (name + ".py")).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -134,9 +133,16 @@ def test_oracle_imports_only_graphs():
             imported.update("." * node.level + m for m in modules)
         elif isinstance(node, ast.Import):
             imported.update(a.name for a in node.names)
-    package = {
+    return {
         m.lstrip(".").removeprefix("bicaut.")
         for m in imported
         if m.startswith((".", "bicaut"))
     }
-    assert package == {"graphs"}
+
+
+def test_oracle_imports_only_graphs():
+    # the oracle checks the engines, so they may share no code with it: it
+    # imports only graphs, and no engine module imports it
+    assert _package_imports("oracle") == {"graphs"}
+    engines = ("graphs", "trees", "groups", "bicyclic", "generate", "realize")
+    assert [m for m in engines if "oracle" in _package_imports(m)] == []

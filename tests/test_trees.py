@@ -3,7 +3,7 @@ import pytest
 
 from bicaut.generate import free_trees
 from bicaut.graphs import make_graph
-from bicaut.groups import Sym, Trivial, Wreath, order, print_expr
+from bicaut.groups import Sym, Trivial, Wreath, order
 from bicaut.oracle import (
     automorphism_count,
     close_generators,
@@ -134,18 +134,10 @@ def test_tree_code_is_isomorphism_invariant():
 def test_tree_code_separates_sizes():
     # edge-centered 7-tree whose virtual-rooted shape matches the
     # vertex-centered shape of this 8-tree; the codes must still differ
-    from bicaut.trees import forest_aut_expr
-
     a = make_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 6), (4, 5)])
     b = make_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 7), (5, 6)])
     assert automorphism_count(a) == 1 and automorphism_count(b) == 1
     assert tree_code(a) != tree_code(b)
-    ab = make_graph(
-        15,
-        [(0, 1), (1, 2), (2, 3), (3, 4), (3, 6), (4, 5), (7, 8), (8, 9),
-         (9, 10), (10, 11), (11, 12), (11, 14), (12, 13)],
-    )  # a beside b
-    assert order(forest_aut_expr(ab)) == 1
 
 
 def test_orbits_and_fixed_vertices():
@@ -246,16 +238,3 @@ def test_bar_construction():
         bar_construction(P5)  # single center, already fixed
     with pytest.raises(ValueError):
         bar_construction(P2)  # diameter too small
-
-
-def test_forest_expr():
-    from bicaut.trees import forest_aut_expr
-
-    two_paths = make_graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
-    e = forest_aut_expr(two_paths)
-    # each path keeps its swap, the two components swap as a block
-    assert order(e) == 8
-    assert print_expr(e) == "wr(S2,S2)"
-    mixed = make_graph(9, [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (4, 7), (4, 8)])
-    assert order(forest_aut_expr(mixed)) == 2 * 24
-    assert order(forest_aut_expr(P4)) == 2
