@@ -18,6 +18,7 @@ import argparse
 import random
 import sys
 from collections import Counter
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 
 from .bicyclic import UnsupportedFamilyError, analyze, emit_generators
 from .generate import (
@@ -54,18 +55,30 @@ def _write_graph(g: Graph, fmt: str) -> str:
 
 
 def _digits(n: int) -> str:
-    """n in decimal, also past the interpreter's limit on the digits str()
-    converts (4300 by default): a star on 2000 leaves already has an order
-    of 5736 digits."""
-    try:
-        return str(n)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return str(n)
-        finally:
-            sys.set_int_max_str_digits(limit)
+    """n >= 0 in decimal, also past the interpreter's limit on the digits
+    str() converts (4300 by default): a star on 2000 leaves already has an
+    order of 5736 digits.  n splits by bits into halves, whose Decimal
+    values join through a cached power of two: subquadratic, where str()
+    is quadratic."""
+    powers: dict[int, Decimal] = {}
+
+    def two_to(w: int) -> Decimal:
+        if w not in powers:
+            half = w >> 1
+            powers[w] = Decimal(1 << w) if w <= 256 else two_to(half) * two_to(w - half)
+        return powers[w]
+
+    def convert(x: int, w: int) -> Decimal:
+        if w <= 256:
+            return Decimal(x)
+        half = w >> 1
+        hi = x >> half
+        return convert(hi, w - half) * two_to(half) + convert(x - (hi << half), half)
+
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        ctx.traps[Inexact] = True
+        return str(convert(n, n.bit_length()))
 
 
 def _report(g: Graph, cap: int) -> tuple[list[str], int]:
@@ -215,7 +228,8 @@ def _parser() -> argparse.ArgumentParser:
         type=int,
         default=100_000,
         metavar="N",
-        help="verify generator closure when the order is at most N",
+        help="check the Schreier-Sims order of the emitted generators when the"
+        " order is at most N",
     )
     sp.set_defaults(fn=_cmd_aut)
 

@@ -1,9 +1,11 @@
 """Exhaustive and random generators for trees, unicyclic and bicyclic
-graphs, used by the tests and the fuzz command.
+graphs, used by the tests and the fuzz command, and the rooted shapes
+realize builds trees from.
 
-Rooted tree shapes are canonical nested tuples with children in
-non-increasing order.  Free trees come from deduplicating rooted shapes by
-their centered code.  Unicyclic and bicyclic graphs enumerate as a bare core
+Rooted tree shapes are nested tuples, one per child; rooted_shapes lists
+them canonically, with children in non-increasing order, and shape_code and
+shape_to_graph take any order.  Free trees come from deduplicating rooted
+shapes by their centered code (free_tree_shapes).  Unicyclic and bicyclic graphs enumerate as a bare core
 (skeleton_core, laid out by graphs.PATH_ENDS) plus one rooted shape per core
 vertex, deduplicated by the minimum of the shape-code tuple over the bare
 core's symmetries, so each isomorphism class appears exactly once.
@@ -69,13 +71,18 @@ def shape_to_graph(sh: Shape) -> Graph:
 
 
 @lru_cache(maxsize=None)
+def free_tree_shapes(n: int) -> tuple[Shape, ...]:
+    """One rooted shape per free tree with n vertices, by centered code."""
+    seen: dict[bytes, Shape] = {}
+    for sh in rooted_shapes(n):
+        seen.setdefault(tree_code(shape_to_graph(sh)), sh)
+    return tuple(seen[k] for k in sorted(seen))
+
+
+@lru_cache(maxsize=None)
 def free_trees(n: int) -> tuple[Graph, ...]:
     """All free trees with n vertices, one per isomorphism class."""
-    seen: dict[bytes, Graph] = {}
-    for sh in rooted_shapes(n):
-        g = shape_to_graph(sh)
-        seen.setdefault(tree_code(g), g)
-    return tuple(seen[k] for k in sorted(seen))
+    return tuple(map(shape_to_graph, free_tree_shapes(n)))
 
 
 def skeleton_core(kind: str, lengths: tuple[int, ...]) -> tuple[Graph, list[int]]:

@@ -90,31 +90,31 @@ class Dihedral:
             raise ValueError("Dihedral parameter must be >= 1")
 
 
-_NAMED_TOP_SIZES = {
-    "Z2": 2,
-    "Z2xZ2": 4,
-    "Z2wrZ2": 8,
-    "S3": 6,
-    "S3xZ2": 12,
-    "Z6": 6,
-}
+# The top names that denote dihedral groups, by k (dih(k) has order 2k);
+# Z6, like every Zk, is cyclic of order k.
+_DIHEDRAL_TOPS = {"Z2": 1, "Z2xZ2": 2, "S3": 3, "Z2wrZ2": 4, "S3xZ2": 6}
+
+
+def _read_top(name: str) -> tuple[int, bool] | None:
+    """(k, dihedral) of a top group name, None for an unknown one."""
+    if name in _DIHEDRAL_TOPS:
+        return _DIHEDRAL_TOPS[name], True
+    m = re.fullmatch(r"Z(\d+)", name)
+    if m and int(m.group(1)) >= 2:
+        return int(m.group(1)), False
+    m = re.fullmatch(r"dih\((\d+)\)", name)
+    if m:
+        return int(m.group(1)), True
+    return None
 
 
 def top_size(name: str) -> int:
     """Order of a named top group; supports Zk and dih(k) beyond the fixed set."""
-    if name in _NAMED_TOP_SIZES:
-        return _NAMED_TOP_SIZES[name]
-    m = re.fullmatch(r"Z(\d+)", name)
-    if m:
-        k = int(m.group(1))
-        if k >= 2:
-            return k
-    m = re.fullmatch(r"dih\((\d+)\)", name)
-    if m:
-        k = int(m.group(1))
-        if k >= 1:
-            return 2 * k
-    raise ValueError("unknown top group name %r" % name)
+    top = _read_top(name)
+    if top is None or top[0] < 1:
+        raise ValueError("unknown top group name %r" % name)
+    k, dihedral = top
+    return 2 * k if dihedral else k
 
 
 @dataclass(frozen=True)
@@ -196,24 +196,6 @@ def _wreath2(base: GroupExpr) -> GroupExpr:
     return Sym(2) if isinstance(base, Trivial) else Wreath(base, 2)
 
 
-# Named tops that are themselves expressible with products and wreaths.
-def _top_as_expr(name: str) -> GroupExpr | None:
-    if name == "Z2":
-        return Sym(2)
-    if name == "Z2xZ2":
-        return Product((Sym(2), Sym(2)))
-    if name == "Z2wrZ2":
-        return Wreath(Sym(2), 2)
-    if name == "S3":
-        return Sym(3)
-    if name == "S3xZ2":
-        return Product((Sym(2), Sym(3)))
-    m = re.fullmatch(r"dih\((\d+)\)", name)
-    if m:
-        return Dihedral(int(m.group(1)))
-    return None
-
-
 def normalize(e: GroupExpr) -> GroupExpr:
     """Canonical form: flatten and sort products, drop trivial parts, rewrite
     degenerate wreath and semidirect shapes into the plainest equivalent group.
@@ -269,9 +251,10 @@ def normalize(e: GroupExpr) -> GroupExpr:
     if isinstance(e, SemiTop):
         factors = [normalize(f) for f in _factors(e.base)]
         if all(isinstance(f, Trivial) for f in factors):
-            rewritten = _top_as_expr(e.top.name)
-            if rewritten is not None:
-                return normalize(rewritten)
+            # dih(k) for a named top rewrites into products and wreaths
+            top = _read_top(e.top.name)
+            if top is not None and top[1]:
+                return normalize(Dihedral(top[0]))
             return SemiTop(Trivial(), TopGroup(e.top.name))
         return SemiTop(_product(factors), TopGroup(e.top.name))
     raise TypeError("not a group expression: %r" % (e,))

@@ -1,11 +1,13 @@
 """Inverse construction: build graphs whose automorphism groups match a
 given expression.
 
-Tree-class expressions realize as a rooted tree (symmetric groups become
-stars, wreaths hang isomorphic copies under a fresh root, products hang
-non-isomorphic children, separated by cheap pendant paths when two factors
-would collide).  Every expression in the realizable classes then embeds in a
-rigid bicyclic host:
+Tree-class expressions realize as a rooted shape in generate's nested-tuple
+model (symmetric groups become stars, wreaths hang equal copies under a
+fresh root, products hang their factors' shapes, a repeated one padded by a
+chain so that siblings stay apart), pinned by a longer chain when the root
+could move.  Every expression in the realizable classes then embeds in a
+rigid bicyclic host: one builder splices each part's shape onto its slots of
+a bare core (generate.skeleton_core) and writes the manifest.
 
 * the tree class rides a shared-vertex core with cycle lengths 4 and 5 whose
   flips are killed by two asymmetric decorations, leaving exactly the
@@ -19,9 +21,10 @@ rigid bicyclic host:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .generate import free_trees, skeleton_core
-from .graphs import Graph, adjacency, make_graph, splice, link
+from .generate import Shape, free_tree_shapes, shape_code, shape_to_graph, skeleton_core
+from .graphs import Graph, splice
 from .groups import (
     GroupExpr,
     KleinSemidirect,
@@ -34,7 +37,7 @@ from .groups import (
     normalize,
     print_expr,
 )
-from .trees import RootedTree, is_vertex_fixed, rooted_code, tree_aut_expr
+from .trees import is_vertex_fixed, tree_aut_expr
 
 
 class RealizeError(ValueError):
@@ -48,109 +51,87 @@ class SizeBudgetError(ValueError):
 SIZE_BUDGET = 200
 
 
+@lru_cache(maxsize=None)
+def _asymmetric_shapes(count: int) -> tuple[Shape, ...]:
+    """The first `count` free-tree shapes (generate.free_tree_shapes) with
+    trivial automorphism group, by increasing size from 7 vertices on."""
+    out: list[Shape] = []
+    size = 7
+    while len(out) < count:
+        out += [
+            sh
+            for sh in free_tree_shapes(size)
+            if isinstance(tree_aut_expr(shape_to_graph(sh)), Trivial)
+        ]
+        size += 1
+    return tuple(out[:count])
+
+
 def asymmetric_trees(count: int) -> list[Graph]:
     """The first `count` free trees with trivial automorphism group, by
     increasing size (the smallest has 7 vertices)."""
-    out: list[Graph] = []
-    size = 7
-    while len(out) < count:
-        for g in free_trees(size):
-            if isinstance(tree_aut_expr(g), Trivial):
-                out.append(g)
-                if len(out) == count:
-                    break
-        size += 1
-    return out
+    return [shape_to_graph(sh) for sh in _asymmetric_shapes(count)]
 
 
-def _add_path(g: Graph, v: int, length: int) -> Graph:
-    edges = list(g.edges)
-    prev = v
-    for i in range(length):
-        edges.append((prev, g.n + i))
-        prev = g.n + i
-    return make_graph(g.n + length, edges)
+def _chain(p: int) -> Shape:
+    """A path of p vertices rooted at an end."""
+    sh: Shape = ()
+    for _ in range(p - 1):
+        sh = (sh,)
+    return sh
 
 
-def _height(g: Graph, root: int) -> int:
-    adj = adjacency(g)
-    dist = {root: 0}
-    frontier = [root]
-    far = 0
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    far = dist[w]
-                    nxt.append(w)
-        frontier = nxt
-    return far
+def _depth(sh: Shape) -> int:
+    return 1 + max(map(_depth, sh)) if sh else 0
 
 
-def _attach_children(children: list[Graph]) -> Graph:
-    """Hang each child tree (rooted at its index 0) under a fresh root."""
-    g = Graph(1, ())
-    for child in children:
-        g, _ = link(g, 0, child, 0)
-    return g
-
-
-def _separate(children: list[Graph]) -> list[Graph]:
-    """Make the children pairwise non-isomorphic as rooted trees by adding a
-    pendant path at a duplicate's root.  The path's length is chosen so that
-    it is a fresh child class at that root (keeping the rooted stabilizer)
-    and the resulting code is fresh among the siblings."""
+def _separate(children: list[Shape]) -> list[Shape]:
+    """Make the children pairwise non-isomorphic (distinct shape codes) by
+    hanging a chain from a repeated one's root.  The chain is the shortest
+    that is a fresh child class at that root (keeping the rooted
+    stabilizer) and makes the padded shape fresh among the siblings."""
     used: set[bytes] = set()
     out = []
     for child in children:
-        code = rooted_code(child, 0)
-        if code not in used:
-            used.add(code)
-            out.append(child)
-            continue
-        t = RootedTree(child, 0)
-        root_kids = {t.code[w] for w in t.children[0]}
-        p = 1
-        while True:
-            # the path's first vertex roots a p-vertex chain
-            chain = rooted_code(_add_path(Graph(1, ()), 0, p - 1), 0)
-            padded = _add_path(child, 0, p)
-            code = rooted_code(padded, 0)
-            if chain not in root_kids and code not in used:
-                used.add(code)
-                out.append(padded)
-                break
+        kids = {shape_code(c) for c in child}
+        padded, p = child, 0
+        while shape_code(padded) in used:
             p += 1
+            if shape_code(_chain(p)) not in kids:
+                padded = child + (_chain(p),)
+        used.add(shape_code(padded))
+        out.append(padded)
     return out
 
 
-def _build_tree(e: GroupExpr) -> Graph:
-    """Tree with rooted automorphism group e at vertex 0."""
-    if isinstance(e, Trivial):
-        return Graph(1, ())
+def _shape(e: GroupExpr) -> Shape:
+    """Rooted shape whose rooted automorphism group is the normalized
+    tree-class expression e."""
     if isinstance(e, Sym):
-        return make_graph(e.n + 1, [(0, i) for i in range(1, e.n + 1)])
+        return ((),) * e.n
     if isinstance(e, Wreath):
-        child = _build_tree(e.base)
-        return _attach_children([child] * e.n)
+        return (_shape(e.base),) * e.n
     if isinstance(e, Product):
-        return _attach_children(_separate([_build_tree(f) for f in e.factors]))
-    raise RealizeError("not a tree-class expression: %s" % print_expr(e))
+        return tuple(_separate([_shape(f) for f in e.factors]))
+    return ()
+
+
+def _tree_shape(e: GroupExpr) -> Shape:
+    """_shape(e), plus a chain strictly longer than every branch at the root
+    when the free tree would move the root."""
+    sh = _shape(e)
+    if not is_vertex_fixed(shape_to_graph(sh), 0):
+        sh += (_chain(_depth(sh) + 2),)
+    return sh
 
 
 def realize_tree(e: GroupExpr) -> tuple[Graph, int]:
     """A tree whose automorphism group is e, with an anchor vertex fixed by
-    every automorphism.  A pendant path strictly longer than every branch
-    pins the anchor when the plain construction leaves it movable."""
+    every automorphism."""
     e = normalize(e)
     if classify(e) != "T":
         raise RealizeError("not a tree-class expression: %s" % print_expr(e))
-    g = _build_tree(e)
-    if not is_vertex_fixed(g, 0):
-        g = _add_path(g, 0, _height(g, 0) + 2)
-    return g, 0
+    return shape_to_graph(_tree_shape(e)), 0
 
 
 @dataclass(frozen=True)
@@ -175,33 +156,28 @@ def _split_special(e: GroupExpr) -> tuple[GroupExpr, GroupExpr]:
     return special[0], cofactor
 
 
-def _tree_host(e: GroupExpr) -> tuple[Graph, list[tuple[str, tuple[int, ...]]]]:
-    payload, anchor = realize_tree(e)
-    pcode = rooted_code(payload, anchor)
-    catalog = asymmetric_trees(3)
+_Parts = list[tuple[str, Shape, tuple[int, ...]]]
+
+
+def _tree_parts(e: GroupExpr) -> _Parts:
+    """(term, shape, slots) of each part a tree-class expression hangs on
+    the shared (4,5) core: anchor 0, 4-cycle 1,2,3, then the 5-cycle."""
+    payload = _tree_shape(e)
+    pcode = shape_code(payload)
+    # each asymmetric tree hangs by an edge from its slot
+    decorations = [(t,) for t in _asymmetric_shapes(3)]
     # The decoration on the 4-cycle must not mirror the payload across the
     # flip axis, or the flip would survive.
-    lam1 = next(
-        t
-        for t in catalog
-        if rooted_code(_attach_children([t]), 0) != pcode
-    )
-    lam2 = next(t for t in catalog if t is not lam1)
-    g, slots = skeleton_core("shared", (4, 5))
-    manifest = [("core", tuple(slots))]
-    g, remap = link(g, slots[1], lam1, 0)
-    manifest.append(("decoration", tuple(remap)))
-    g, remap = link(g, slots[4], lam2, 0)
-    manifest.append(("decoration", tuple(remap)))
-    g, remap = splice(g, slots[3], payload, anchor)
-    manifest.append(("payload %s" % print_expr(e), tuple(remap)))
-    return g, manifest
+    lam1 = next(d for d in decorations if shape_code(d) != pcode)
+    lam2 = next(d for d in decorations if d != lam1)
+    return [
+        ("decoration", lam1, (1,)),
+        ("decoration", lam2, (4,)),
+        ("payload %s" % print_expr(e), payload, (3,)),
+    ]
 
 
-_Roles = list[tuple[str, GroupExpr, tuple[int, ...]]]
-
-
-def _klein_roles(e: GroupExpr) -> _Roles:
+def _klein_roles(e: GroupExpr) -> list[tuple[str, GroupExpr, tuple[int, ...]]]:
     """(role, expression, theta (2,4,4) slots) of each payload of a B1/B2
     expression.  Slots: branch vertices 0,1; short-branch midpoint 2;
     long-branch interiors 3,4,5 and 6,7,8 with midpoints 4 and 7."""
@@ -218,23 +194,25 @@ def _klein_roles(e: GroupExpr) -> _Roles:
     ]
 
 
-def _klein_host(roles: _Roles) -> tuple[Graph, list[tuple[str, tuple[int, ...]]]]:
-    g, slots = skeleton_core("theta", (2, 4, 4))
+def _host(
+    kind: str, lengths: tuple[int, ...], parts: _Parts
+) -> tuple[Graph, list[tuple[str, tuple[int, ...]]]]:
+    """Splice each part's shape onto each of its slots of the bare core.
+    The manifest lists the core, then each spliced copy with its slot."""
+    g, slots = skeleton_core(kind, lengths)
     manifest = [("core", tuple(slots))]
-    for role, expr, targets in roles:
-        if isinstance(normalize(expr), Trivial):
-            continue
-        payload, anchor = realize_tree(expr)
+    for term, sh, targets in parts:
+        tree = shape_to_graph(sh)
         for v in targets:
-            g, remap = splice(g, v, payload, anchor)
-            manifest.append(("%s %s" % (role, print_expr(expr)), tuple(remap)))
+            g, remap = splice(g, v, tree, 0)
+            manifest.append((term, tuple(remap)))
     return g, manifest
 
 
 def _tree_size(e: GroupExpr) -> int:
-    """Vertices of the plain tree _build_tree makes for a normalized
-    tree-class expression before it separates equal children: a lower bound
-    on the size of realize_tree(e)."""
+    """Vertices of _shape(e) for a normalized tree-class expression before
+    it separates equal children: a lower bound on the size of
+    realize_tree(e)."""
     if isinstance(e, Sym):
         return e.n + 1
     if isinstance(e, Wreath):
@@ -268,13 +246,18 @@ def realize(e: GroupExpr) -> Realization:
         # the (4,5) shared core has 8 vertices and each of its two
         # asymmetric decorations at least 7; the payload shares its anchor
         _check_budget(8 + 2 * 7 + _tree_size(norm) - 1, "at least ")
-        g, manifest = _tree_host(norm)
+        g, manifest = _host("shared", (4, 5), _tree_parts(norm))
     else:
         # every payload shares its anchor with a slot of the 9-vertex core
         roles = _klein_roles(norm)
         _check_budget(
             9 + sum(len(vs) * (_tree_size(x) - 1) for _, x, vs in roles), "at least "
         )
-        g, manifest = _klein_host(roles)
+        parts = [
+            ("%s %s" % (role, print_expr(x)), _tree_shape(x), vs)
+            for role, x, vs in roles
+            if not isinstance(x, Trivial)
+        ]
+        g, manifest = _host("theta", (2, 4, 4), parts)
     _check_budget(g.n)
     return Realization(g, norm, cls, tuple(manifest))

@@ -88,10 +88,6 @@ def _walk_parents(g: Graph, root: int) -> list[int]:
     return parent
 
 
-def rooted_code(g: Graph, root: int) -> bytes:
-    return RootedTree(g, root).code[root]
-
-
 def _classes(t: RootedTree, u: int) -> dict[bytes, list[int]]:
     """The children of u grouped by code, in order of first appearance."""
     out: dict[bytes, list[int]] = {}

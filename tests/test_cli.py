@@ -1,4 +1,5 @@
 """End-to-end runs of the command line interface."""
+import sys
 import time
 
 from bicaut.cli import (
@@ -8,6 +9,7 @@ from bicaut.cli import (
     EX_MISMATCH,
     EX_OK,
     EX_OUTSIDE,
+    _digits,
     run,
 )
 from bicaut.graphs import (
@@ -100,6 +102,21 @@ def test_aut_star_70001(tmp_path, capsys):
     got = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
     assert got["expr"] == "S70000" and len(got["order"]) == 308_760
     assert got["generators"] == "69999" and got["closure"] == "skipped"
+
+
+def test_digits_match_str():
+    # 1, 4 300, 4 301 and 100 000 digits: str() converts the first two under
+    # the default limit and needs the limit lifted for the others
+    ints = (7, 10**4299 + 12_345, 10**4300 + 6_789, 3**209_590)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = [str(n) for n in ints]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [len(w) for w in want] == [1, 4300, 4301, 100_000]
+    assert [_digits(n) for n in ints] == want
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_aut_closure_fail(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,8 @@
 """Inverse construction from expressions to graphs."""
+import importlib
 import random
+import types
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +36,70 @@ TREE_CASES = [
     "1", "S2", "S3", "S5", "S2*S2", "S2*S3", "S2*S2*S2", "S3*S3",
     "wr(S2,S2)", "wr(S3,S2)", "wr(S2,S3)", "S2*wr(S2,S2)",
     "wr(wr(S2,S2),S2)", "wr(S2*S2,S2)", "S2*S2*S3",
+]
+
+
+# (expression, n, edges, class) of every realization in TREE_CASES, the
+# texts of test_realize_round_trips and the T/B1/B2 pools of acceptance
+# criterion 6.  The benchmark keeps a realize input only when its graph has
+# at most 64 vertices, so any drift in these sizes changes its workload.
+REALIZED_SIZES = [
+    ("1", 23, 24, "T"),
+    ("S2", 25, 26, "T"),
+    ("S3", 26, 27, "T"),
+    ("S5", 28, 29, "T"),
+    ("S2*S2", 31, 32, "T"),
+    ("S2*S3", 30, 31, "T"),
+    ("S2*S2*S2", 37, 38, "T"),
+    ("S3*S3", 33, 34, "T"),
+    ("wr(S2,S2)", 29, 30, "T"),
+    ("wr(S3,S2)", 31, 32, "T"),
+    ("wr(S2,S3)", 32, 33, "T"),
+    ("S2*wr(S2,S2)", 33, 34, "T"),
+    ("wr(wr(S2,S2),S2)", 37, 38, "T"),
+    ("wr(S2*S2,S2)", 41, 42, "T"),
+    ("S2*S2*S3", 35, 36, "T"),
+    ("wrK4(S2)", 17, 18, "B1"),
+    ("wrK4(S3)", 21, 22, "B1"),
+    ("wrK4(S2*S2)", 41, 42, "B1"),
+    ("S2*wrK4(S2)", 19, 20, "B1"),
+    ("S3*wrK4(S2)", 20, 21, "B1"),
+    ("b2(S2,S2,S2)", 25, 26, "B2"),
+    ("b2(S2,1,1)", 17, 18, "B1"),
+    ("b2(S3,S2,1)", 25, 26, "B2"),
+    ("b2(S2,1,S3)", 23, 24, "B2"),
+    ("S2*b2(S2,S2,S2)", 27, 28, "B2"),
+    ("b2(wr(S2,S2),1,1)", 33, 34, "B1"),
+    ("b2(S2,S2,S2)*wr(S2,S2)", 31, 32, "B2"),
+    ("b2(1,1,1)", 31, 32, "T"),
+    ("S2*b2(1,1,1)", 37, 38, "T"),
+    ("wrK4(1)", 31, 32, "T"),
+    ("S4", 27, 28, "T"),
+    ("S6", 29, 30, "T"),
+    ("wr(S4,S2)", 33, 34, "T"),
+    ("wr(S3,S3)", 35, 36, "T"),
+    ("wr(S2,S4)", 35, 36, "T"),
+    ("S2*S4", 31, 32, "T"),
+    ("S3*S4", 32, 33, "T"),
+    ("S2*S3*S4", 35, 36, "T"),
+    ("S3*wr(S2,S2)", 34, 35, "T"),
+    ("wr(S2,S2)*wr(S3,S2)", 39, 40, "T"),
+    ("wrK4(S2)*S2", 19, 20, "B1"),
+    ("wrK4(S2)*S3", 20, 21, "B1"),
+    ("wrK4(S2)*S4", 21, 22, "B1"),
+    ("wrK4(S2)*S2*S3", 24, 25, "B1"),
+    ("wrK4(S2)*wr(S2,S2)", 23, 24, "B1"),
+    ("wrK4(S2)*wr(S2,S3)", 26, 27, "B1"),
+    ("wrK4(S2)*S2*S2", 25, 26, "B1"),
+    ("b2(S2,S2,1)", 21, 22, "B2"),
+    ("b2(S2,S3,1)", 23, 24, "B2"),
+    ("b2(S2,S3,S2)", 27, 28, "B2"),
+    ("b2(S2,S2,1)*S2", 23, 24, "B2"),
+    ("b2(S2,S2,1)*S3", 24, 25, "B2"),
+    ("b2(S2,S2,1)*S4", 25, 26, "B2"),
+    ("b2(S2,S2,S2)*S2", 27, 28, "B2"),
+    ("b2(S2,S2,S2)*S3", 28, 29, "B2"),
+    ("b2(S2,S3,1)*S2", 25, 26, "B2"),
 ]
 
 
@@ -144,3 +211,40 @@ def test_manifest_tree_host():
     assert roles == ["core", "decoration", "decoration", "payload"]
     payload_term = r.manifest[-1][0]
     assert payload_term == "payload wr(S2,S2)"
+
+
+def test_realized_sizes_are_pinned():
+    got = []
+    for txt, *_ in REALIZED_SIZES:
+        r = realize(parse_expr(txt))
+        got.append((txt, r.graph.n, len(r.graph.edges), r.cls))
+    assert got == REALIZED_SIZES
+
+
+# graph.n of each of the 90 seed-1 realize inputs of the sweep workload
+SWEEP_SEED1_SIZES = [25, 20, 26, 27, 23, 21, 21, 40, 20, 41, 23, 35, 25, 27, 19, 21, 24, 21, 26, 23, 40, 19, 25, 20, 17, 21, 31, 23, 25, 23, 21, 19, 41, 23, 19, 21, 24, 35, 29, 25, 27, 29, 19, 24, 25, 21, 37, 23, 23, 20, 24, 35, 23, 17, 17, 33, 21, 31, 17, 21, 20, 24, 23, 33, 24, 25, 21, 25, 23, 19, 33, 33, 17, 24, 25, 21, 23, 26, 21, 32, 39, 23, 21, 21, 21, 31, 17, 29, 23, 31]
+
+
+def test_benchmark_realize_inputs_keep_their_sizes(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    bc = types.SimpleNamespace(
+        groups=importlib.import_module("bicaut.groups"),
+        realize=importlib.import_module("bicaut.realize"),
+    )
+    inputs = workloads.realize_inputs(bc, random.Random(1))
+    assert [realize(i.expect).graph.n for i in inputs] == SWEEP_SEED1_SIZES
+
+
+def test_decoration_catalog_is_built_once(monkeypatch):
+    realize(parse_expr("S3"))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return tree_aut_expr(*args, **kwargs)
+
+    for name in ("bicaut.trees", "bicaut.realize"):
+        monkeypatch.setattr(importlib.import_module(name), "tree_aut_expr", counted)
+    realize(parse_expr("S3"))
+    assert len(calls) == 0

@@ -22,7 +22,6 @@ from bicaut.trees import (
     is_vertex_fixed,
     rooted_aut_expr,
     rooted_aut_generators,
-    rooted_code,
     tree_aut_expr,
     tree_aut_generators,
     tree_code,
@@ -40,12 +39,12 @@ SPIDER = make_graph(6, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)])
 
 
 def test_rooted_codes():
-    assert rooted_code(make_graph(1, []), 0) == b"\x00\x00\x00\x00"
-    assert rooted_code(P2, 0) == rooted_code(P2, 1)
-    assert rooted_code(P4, 0) == rooted_code(P4, 3)
-    assert rooted_code(P4, 0) != rooted_code(P4, 1)
-    assert rooted_code(BIN2, 1) == rooted_code(BIN2, 2)
-    assert rooted_code(BIN2, 0) != rooted_code(BIN2, 1)
+    assert RootedTree(make_graph(1, []), 0).code[0] == b"\x00\x00\x00\x00"
+    assert RootedTree(P2, 0).code[0] == RootedTree(P2, 1).code[1]
+    assert RootedTree(P4, 0).code[0] == RootedTree(P4, 3).code[3]
+    assert RootedTree(P4, 0).code[0] != RootedTree(P4, 1).code[1]
+    assert RootedTree(BIN2, 1).code[1] == RootedTree(BIN2, 2).code[2]
+    assert RootedTree(BIN2, 0).code[0] != RootedTree(BIN2, 1).code[1]
 
 
 def test_rooted_tree_rejects_non_trees():
