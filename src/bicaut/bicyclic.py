@@ -10,7 +10,9 @@ lays out in the one slot layout of graphs.PATH_ENDS (Decomposition.layout),
 and the parents root every attached tree at once, as one RootedTree whose
 virtual root n has the core vertices for children.  Each slot's code and
 expression, the rooted generators and the lifts of core symmetries
-(trees.aligned_iso) all come from that one tree; the generators and lifts
+(trees.aligned_iso) all come from that one tree.  The slot expressions
+come from trees.rooted_exprs, one per distinct code and normalized
+already, so no second normalize runs on them.  The generators and lifts
 are support-only maps of the vertices they move, and emit_generators
 returns them so, as permutations of range(n) that store only their moves
 (trees.SparsePerm).  Q is the group of core symmetries that keep every
@@ -56,6 +58,7 @@ from .groups import (
     TopGroup,
     Trivial,
     Wreath,
+    direct_product,
     normalize,
 )
 from .trees import (
@@ -79,7 +82,7 @@ class UnsupportedFamilyError(ValueError):
 @dataclass(frozen=True)
 class _Slot:
     """A core vertex's attached tree: its rooted code and its normalized
-    rooted automorphism group."""
+    rooted automorphism group, the object every vertex of that code shares."""
 
     code: bytes
     expr: GroupExpr
@@ -132,7 +135,7 @@ def decompose(g: Graph) -> Decomposition:
     # the peel's parents with the core hung below the virtual root n
     tree = RootedTree(g, g.n, [p if p >= 0 else g.n for p in parent] + [-1])
     exprs = rooted_exprs(tree)
-    slots = {v: _Slot(tree.code[v], normalize(exprs[v])) for v in core}
+    slots = {v: _Slot(tree.code[v], exprs[v]) for v in core}
     return Decomposition(g.n, kind, layout, lengths, slots, tree)
 
 
@@ -350,7 +353,7 @@ def _case_label(dec: Decomposition, Q: list[Perm]) -> str:
 def _assemble(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     k = len(Q)
     if k == 1:
-        return normalize(_opt_product(dec.exprs()))
+        return direct_product(dec.exprs())
     if k == 2:  # the identity sorts first, so max(Q) is the involution
         return _z2_fold(dec.exprs(), range(len(dec.layout)), max(Q))
     if k == 4 and len(_core_generators(dec, Q)) == 2:

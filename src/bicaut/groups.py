@@ -178,16 +178,19 @@ def _factors(e: GroupExpr) -> tuple[GroupExpr, ...]:
     return e.factors if isinstance(e, Product) else (e,)
 
 
-def _product(factors: list[GroupExpr]) -> GroupExpr:
-    factors = [f for f in factors if not isinstance(f, Trivial)]
-    if not factors:
-        return Trivial()
+def direct_product(factors: list[GroupExpr]) -> GroupExpr:
+    """Normalized direct product of normalized factors: trivial factors
+    dropped, products flattened one level, the rest sorted by printed form.
+    Equal to normalize(Product(tuple(factors))) for a nonempty list."""
     flat: list[GroupExpr] = []
     for f in factors:
-        flat.extend(_factors(f))
-    flat.sort(key=print_expr)
+        if not isinstance(f, Trivial):
+            flat.extend(_factors(f))
+    if not flat:
+        return Trivial()
     if len(flat) == 1:
         return flat[0]
+    flat.sort(key=print_expr)
     return Product(tuple(flat))
 
 
@@ -215,7 +218,7 @@ def normalize(e: GroupExpr) -> GroupExpr:
                 stack.extend(f.factors)
             else:
                 leaves.append(normalize(f))
-        return _product(leaves)
+        return direct_product(leaves)
     if isinstance(e, Wreath):
         base = normalize(e.base)
         if isinstance(base, Trivial):
@@ -224,14 +227,14 @@ def normalize(e: GroupExpr) -> GroupExpr:
     if isinstance(e, KleinWreath):
         base = normalize(e.base)
         if isinstance(base, Trivial):
-            return _product([Sym(2), Sym(2)])
+            return direct_product([Sym(2), Sym(2)])
         return KleinWreath(base)
     if isinstance(e, KleinSemidirect):
         quad = normalize(e.quad)
         h, k = sorted((normalize(e.pair_h), normalize(e.pair_k)), key=print_expr)
         if isinstance(quad, Trivial):
             # No regular orbit left: the two involutions act independently.
-            return _product([_wreath2(h), _wreath2(k)])
+            return direct_product([_wreath2(h), _wreath2(k)])
         if isinstance(h, Trivial) and isinstance(k, Trivial):
             return KleinWreath(quad)
         return KleinSemidirect(quad, h, k)
@@ -240,13 +243,13 @@ def normalize(e: GroupExpr) -> GroupExpr:
         if n == 1:
             return Sym(2)
         if n == 2:
-            return _product([Sym(2), Sym(2)])
+            return direct_product([Sym(2), Sym(2)])
         if n == 3:
             return Sym(3)
         if n == 4:
             return Wreath(Sym(2), 2)
         if n == 6:
-            return _product([Sym(2), Sym(3)])
+            return direct_product([Sym(2), Sym(3)])
         return e
     if isinstance(e, SemiTop):
         factors = [normalize(f) for f in _factors(e.base)]
@@ -256,7 +259,7 @@ def normalize(e: GroupExpr) -> GroupExpr:
             if top is not None and top[1]:
                 return normalize(Dihedral(top[0]))
             return SemiTop(Trivial(), TopGroup(e.top.name))
-        return SemiTop(_product(factors), TopGroup(e.top.name))
+        return SemiTop(direct_product(factors), TopGroup(e.top.name))
     raise TypeError("not a group expression: %r" % (e,))
 
 

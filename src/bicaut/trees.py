@@ -4,10 +4,12 @@ A RootedTree is built from one parent list and gives every vertex a
 canonical shape code (node_code: the child count, then the child codes
 sorted and concatenated, so distinct shapes never share a prefix).  The
 automorphism group of a rooted tree is the iterated wreath product over
-classes of isomorphic child subtrees; a free tree reduces to the rooted
-case by rooting at the center, straight from graphs.peel's parents, with
-two centers hung below a virtual root.  All expressions come back
-normalized.
+classes of isomorphic child subtrees, so it depends on the rooted code
+alone: rooted_exprs builds one normalized expression per distinct code,
+from its children's, and every vertex of that code shares it; nothing
+downstream normalizes it again.  A free tree reduces to the rooted case by
+rooting at the center, straight from graphs.peel's parents, with two
+centers hung below a virtual root.
 
 The walks take a RootedTree, and the vertices to start from, and work in
 the tree's own labels: rooted_exprs runs children first along t.order,
@@ -30,7 +32,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .graphs import Graph, adjacency, make_graph, peel
-from .groups import GroupExpr, Product, Trivial, Wreath, normalize
+from .groups import GroupExpr, Sym, Trivial, Wreath, direct_product
 
 
 def node_code(kid_codes) -> bytes:
@@ -96,21 +98,29 @@ def _classes(t: RootedTree, u: int) -> dict[bytes, list[int]]:
     return out
 
 
-def rooted_exprs(t: RootedTree) -> dict[int, GroupExpr]:
-    """Unnormalized automorphism group of every vertex's subtree, rooted at
-    that vertex, in one pass children first along t.order."""
-    ex: dict[int, GroupExpr] = {}
+def rooted_exprs(t: RootedTree) -> list[GroupExpr]:
+    """Normalized automorphism group of every vertex's subtree, rooted at
+    that vertex, indexed by vertex.  One pass children first along t.order
+    builds one expression per distinct code: a vertex whose code was seen
+    shares that shape's expression object.  Each class of k isomorphic
+    children gives its child's expression (k = 1), Sym(k) (a trivial child)
+    or a wreath with Sym(k); groups.direct_product joins the classes.  The
+    children's expressions are normalized, so every factor is, and so is
+    the product."""
+    ex: list[GroupExpr] = [Trivial()] * len(t.parent)
+    by_code: dict[bytes, GroupExpr] = {}
+    code = t.code
     for u in reversed(t.order):
-        factors = [
-            ex[ws[0]] if len(ws) == 1 else Wreath(ex[ws[0]], len(ws))
-            for _, ws in sorted(_classes(t, u).items())
-        ]
-        if not factors:
-            ex[u] = Trivial()
-        elif len(factors) == 1:
-            ex[u] = factors[0]
-        else:
-            ex[u] = Product(tuple(factors))
+        e = by_code.get(code[u])
+        if e is None:
+            factors = []
+            for ws in _classes(t, u).values():
+                f = ex[ws[0]]
+                if len(ws) > 1:
+                    f = Sym(len(ws)) if isinstance(f, Trivial) else Wreath(f, len(ws))
+                factors.append(f)
+            e = by_code[code[u]] = direct_product(factors)
+        ex[u] = e
     return ex
 
 
@@ -120,7 +130,7 @@ def rooted_aut_expr(g: Graph, root: int) -> GroupExpr:
     This is also the stabilizer of root inside the automorphism group of the
     free tree, since fixing a vertex of a tree fixes distances from it.
     """
-    return normalize(rooted_exprs(RootedTree(g, root))[root])
+    return rooted_exprs(RootedTree(g, root))[root]
 
 
 def _peel_tree(g: Graph) -> tuple[list[int], list[int]]:
@@ -170,7 +180,7 @@ def tree_aut_expr(g: Graph, t: RootedTree | None = None) -> GroupExpr:
     the tree's center_rooted tree, rooted afresh when not given."""
     if t is None:
         t, _ = center_rooted(g)
-    return normalize(rooted_exprs(t)[t.root])
+    return rooted_exprs(t)[t.root]
 
 
 def rooted_orbit_labels(t: RootedTree) -> dict[int, int]:

@@ -9,7 +9,7 @@ import pytest
 
 from bicaut.generate import random_tree, shape_to_graph, skeleton_core
 from bicaut.graphs import make_graph
-from bicaut.groups import normalize, parse_expr
+from bicaut.groups import Sym, normalize, parse_expr
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -38,12 +38,18 @@ def _inputs(Input):
         realized("b2(S2,S2,S3)"),  # class B2, order 9216
         # above the oracle's bound: generators take the sparse check
         Input("tree2000", random_tree(random.Random(2), 2000)),
-        Input("theta2000", _decorated_theta(random.Random(4), 2000)),
+        Input("theta2000", _decorated(random.Random(4), "theta", (100, 200, 301), 2000)),
+        Input("cycle200_n1000", _decorated(random.Random(5), "cycle", (200,), 1000)),
+        # large's probes: the expression answer only
+        Input("path2000", make_graph(2000, [(i, i + 1) for i in range(1999)]),
+              expect=Sym(2), probe=True),
+        Input("star5000", make_graph(5001, [(0, i) for i in range(1, 5001)]),
+              expect=Sym(5000), probe=True),
     ]
 
 
-def _decorated_theta(rng, n):
-    core = skeleton_core("theta", (100, 200, 301))[0]
+def _decorated(rng, kind, lengths, n):
+    core = skeleton_core(kind, lengths)[0]
     edges = list(core.edges) + [(rng.randrange(v), v) for v in range(core.n, n)]
     return make_graph(n, edges)
 
@@ -56,7 +62,7 @@ def test_run_input_checks_pass(bench_run):
         attempted = []
         s = bench_run.run_input(bc, inp, attempted, None)
         assert s.error is None, (inp.name, s.error)
-        assert "aut" in attempted, inp.name
+        assert ("aut" in attempted) != inp.probe, inp.name
 
 
 def test_run_input_catches_a_short_closure(bench_run, monkeypatch):

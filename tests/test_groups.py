@@ -1,4 +1,6 @@
 """Expression tree: orders, normalization, classification, DSL."""
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from bicaut.groups import (
     Trivial,
     Wreath,
     classify,
+    direct_product,
     normalize,
     order,
     parse_expr,
@@ -55,6 +58,33 @@ def test_normalize_products_flatten_and_sort():
     assert normalize(e) == Product((S2, S2, S3))
     assert normalize(Product((S2, Trivial()))) == S2
     assert normalize(Product((Trivial(), Trivial()))) == Trivial()
+
+
+def _random_expr(rng, depth):
+    """A seeded expression over Trivial, Sym, Wreath, nested Product,
+    KleinWreath and KleinSemidirect."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return Trivial() if rng.random() < 0.3 else Sym(rng.randint(2, 4))
+
+    def kid():
+        return _random_expr(rng, depth - 1)
+
+    if roll < 0.5:
+        return Product(tuple(kid() for _ in range(rng.randint(1, 3))))
+    if roll < 0.7:
+        return Wreath(kid(), rng.randint(2, 3))
+    if roll < 0.85:
+        return KleinWreath(kid())
+    return KleinSemidirect(kid(), kid(), kid())
+
+
+def test_direct_product_of_normalized_factors():
+    rng = random.Random(7)
+    assert direct_product([]) == Trivial()
+    for size in [1] * 100 + [rng.randint(2, 6) for _ in range(400)]:
+        fs = [normalize(_random_expr(rng, 3)) for _ in range(size)]
+        assert direct_product(fs) == normalize(Product(tuple(fs))), fs
 
 
 def test_normalize_wreath_rewrites():

@@ -1,9 +1,19 @@
 """Rooted and free tree codes, automorphism expressions, generators."""
+import random
+
 import pytest
 
-from bicaut.generate import free_trees
+from bicaut import trees
+from bicaut.bicyclic import decompose
+from bicaut.generate import (
+    all_bicyclic,
+    all_unicyclic,
+    free_trees,
+    random_tree,
+    skeleton_core,
+)
 from bicaut.graphs import make_graph
-from bicaut.groups import Sym, Trivial, Wreath, order
+from bicaut.groups import Product, Sym, Trivial, Wreath, normalize, order
 from bicaut.oracle import (
     automorphism_count,
     close_generators,
@@ -22,6 +32,7 @@ from bicaut.trees import (
     is_vertex_fixed,
     rooted_aut_expr,
     rooted_aut_generators,
+    rooted_exprs,
     tree_aut_expr,
     tree_aut_generators,
     tree_code,
@@ -63,6 +74,77 @@ def test_rooted_aut_exprs():
     assert rooted_aut_expr(P5, 0) == Trivial()
     assert rooted_aut_expr(BIN2, 0) == Wreath(Sym(2), 2)
     assert rooted_aut_expr(SPIDER, 0) == Sym(2)
+
+
+def _reference_exprs(t):
+    """The per-vertex build: one unnormalized expression per vertex, each
+    class of isomorphic children a wreath of the first child's."""
+    ex = {}
+    for u in reversed(t.order):
+        classes = {}
+        for w in t.children[u]:
+            classes.setdefault(t.code[w], []).append(w)
+        factors = [
+            ex[ws[0]] if len(ws) == 1 else Wreath(ex[ws[0]], len(ws))
+            for _, ws in sorted(classes.items())
+        ]
+        if not factors:
+            ex[u] = Trivial()
+        elif len(factors) == 1:
+            ex[u] = factors[0]
+        else:
+            ex[u] = Product(tuple(factors))
+    return ex
+
+
+def _assert_matches_reference(t):
+    got, ref = rooted_exprs(t), _reference_exprs(t)
+    for v in t.order:
+        assert got[v] == normalize(ref[v]), v
+
+
+def _decorated_theta(rng, n):
+    core = skeleton_core("theta", (100, 200, 301))[0]
+    edges = list(core.edges) + [(rng.randrange(v), v) for v in range(core.n, n)]
+    return make_graph(n, edges)
+
+
+def test_rooted_exprs_match_the_per_vertex_build():
+    for n in range(1, 11):
+        for g in free_trees(n):
+            _assert_matches_reference(center_rooted(g)[0])
+            for v in range(n):
+                _assert_matches_reference(RootedTree(g, v))
+    for n in range(3, 10):
+        for g in all_unicyclic(n) + all_bicyclic(n):
+            _assert_matches_reference(decompose(g).tree)
+    rng = random.Random(13)
+    for _ in range(50):
+        _assert_matches_reference(RootedTree(random_tree(rng, rng.randint(100, 3000)), 0))
+    # complete binary tree of depth 10: S2 wreathed with S2 nine times
+    binary = make_graph(2047, [((v - 1) // 2, v) for v in range(1, 2047)])
+    t = RootedTree(binary, 0)
+    _assert_matches_reference(t)
+    e = rooted_exprs(t)[0]
+    for _ in range(9):
+        assert isinstance(e, Wreath) and e.n == 2
+        e = e.base
+    assert e == Sym(2)
+
+
+def test_rooted_exprs_build_each_shape_once(monkeypatch):
+    builds = []
+    real = trees._classes
+    monkeypatch.setattr(trees, "_classes", lambda t, u: builds.append(u) or real(t, u))
+    star = make_graph(5001, [(0, i) for i in range(1, 5001)])
+    rooted_exprs(RootedTree(star, 0))
+    assert len(builds) == 2
+    t = decompose(_decorated_theta(random.Random(4), 2000)).tree
+    builds.clear()
+    ex = rooted_exprs(t)
+    assert len(builds) == len(set(t.code))
+    first = {}
+    assert all(first.setdefault(t.code[v], ex[v]) is ex[v] for v in t.order)
 
 
 def test_rooted_expr_equals_pinned_oracle_count():
