@@ -12,15 +12,14 @@ virtual root n has the core vertices for children.  Each slot's code and
 expression, the rooted generators and the lifts of core symmetries
 (trees.aligned_iso) all come from that one tree.  The slot expressions
 come from trees.rooted_exprs, one per distinct code and normalized
-already, so no second normalize runs on them.  The generators and lifts
-are support-only maps of the vertices they move, and emit_generators
-returns them so, as permutations of range(n) that store only their moves
-(trees.SparsePerm).  Q is the group of core symmetries that keep every
-slot's tree code, held as permutations of the positions in the layout.  A
-bicyclic core filters its at most 12 bare symmetries
-(graphs.skeleton_perms); a cycle's candidates are the symmetries of its
-slot-code necklace (graphs.necklace_perms), read off its period and
-reflection in O(k), so they already keep every code.
+already.  The generators and lifts are support-only maps of the vertices
+they move, and emit_generators returns them so, as permutations of
+range(n) that store only their moves (trees.SparsePerm).  Q is the group
+of core symmetries that keep every slot's tree code, held as permutations
+of the positions in the layout.  A bicyclic core filters its at most 12
+bare symmetries (graphs.skeleton_perms); a cycle's candidates are the
+symmetries of its slot-code necklace (graphs.necklace_perms), read off its
+period and reflection in O(k), so they already keep every code.
 Q is cyclic or dihedral, so at most two of its elements generate it, and
 _core_generators reads them off Q itself: a cycle's rotation by its period
 and first reflection; for any other core the least element of largest
@@ -31,7 +30,10 @@ structure of Q on the core: fixed slots contribute direct factors, an
 involution folds its 2-orbits into a wreath with Sym(2), a Klein four-group
 becomes the two-involution semidirect form, and the larger tops either
 split into exact products of wreaths or stay as explicit semidirect terms
-(which always preserve the order).
+(which always preserve the order).  Every rule builds its normal form
+directly with the groups constructors (direct_product, wreath,
+klein_semidirect, semi_top) from the normalized slot expressions, so
+nothing is normalized twice.
 """
 from __future__ import annotations
 
@@ -52,14 +54,11 @@ from .graphs import (
 )
 from .groups import (
     GroupExpr,
-    KleinSemidirect,
-    Product,
-    SemiTop,
-    TopGroup,
     Trivial,
-    Wreath,
     direct_product,
-    normalize,
+    klein_semidirect,
+    semi_top,
+    wreath,
 )
 from .trees import (
     RootedTree,
@@ -175,14 +174,6 @@ def core_symmetries(dec: Decomposition) -> list[Perm]:
 # --- assembly ----------------------------------------------------------------
 
 
-def _opt_product(exprs: list[GroupExpr]) -> GroupExpr:
-    if not exprs:
-        return Trivial()
-    if len(exprs) == 1:
-        return exprs[0]
-    return Product(tuple(exprs))
-
-
 def _z2_fold(exprs: list[GroupExpr], vs: range | list[int], sigma: Perm) -> GroupExpr:
     """Exact expression for the slot product over the positions vs extended
     by an involution sigma of them: fixed slots stay direct factors, swapped
@@ -190,7 +181,7 @@ def _z2_fold(exprs: list[GroupExpr], vs: range | list[int], sigma: Perm) -> Grou
     Sym(2)."""
     fixed = [exprs[i] for i in vs if sigma[i] == i]
     pairs = [exprs[i] for i in vs if sigma[i] > i]
-    return normalize(_opt_product(fixed + [Wreath(_opt_product(pairs), 2)]))
+    return direct_product(fixed + [wreath(direct_product(pairs), 2)])
 
 
 def _klein_assemble(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
@@ -217,8 +208,8 @@ def _klein_assemble(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
         else:
             stab = next(q for q in nonid if q[orb[0]] == orb[0])
             pairs.setdefault(stab, []).append(e)
-    h, k = [*map(_opt_product, pairs.values()), Trivial(), Trivial()][:2]
-    return normalize(_opt_product(fixed + [KleinSemidirect(_opt_product(quads), h, k)]))
+    h, k = [*map(direct_product, pairs.values()), Trivial(), Trivial()][:2]
+    return direct_product(fixed + [klein_semidirect(direct_product(quads), h, k)])
 
 
 def _d4_assemble(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
@@ -243,7 +234,7 @@ def _d4_assemble(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     aside = [i for i in ident if forward[i]]
     fixed_all = [exprs[i] for i in ident if all(q[i] == i for q in Q)]
     x_side = _z2_fold(exprs, aside, flip)
-    return normalize(_opt_product(fixed_all + [Wreath(x_side, 2)]))
+    return direct_product(fixed_all + [wreath(x_side, 2)])
 
 
 def _reflects(q: Perm) -> bool:
@@ -294,7 +285,7 @@ def _top_name(dec: Decomposition, Q: list[Perm]) -> str:
 def _honest_semi(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     """Order-preserving fallback: the slot product with a named top of the
     right size."""
-    return normalize(SemiTop(_opt_product(dec.exprs()), TopGroup(_top_name(dec, Q))))
+    return semi_top(direct_product(dec.exprs()), _top_name(dec, Q))
 
 
 def _theta_s3_fold(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
@@ -302,8 +293,8 @@ def _theta_s3_fold(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     the branches wreathe with Sym(3), the two branch vertices (positions 0
     and 1) stay fixed.  The first branch's interior follows them."""
     exprs = dec.exprs()
-    block = _opt_product(exprs[2 : 1 + dec.lengths[0]])
-    return normalize(Product((exprs[0], exprs[1], Wreath(block, 3))))
+    block = direct_product(exprs[2 : 1 + dec.lengths[0]])
+    return direct_product([exprs[0], exprs[1], wreath(block, 3)])
 
 
 def _theta_full_fold(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
@@ -317,7 +308,7 @@ def _theta_full_fold(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     if not all(isinstance(e, Trivial) for e in branch[:half]):
         return _honest_semi(dec, Q)
     mid = branch[half] if len(branch) % 2 else Trivial()
-    return normalize(Product((Wreath(exprs[0], 2), Wreath(mid, 3))))
+    return direct_product([wreath(exprs[0], 2), wreath(mid, 3)])
 
 
 def _case_label(dec: Decomposition, Q: list[Perm]) -> str:
@@ -367,9 +358,9 @@ def _assemble(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     if dec.kind == "cycle" and k == 2 * len(dec.layout):
         rep = dec.slots[dec.layout[0]].expr
         if len(dec.layout) == 3:
-            return normalize(Wreath(rep, 3))
+            return wreath(rep, 3)
         if len(dec.layout) == 4:
-            return normalize(Wreath(Wreath(rep, 2), 2))
+            return wreath(wreath(rep, 2), 2)
     return _honest_semi(dec, Q)
 
 

@@ -9,6 +9,12 @@ with no action on the base factors.  Equality of expressions is structural
 equality after normalize(); abstract group isomorphism beyond the
 normalization rewrites is out of scope.
 
+Each node has one normalizing constructor, which takes normalized parts and
+returns the normal form: direct_product, wreath, klein_semidirect, dihedral
+and semi_top.  The engines build their answers with them; normalize
+flattens products and calls them on its normalized children, for
+expressions built some other way (parsed or written by hand).
+
 Class tags:
   T        closed under products and wreaths-by-Sym starting from the trivial
            group (tree-realizable groups)
@@ -194,14 +200,54 @@ def direct_product(factors: list[GroupExpr]) -> GroupExpr:
     return Product(tuple(flat))
 
 
-def _wreath2(base: GroupExpr) -> GroupExpr:
-    """base wr Sym(2), collapsing a trivial base."""
-    return Sym(2) if isinstance(base, Trivial) else Wreath(base, 2)
+def wreath(base: GroupExpr, n: int) -> GroupExpr:
+    """Normalized base wr Sym(n) of a normalized base: Sym(n) when the base
+    is trivial."""
+    return Sym(n) if isinstance(base, Trivial) else Wreath(base, n)
+
+
+def klein_semidirect(quad: GroupExpr, h: GroupExpr, k: GroupExpr) -> GroupExpr:
+    """Normalized b2(quad, h, k) of normalized parts: the pairs sorted,
+    wrK4(quad) when both pairs are trivial, and with no regular orbit left
+    (a trivial quad) the two involutions act independently, as
+    wr(h,S2)*wr(k,S2)."""
+    h, k = sorted((h, k), key=print_expr)
+    if isinstance(quad, Trivial):
+        return direct_product([wreath(h, 2), wreath(k, 2)])
+    if isinstance(h, Trivial) and isinstance(k, Trivial):
+        return KleinWreath(quad)
+    return KleinSemidirect(quad, h, k)
+
+
+# the dihedral groups dih(k) that are products or wreaths of Syms
+_PLAIN_DIHEDRAL = {
+    1: Sym(2),
+    2: Product((Sym(2), Sym(2))),
+    3: Sym(3),
+    4: Wreath(Sym(2), 2),
+    6: Product((Sym(2), Sym(3))),
+}
+
+
+def dihedral(n: int) -> GroupExpr:
+    """Normalized dihedral group of order 2n."""
+    return _PLAIN_DIHEDRAL[n] if n in _PLAIN_DIHEDRAL else Dihedral(n)
+
+
+def semi_top(base: GroupExpr, name: str) -> GroupExpr:
+    """Normalized base extended by the named top, of a normalized base: a
+    dihedral top over a trivial base becomes that dihedral group."""
+    top = _read_top(name)
+    if isinstance(base, Trivial) and top is not None and top[1]:
+        return dihedral(top[0])
+    return SemiTop(base, TopGroup(name))
 
 
 def normalize(e: GroupExpr) -> GroupExpr:
     """Canonical form: flatten and sort products, drop trivial parts, rewrite
-    degenerate wreath and semidirect shapes into the plainest equivalent group.
+    degenerate wreath and semidirect shapes into the plainest equivalent
+    group.  Each node but a product is its constructor on its normalized
+    children.
 
     Idempotent, and order(normalize(e)) == order(e).
     """
@@ -220,46 +266,15 @@ def normalize(e: GroupExpr) -> GroupExpr:
                 leaves.append(normalize(f))
         return direct_product(leaves)
     if isinstance(e, Wreath):
-        base = normalize(e.base)
-        if isinstance(base, Trivial):
-            return Sym(e.n)
-        return Wreath(base, e.n)
+        return wreath(normalize(e.base), e.n)
     if isinstance(e, KleinWreath):
-        base = normalize(e.base)
-        if isinstance(base, Trivial):
-            return direct_product([Sym(2), Sym(2)])
-        return KleinWreath(base)
+        return klein_semidirect(normalize(e.base), Trivial(), Trivial())
     if isinstance(e, KleinSemidirect):
-        quad = normalize(e.quad)
-        h, k = sorted((normalize(e.pair_h), normalize(e.pair_k)), key=print_expr)
-        if isinstance(quad, Trivial):
-            # No regular orbit left: the two involutions act independently.
-            return direct_product([_wreath2(h), _wreath2(k)])
-        if isinstance(h, Trivial) and isinstance(k, Trivial):
-            return KleinWreath(quad)
-        return KleinSemidirect(quad, h, k)
+        return klein_semidirect(normalize(e.quad), normalize(e.pair_h), normalize(e.pair_k))
     if isinstance(e, Dihedral):
-        n = e.n
-        if n == 1:
-            return Sym(2)
-        if n == 2:
-            return direct_product([Sym(2), Sym(2)])
-        if n == 3:
-            return Sym(3)
-        if n == 4:
-            return Wreath(Sym(2), 2)
-        if n == 6:
-            return direct_product([Sym(2), Sym(3)])
-        return e
+        return dihedral(e.n)
     if isinstance(e, SemiTop):
-        factors = [normalize(f) for f in _factors(e.base)]
-        if all(isinstance(f, Trivial) for f in factors):
-            # dih(k) for a named top rewrites into products and wreaths
-            top = _read_top(e.top.name)
-            if top is not None and top[1]:
-                return normalize(Dihedral(top[0]))
-            return SemiTop(Trivial(), TopGroup(e.top.name))
-        return SemiTop(direct_product(factors), TopGroup(e.top.name))
+        return semi_top(normalize(e.base), e.top.name)
     raise TypeError("not a group expression: %r" % (e,))
 
 
@@ -275,7 +290,6 @@ def _in_tree_class(e: GroupExpr) -> bool:
 
 def classify(e: GroupExpr) -> str:
     """Class tag of a normalized expression: 'T', 'B1', 'B2' or 'OutsideS'."""
-    e = normalize(e)
     if _in_tree_class(e):
         return "T"
     factors = _factors(e)
@@ -404,20 +418,22 @@ class _Parser:
         if kind != "name":
             raise ExprSyntaxError(pos, "expected a top group name")
         if val == "dih":
-            self.expect("(")
-            k = self.int_token()
-            self.expect(")")
-            return TopGroup("dih(%d)" % k)
+            return TopGroup("dih(%d)" % self.dih_param(pos))
         try:
             top_size(val)
         except ValueError:
             raise ExprSyntaxError(pos, "unknown top group %r" % val) from None
         return TopGroup(val)
 
-    def int_token(self) -> int:
-        kind, val, pos = self.take()
+    def dih_param(self, pos: int) -> int:
+        """The k of "dih(k)" whose name, at pos, was just taken."""
+        self.expect("(")
+        kind, val, at = self.take()
         if kind != "int":
-            raise ExprSyntaxError(pos, "expected an integer")
+            raise ExprSyntaxError(at, "expected an integer")
+        self.expect(")")
+        if int(val) < 1:
+            raise ExprSyntaxError(pos, "dihedral parameter must be >= 1")
         return int(val)
 
     def atom(self) -> GroupExpr:
@@ -460,12 +476,7 @@ class _Parser:
                 return SemiTop(base, top)
             if val == "dih":
                 self.take()
-                self.expect("(")
-                k = self.int_token()
-                self.expect(")")
-                if k < 1:
-                    raise ExprSyntaxError(pos, "dihedral parameter must be >= 1")
-                return Dihedral(k)
+                return Dihedral(self.dih_param(pos))
             return self.sym()
         raise ExprSyntaxError(pos, "expected an expression")
 

@@ -34,6 +34,7 @@ from .groups import (
     Trivial,
     Wreath,
     classify,
+    direct_product,
     normalize,
     print_expr,
 )
@@ -147,13 +148,7 @@ def _split_special(e: GroupExpr) -> tuple[GroupExpr, GroupExpr]:
     factors = e.factors if isinstance(e, Product) else (e,)
     special = [f for f in factors if isinstance(f, (KleinWreath, KleinSemidirect))]
     plain = [f for f in factors if not isinstance(f, (KleinWreath, KleinSemidirect))]
-    if len(plain) == 0:
-        cofactor: GroupExpr = Trivial()
-    elif len(plain) == 1:
-        cofactor = plain[0]
-    else:
-        cofactor = Product(tuple(plain))
-    return special[0], cofactor
+    return special[0], direct_product(plain)
 
 
 _Parts = list[tuple[str, Shape, tuple[int, ...]]]

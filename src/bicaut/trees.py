@@ -6,10 +6,10 @@ sorted and concatenated, so distinct shapes never share a prefix).  The
 automorphism group of a rooted tree is the iterated wreath product over
 classes of isomorphic child subtrees, so it depends on the rooted code
 alone: rooted_exprs builds one normalized expression per distinct code,
-from its children's, and every vertex of that code shares it; nothing
-downstream normalizes it again.  A free tree reduces to the rooted case by
-rooting at the center, straight from graphs.peel's parents, with two
-centers hung below a virtual root.
+from its children's with groups.wreath and groups.direct_product, and
+every vertex of that code shares it.  A free tree reduces to the rooted
+case by rooting at the center, straight from graphs.peel's parents, with
+two centers hung below a virtual root.
 
 The walks take a RootedTree, and the vertices to start from, and work in
 the tree's own labels: rooted_exprs runs children first along t.order,
@@ -32,7 +32,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .graphs import Graph, adjacency, make_graph, peel
-from .groups import GroupExpr, Sym, Trivial, Wreath, direct_product
+from .groups import GroupExpr, Trivial, direct_product, wreath
 
 
 def node_code(kid_codes) -> bytes:
@@ -103,10 +103,10 @@ def rooted_exprs(t: RootedTree) -> list[GroupExpr]:
     that vertex, indexed by vertex.  One pass children first along t.order
     builds one expression per distinct code: a vertex whose code was seen
     shares that shape's expression object.  Each class of k isomorphic
-    children gives its child's expression (k = 1), Sym(k) (a trivial child)
-    or a wreath with Sym(k); groups.direct_product joins the classes.  The
-    children's expressions are normalized, so every factor is, and so is
-    the product."""
+    children gives its child's expression (k = 1) or groups.wreath of it
+    with Sym(k); groups.direct_product joins the classes.  Both take
+    normalized parts, and the children's expressions are, so the result
+    is normalized."""
     ex: list[GroupExpr] = [Trivial()] * len(t.parent)
     by_code: dict[bytes, GroupExpr] = {}
     code = t.code
@@ -117,7 +117,7 @@ def rooted_exprs(t: RootedTree) -> list[GroupExpr]:
             for ws in _classes(t, u).values():
                 f = ex[ws[0]]
                 if len(ws) > 1:
-                    f = Sym(len(ws)) if isinstance(f, Trivial) else Wreath(f, len(ws))
+                    f = wreath(f, len(ws))
                 factors.append(f)
             e = by_code[code[u]] = direct_product(factors)
         ex[u] = e

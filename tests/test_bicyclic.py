@@ -28,7 +28,7 @@ from bicaut.generate import (
     rooted_shapes,
     skeleton_core,
 )
-from bicaut.graphs import Graph, make_graph, splice
+from bicaut.graphs import Graph, from_graph6, make_graph, splice
 from bicaut.groups import (
     Dihedral,
     KleinWreath,
@@ -37,6 +37,7 @@ from bicaut.groups import (
     Sym,
     Wreath,
     classify,
+    normalize,
     order,
     print_expr,
 )
@@ -307,12 +308,39 @@ def test_matches_oracle_small():
             a = analyze(g)
             assert order(a.expr) == automorphism_count(g), g.edges
             assert classify(a.expr) in ("T", "B1", "B2"), (g.edges, print_expr(a.expr))
+            assert normalize(a.expr) == a.expr, g.edges
 
 
 def test_unicyclic_orders_exhaustive():
     for n in range(3, 11):
         for g in all_unicyclic(n):
-            assert order(analyze(g).expr) == automorphism_count(g), g.edges
+            a = analyze(g)
+            assert order(a.expr) == automorphism_count(g), g.edges
+            assert normalize(a.expr) == a.expr, g.edges
+
+
+def test_semi_answers_are_pinned():
+    # the order-only semi(...) answers: a dihedral top over a nontrivial
+    # base on a decorated cycle, and the full theta top that the exact
+    # fold cannot split
+    cherry = make_graph(3, [(0, 1), (0, 2)])
+    graphs = []
+    for k in (6, 8):
+        g = skeleton_core("cycle", (k,))[0]
+        for v in range(0, k, 2):
+            g = splice(g, v, cherry, 0)[0]
+        graphs.append(g)
+    graphs.append(from_graph6("SR`KAC_G?_A?A?A??_?G??_?A??A??A??"))
+    want = [
+        (12, "semi(S2*S2*S2,dih(3))"),
+        (16, "semi(S2*S2*S2*S2,dih(4))"),
+        (20, "semi(S2*S2*S2*S2*S2*S2,S3xZ2)"),
+    ]
+    for g, (n, text) in zip(graphs, want):
+        a = analyze(g)
+        assert (g.n, print_expr(a.expr)) == (n, text)
+        assert order(a.expr) == automorphism_count(g)
+        assert normalize(a.expr) == a.expr
 
 
 def test_unicyclic_antipodal_rotation():

@@ -209,6 +209,9 @@ def test_realize_graph6_past_62_vertices(capsys):
 def test_realize_error_codes(capsys):
     assert run(["realize", "wr(S2("]) == EX_INPUT
     assert "expression error" in capsys.readouterr().err
+    # a dihedral top with k < 1 is an input error at the top's byte
+    assert run(["realize", "semi(1,dih(0))"]) == EX_INPUT
+    assert "expression error: byte 8: dihedral parameter" in capsys.readouterr().err
     assert run(["realize", "dih(5)"]) == EX_OUTSIDE
     assert "not realizable" in capsys.readouterr().err
     assert run(["realize", "wr(wr(S5,S6),S6)"]) == EX_BUDGET

@@ -148,18 +148,23 @@ def test_normalize_idempotent_on_examples():
 
 
 def test_classify():
-    assert classify(Trivial()) == "T"
-    assert classify(Wreath(Product((S2, S3)), 4)) == "T"
-    assert classify(normalize(KleinWreath(S2))) == "B1"
-    assert classify(Product((S2, KleinWreath(S3)))) == "B1"
-    assert classify(normalize(KleinSemidirect(S2, S2, S3))) == "B2"
-    assert classify(Product((S2, KleinSemidirect(S2, S2, S2)))) == "B2"
-    assert classify(Dihedral(5)) == "OutsideS"
-    assert classify(SemiTop(S2, TopGroup("Z6"))) == "OutsideS"
-    # two special factors leave the realizable classes
-    assert classify(Product((KleinWreath(S2), KleinWreath(S2)))) == "OutsideS"
-    # a special factor with a non-tree part does too
-    assert classify(KleinWreath(Dihedral(5))) == "OutsideS"
+    cases = [
+        (Trivial(), "T"),
+        (Wreath(Product((S2, S3)), 4), "T"),
+        (normalize(KleinWreath(S2)), "B1"),
+        (Product((S2, KleinWreath(S3))), "B1"),
+        (normalize(KleinSemidirect(S2, S2, S3)), "B2"),
+        (Product((S2, KleinSemidirect(S2, S2, S2))), "B2"),
+        (Dihedral(5), "OutsideS"),
+        (SemiTop(S2, TopGroup("Z6")), "OutsideS"),
+        # two special factors leave the realizable classes
+        (Product((KleinWreath(S2), KleinWreath(S2))), "OutsideS"),
+        # a special factor with a non-tree part does too
+        (KleinWreath(Dihedral(5)), "OutsideS"),
+    ]
+    for e, tag in cases:
+        assert normalize(e) == e  # classify takes a normal form
+        assert classify(e) == tag, print_expr(e)
 
 
 def test_parse_basics():
@@ -192,6 +197,11 @@ def test_parse_errors_report_byte_positions():
         parse_expr("semi(S2,Q8)")
     with pytest.raises(ExprSyntaxError):
         parse_expr("S1")
+    # a dihedral top needs k >= 1, as the dih(k) atom does
+    with pytest.raises(ExprSyntaxError, match="byte 9: dihedral parameter"):
+        parse_expr("semi(S2,dih(0))")
+    with pytest.raises(ExprSyntaxError, match="byte 8: dihedral parameter"):
+        parse_expr("semi(1,dih(0))")
     # one wreath per nesting level below the top expression
     deep = "wr(" * (MAX_DEPTH - 1) + "S2" + ",S2)" * (MAX_DEPTH - 1)
     assert isinstance(parse_expr(deep), Wreath)
@@ -214,6 +224,11 @@ def _exprs(depth):
         st.builds(Sym, st.integers(2, 5)),
         st.builds(Dihedral, st.integers(1, 8)),
     )
+    top = st.builds(TopGroup, st.one_of(
+        st.sampled_from(["Z2", "Z2xZ2", "Z2wrZ2", "S3", "S3xZ2", "Z6"]),
+        st.builds("Z{}".format, st.integers(2, 8)),
+        st.builds("dih({})".format, st.integers(1, 8)),
+    ))
     return st.recursive(
         atom,
         lambda kids: st.one_of(
@@ -221,6 +236,7 @@ def _exprs(depth):
             st.builds(Wreath, kids, st.integers(2, 3)),
             st.builds(KleinWreath, kids),
             st.builds(KleinSemidirect, kids, kids, kids),
+            st.builds(SemiTop, kids, top),
         ),
         max_leaves=depth,
     )

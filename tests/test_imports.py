@@ -146,3 +146,19 @@ def test_oracle_imports_only_graphs():
     assert _package_imports("oracle") == {"graphs"}
     engines = ("graphs", "trees", "groups", "bicyclic", "generate", "realize")
     assert [m for m in engines if "oracle" in _package_imports(m)] == []
+
+
+def test_engine_builds_normal_forms():
+    # the tree and bicyclic engines build normal forms with the groups
+    # constructors, so neither imports normalize to walk a result again
+    for name in ("bicyclic", "trees"):
+        tree = ast.parse((SRC_DIR / (name + ".py")).read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        assert "normalize" not in names, name
