@@ -313,7 +313,7 @@ def _theta_full_fold(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
 
 def _case_label(dec: Decomposition, Q: list[Perm]) -> str:
     """Label matching the published case analysis for bicyclic graphs;
-    'generic' when no named case applies, '-' for other families."""
+    'generic' when no named case applies, '-' for a cycle."""
     k = len(Q)
     if dec.kind == "theta":
         return "lem2" if k == 4 else "generic"
@@ -395,7 +395,7 @@ def analyze(g: Graph) -> Analysis:
     Q = core_symmetries(dec)
     expr = _assemble(dec, Q)
     family = "unicyclic" if c == 1 else "bicyclic"
-    case = _case_label(dec, Q) if c == 2 else "-"
+    case = _case_label(dec, Q)
     return Analysis(family, dec.kind, dec.lengths, case, expr, dec, tuple(Q))
 
 

@@ -5,10 +5,12 @@ realize builds trees from.
 Rooted tree shapes are nested tuples, one per child; rooted_shapes lists
 them canonically, with children in non-increasing order, and shape_code and
 shape_to_graph take any order.  Free trees come from deduplicating rooted
-shapes by their centered code (free_tree_shapes).  Unicyclic and bicyclic graphs enumerate as a bare core
-(skeleton_core, laid out by graphs.PATH_ENDS) plus one rooted shape per core
-vertex, deduplicated by the minimum of the shape-code tuple over the bare
-core's symmetries, so each isomorphism class appears exactly once.
+shapes by their centered code (free_tree_shapes).  Unicyclic and bicyclic
+graphs enumerate as a bare core (skeleton_core, laid out by
+graphs.PATH_ENDS) plus one rooted shape per core vertex, deduplicated by the
+minimum of the shape-code tuple over the bare core's symmetries, so each
+isomorphism class appears exactly once.  Every generated graph is one bare
+core with all of its trees hung by one graphs.splice call.
 """
 from __future__ import annotations
 
@@ -109,18 +111,13 @@ def _compositions(total: int, parts: int):
 
 def decorate(core: Graph, slots: list[int], shapes) -> Graph:
     """Splice one rooted shape onto each slot (a bare slot is `()`)."""
-    g = core
-    for v, sh in zip(slots, shapes):
-        if sh != ():
-            g, _ = splice(g, v, shape_to_graph(sh), 0)
-    return g
+    parts = [(v, shape_to_graph(sh)) for v, sh in zip(slots, shapes) if sh != ()]
+    return splice(core, parts)[0]
 
 
 def _decorated(kind: str, lengths: tuple[int, ...], n: int) -> list[Graph]:
     core, slots = skeleton_core(kind, lengths)
     extra = n - core.n
-    if extra < 0:
-        return []
     perms = skeleton_perms(kind, lengths)
     seen: set[tuple[bytes, ...]] = set()
     out: list[Graph] = []
@@ -172,25 +169,18 @@ def all_unicyclic(n: int) -> list[Graph]:
     return out
 
 
-def random_attached_tree(rng: random.Random, size: int) -> Graph:
+def random_tree(rng: random.Random, n: int) -> Graph:
     """A random tree rooted at 0, grown by random parent attachment."""
-    edges = [(rng.randrange(i), i) for i in range(1, size)]
-    return make_graph(size, edges)
+    edges = [(rng.randrange(i), i) for i in range(1, n)]
+    return make_graph(n, edges)
 
 
 def _random_decorate(rng: random.Random, core: Graph, slots: list[int], extra: int) -> Graph:
     counts = [0] * len(slots)
     for _ in range(extra):
         counts[rng.randrange(len(slots))] += 1
-    g = core
-    for v, c in zip(slots, counts):
-        if c:
-            g, _ = splice(g, v, random_attached_tree(rng, c + 1), 0)
-    return g
-
-
-def random_tree(rng: random.Random, n: int) -> Graph:
-    return random_attached_tree(rng, n)
+    parts = [(v, random_tree(rng, c + 1)) for v, c in zip(slots, counts) if c]
+    return splice(core, parts)[0]
 
 
 def random_unicyclic(rng: random.Random, n: int) -> Graph:
@@ -211,9 +201,12 @@ def random_bicyclic(rng: random.Random, n: int) -> Graph:
         else:
             m1, m2 = sorted(rng.randint(3, n) for _ in range(2))
             lengths = (m1, m2, rng.randint(1, n))
-        core, slots = skeleton_core(kind, lengths)
-        if core.n <= n:
-            return _random_decorate(rng, core, slots, n - core.n)
+        # the core's anchors plus l - 1 interior vertices per path of l edges
+        anchors, _ = PATH_ENDS[kind]
+        size = anchors + sum(lengths) - len(lengths)
+        if size <= n:
+            core, slots = skeleton_core(kind, lengths)
+            return _random_decorate(rng, core, slots, n - size)
 
 
 CASE_LABELS = (
@@ -227,51 +220,42 @@ def case_instance(label: str, rng: random.Random) -> Graph:
     where the case allows them."""
 
     def shp(size: int) -> Graph:
-        return random_attached_tree(rng, size)
+        return random_tree(rng, size)
 
-    def put(g: Graph, v: int, t: Graph) -> Graph:
-        out, _ = splice(g, v, t, 0)
-        return out
+    def hang(kind: str, lengths: tuple[int, ...], parts) -> Graph:
+        # slot indices equal vertex indices
+        return splice(skeleton_core(kind, lengths)[0], parts)[0]
 
     if label == "M1":
         m = rng.randint(3, 5)
         return skeleton_core("shared", (m, m))[0]
     if label == "M2":
-        g, slots = skeleton_core("shared", (3, 3))
         t = shp(rng.randint(2, 3))
-        for v in slots[1:]:
-            g = put(g, v, t)
-        return g
+        return hang("shared", (3, 3), [(v, t) for v in range(1, 5)])
     if label == "M3":
-        g, slots = skeleton_core("shared", (4, 4))
         t = shp(rng.randint(2, 3))
-        return put(put(g, slots[2], t), slots[5], t)
+        return hang("shared", (4, 4), [(2, t), (5, t)])
     if label == "M4":
-        g, slots = skeleton_core("shared", (3, 3))
         t = shp(rng.randint(2, 3))
-        return put(put(g, slots[1], t), slots[3], t)
+        return hang("shared", (3, 3), [(1, t), (3, t)])
     if label == "M5":
-        g, slots = skeleton_core("shared", (3, 4))
-        return put(put(g, slots[1], shp(2)), slots[3], shp(rng.randint(2, 3)))
+        return hang("shared", (3, 4), [(1, shp(2)), (3, shp(rng.randint(2, 3)))])
     if label == "M6":
         return skeleton_core("shared", (3, rng.randint(4, 5)))[0]
     if label == "M7":
-        g, slots = skeleton_core("shared", (3, 4))
         t = shp(rng.randint(2, 3))
-        return put(put(g, slots[1], t), slots[2], t)
+        return hang("shared", (3, 4), [(1, t), (2, t)])
     if label == "M8":
-        g, slots = skeleton_core("shared", (3, 4))
         t = shp(2)
-        return put(put(put(g, slots[1], t), slots[2], t), slots[3], shp(3))
+        return hang("shared", (3, 4), [(1, t), (2, t), (3, shp(3))])
     if label == "N1":
         m = rng.randint(3, 4)
         return skeleton_core("dumbbell", (m, m, rng.randint(1, 2)))[0]
     if label == "N2":
         return skeleton_core("dumbbell", (3, 4, rng.randint(1, 2)))[0]
     if label == "N3":
-        g, slots = skeleton_core("dumbbell", (3, 3, 1))
         t = shp(rng.randint(2, 3))
-        return put(put(g, slots[2], t), slots[4], t)
+        return hang("dumbbell", (3, 3, 1), [(2, t), (4, t)])
     if label == "lem2":
         tail = rng.choice((1, 3, 4))
         lengths = tuple(sorted((2, 2, tail)))
@@ -282,7 +266,6 @@ def case_instance(label: str, rng: random.Random) -> Graph:
             return skeleton_core("theta", (1, 2, 3))[0]
         if pick == 1:
             return skeleton_core("theta", (2, 2, 2))[0]
-        g, slots = skeleton_core("dumbbell", (3, 4, 1))
         t = shp(2)
-        return put(put(put(g, slots[2], t), slots[3], t), slots[4], shp(3))
+        return hang("dumbbell", (3, 4, 1), [(2, t), (3, t), (4, shp(3))])
     raise ValueError("unknown case label %r" % (label,))

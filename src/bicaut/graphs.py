@@ -334,22 +334,23 @@ def skeleton_perms(kind: str, lengths: tuple[int, ...]) -> list[Perm]:
     return out
 
 
-def splice(g1: Graph, v1: int, g2: Graph, w1: int) -> tuple[Graph, list[int]]:
-    """Glue g2 onto g1 by identifying w1 with v1.
+def splice(g: Graph, parts: list[tuple[int, Graph]]) -> tuple[Graph, list[list[int]]]:
+    """Glue each tree of parts, a list of (slot, tree) pairs, onto g by
+    identifying the tree's vertex 0 with its slot.
 
-    Returns the merged graph and the new index of each g2 vertex; g1 keeps
-    its indices.
+    Returns the merged graph and, per part, the new index of each tree
+    vertex.  g keeps its indices; each tree's other vertices follow, part
+    by part, in their own order.
     """
-    remap = []
-    nxt = g1.n
-    for w in range(g2.n):
-        if w == w1:
-            remap.append(v1)
-        else:
-            remap.append(nxt)
-            nxt += 1
-    edges = list(g1.edges) + [(remap[x], remap[y]) for x, y in g2.edges]
-    return make_graph(nxt, edges), remap
+    edges = list(g.edges)
+    remaps = []
+    nxt = g.n
+    for v, t in parts:
+        remap = [v, *range(nxt, nxt + t.n - 1)]
+        nxt += t.n - 1
+        edges += [(remap[x], remap[y]) for x, y in t.edges]
+        remaps.append(remap)
+    return make_graph(nxt, edges), remaps
 
 
 def link(g1: Graph, v1: int, g2: Graph, w1: int) -> tuple[Graph, list[int]]:

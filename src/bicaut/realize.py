@@ -4,10 +4,12 @@ given expression.
 Tree-class expressions realize as a rooted shape in generate's nested-tuple
 model (symmetric groups become stars, wreaths hang equal copies under a
 fresh root, products hang their factors' shapes, a repeated one padded by a
-chain so that siblings stay apart), pinned by a longer chain when the root
-could move.  Every expression in the realizable classes then embeds in a
-rigid bicyclic host: one builder splices each part's shape onto its slots of
-a bare core (generate.skeleton_core) and writes the manifest.
+chain so that siblings stay apart).  realize_tree pins the root by a longer
+chain when the free tree could move it.  Every expression in the realizable
+classes then embeds in a rigid bicyclic host: one builder splices each
+part's shape onto its slots of a bare core (generate.skeleton_core) in one
+graphs.splice call and writes the manifest.  A slot's group is the rooted
+stabilizer of its tree, so the hosts hang the plain rooted shapes, unpinned.
 
 * the tree class rides a shared-vertex core with cycle lengths 4 and 5 whose
   flips are killed by two asymmetric decorations, leaving exactly the
@@ -117,22 +119,18 @@ def _shape(e: GroupExpr) -> Shape:
     return ()
 
 
-def _tree_shape(e: GroupExpr) -> Shape:
-    """_shape(e), plus a chain strictly longer than every branch at the root
-    when the free tree would move the root."""
-    sh = _shape(e)
-    if not is_vertex_fixed(shape_to_graph(sh), 0):
-        sh += (_chain(_depth(sh) + 2),)
-    return sh
-
-
 def realize_tree(e: GroupExpr) -> tuple[Graph, int]:
     """A tree whose automorphism group is e, with an anchor vertex fixed by
-    every automorphism."""
+    every automorphism: _shape(e), plus a chain strictly longer than every
+    branch at the root when the free tree would move the root."""
     e = normalize(e)
     if classify(e) != "T":
         raise RealizeError("not a tree-class expression: %s" % print_expr(e))
-    return shape_to_graph(_tree_shape(e)), 0
+    sh = _shape(e)
+    g = shape_to_graph(sh)
+    if not is_vertex_fixed(g, 0):
+        g = shape_to_graph(sh + (_chain(_depth(sh) + 2),))
+    return g, 0
 
 
 @dataclass(frozen=True)
@@ -157,7 +155,7 @@ _Parts = list[tuple[str, Shape, tuple[int, ...]]]
 def _tree_parts(e: GroupExpr) -> _Parts:
     """(term, shape, slots) of each part a tree-class expression hangs on
     the shared (4,5) core: anchor 0, 4-cycle 1,2,3, then the 5-cycle."""
-    payload = _tree_shape(e)
+    payload = _shape(e)
     pcode = shape_code(payload)
     # each asymmetric tree hangs by an edge from its slot
     decorations = [(t,) for t in _asymmetric_shapes(3)]
@@ -194,20 +192,21 @@ def _host(
 ) -> tuple[Graph, list[tuple[str, tuple[int, ...]]]]:
     """Splice each part's shape onto each of its slots of the bare core.
     The manifest lists the core, then each spliced copy with its slot."""
-    g, slots = skeleton_core(kind, lengths)
-    manifest = [("core", tuple(slots))]
+    core, slots = skeleton_core(kind, lengths)
+    terms, hung = [], []
     for term, sh, targets in parts:
         tree = shape_to_graph(sh)
-        for v in targets:
-            g, remap = splice(g, v, tree, 0)
-            manifest.append((term, tuple(remap)))
+        terms += [term] * len(targets)
+        hung += [(v, tree) for v in targets]
+    g, remaps = splice(core, hung)
+    manifest = [("core", tuple(slots))]
+    manifest += [(term, tuple(remap)) for term, remap in zip(terms, remaps)]
     return g, manifest
 
 
 def _tree_size(e: GroupExpr) -> int:
     """Vertices of _shape(e) for a normalized tree-class expression before
-    it separates equal children: a lower bound on the size of
-    realize_tree(e)."""
+    it separates equal children: a lower bound on its size."""
     if isinstance(e, Sym):
         return e.n + 1
     if isinstance(e, Wreath):
@@ -249,7 +248,7 @@ def realize(e: GroupExpr) -> Realization:
             9 + sum(len(vs) * (_tree_size(x) - 1) for _, x, vs in roles), "at least "
         )
         parts = [
-            ("%s %s" % (role, print_expr(x)), _tree_shape(x), vs)
+            ("%s %s" % (role, print_expr(x)), _shape(x), vs)
             for role, x, vs in roles
             if not isinstance(x, Trivial)
         ]

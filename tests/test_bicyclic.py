@@ -249,7 +249,7 @@ def test_frozen_expressions():
     assert analyze(C6).expr == Product((Sym(2), Sym(3)))
     assert analyze(skeleton_core("cycle", (3,))[0]).expr == Sym(3)
     assert analyze(skeleton_core("cycle", (4,))[0]).expr == Wreath(Sym(2), 2)
-    tadpole = splice(skeleton_core("cycle", (3,))[0], 0, make_graph(2, [(0, 1)]), 0)[0]
+    tadpole = splice(skeleton_core("cycle", (3,))[0], [(0, make_graph(2, [(0, 1)]))])[0]
     assert analyze(tadpole).expr == Sym(2)
 
 
@@ -257,10 +257,11 @@ def test_involution_fold_expression():
     # C5 with a 2-leaf star at 0 and 3-leaf stars at 1 and 4: the only core
     # symmetry is the reflection through 0, which swaps the two equal S3
     # slots (and the bare 2, 3) and fixes the S2 slot
-    g = skeleton_core("cycle", (5,))[0]
-    for v, leaves in ((0, 2), (1, 3), (4, 3)):
-        star = make_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-        g = splice(g, v, star, 0)[0]
+    stars = [
+        (v, make_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)]))
+        for v, leaves in ((0, 2), (1, 3), (4, 3))
+    ]
+    g = splice(skeleton_core("cycle", (5,))[0], stars)[0]
     a = analyze(g)
     assert len(a.symmetries) == 2
     assert a.expr == Product((Sym(2), Wreath(Sym(3), 2)))
@@ -285,6 +286,8 @@ def test_case_label_orders():
     assert analyze(DIAMOND).case == "lem2"
     assert analyze(DUMB331).case == "N1"
     assert analyze(K23).case == "generic"
+    # every core is labelled; a cycle has no named case
+    assert analyze(C5).case == analyze(C6).case == "-"
 
 
 def test_klein_expression_shape():
@@ -294,9 +297,7 @@ def test_klein_expression_shape():
     assert a.case == "lem2"
     assert classify(a.expr) == "T"  # bare core folds into plain wreaths
     t = make_graph(3, [(0, 1), (0, 2)])
-    decorated = g
-    for v in (3, 5, 6, 8):
-        decorated = splice(decorated, v, t, 0)[0]
+    decorated = splice(g, [(v, t) for v in (3, 5, 6, 8)])[0]
     a = analyze(decorated)
     assert a.expr == KleinWreath(Sym(2))
     assert order(a.expr) == automorphism_count(decorated) == 64
@@ -327,9 +328,7 @@ def test_semi_answers_are_pinned():
     graphs = []
     for k in (6, 8):
         g = skeleton_core("cycle", (k,))[0]
-        for v in range(0, k, 2):
-            g = splice(g, v, cherry, 0)[0]
-        graphs.append(g)
+        graphs.append(splice(g, [(v, cherry) for v in range(0, k, 2)])[0])
     graphs.append(from_graph6("SR`KAC_G?_A?A?A??_?G??_?A??A??A??"))
     want = [
         (12, "semi(S2*S2*S2,dih(3))"),
@@ -346,11 +345,9 @@ def test_semi_answers_are_pinned():
 def test_unicyclic_antipodal_rotation():
     # two distinct pendants repeated antipodally on a 6-cycle: the only
     # nontrivial symmetry is the half-turn, with no reflections
-    g = skeleton_core("cycle", (6,))[0]
     p1 = make_graph(2, [(0, 1)])
     p2 = make_graph(3, [(0, 1), (1, 2)])
-    for v, t in ((0, p1), (3, p1), (1, p2), (4, p2)):
-        g = splice(g, v, t, 0)[0]
+    g = splice(skeleton_core("cycle", (6,))[0], [(0, p1), (3, p1), (1, p2), (4, p2)])[0]
     a = analyze(g)
     assert order(a.expr) == automorphism_count(g) == 2
 
@@ -441,9 +438,7 @@ def test_deep_pendant_paths():
     # than the interpreter's default recursion limit; the lift swapping
     # them walks both paths
     path = make_graph(1600, [(i, i + 1) for i in range(1599)])
-    g = skeleton_core("cycle", (4,))[0]
-    for v in (0, 2):
-        g = splice(g, v, path, 0)[0]
+    g = splice(skeleton_core("cycle", (4,))[0], [(0, path), (2, path)])[0]
     a = analyze(g)
     assert order(a.expr) == 4  # the Klein group of the square fixing {0, 2}
     gens = emit_generators(g, a)
@@ -465,7 +460,7 @@ def test_long_spine():
     # give 2**d, the end-to-end reversal one more factor of 2
     d = 1000
     tree = spine(d)
-    on_c3 = splice(skeleton_core("cycle", (3,))[0], 0, tree, 0)[0]
+    on_c3 = splice(skeleton_core("cycle", (3,))[0], [(0, tree)])[0]
     for g in (tree, on_c3):
         a = analyze(g)
         assert order(a.expr) == 2 ** (d + 1)

@@ -139,6 +139,11 @@ def test_aut_rejects_unsupported_family(tmp_path, capsys):
     (tmp_path / "sparse.txt").write_text("3000000 0\n", encoding="ascii")
     assert run(["aut", str(tmp_path / "sparse.txt")]) == EX_FAMILY
     assert "not connected" in capsys.readouterr().err
+    # a triangle plus an isolated vertex has n - 1 edges: the tree branch
+    # finds it disconnected
+    split = make_graph(4, [(0, 1), (1, 2), (0, 2)])
+    assert run(["aut", _write(tmp_path, split)]) == EX_FAMILY
+    assert capsys.readouterr().err == "unsupported graph: graph is not connected\n"
 
 
 def test_aut_bad_file_and_bad_text(tmp_path, capsys):
@@ -147,6 +152,15 @@ def test_aut_bad_file_and_bad_text(tmp_path, capsys):
     bad.write_text("not an edge list\n", encoding="ascii")
     assert run(["aut", str(bad)]) == EX_INPUT
     capsys.readouterr()
+    for text, fmt, msg in (
+        ("A!", "graph6", "invalid graph6 character"),
+        ("?", "graph6", "graph6 graph must have at least one vertex"),
+        ("C", "graph6", "graph6 length mismatch: n=4 needs 1 data characters, got 0"),
+        ("2 1\n0 1 2", "edgelist", "bad edge line '0 1 2'"),
+    ):
+        bad.write_text(text + "\n", encoding="ascii")
+        assert run(["aut", "--format", fmt, str(bad)]) == EX_INPUT, text
+        assert capsys.readouterr().err == "error: %s\n" % msg, text
 
 
 def test_verify_ok_and_corrupt(tmp_path, capsys, monkeypatch):
@@ -212,6 +226,13 @@ def test_realize_error_codes(capsys):
     # a dihedral top with k < 1 is an input error at the top's byte
     assert run(["realize", "semi(1,dih(0))"]) == EX_INPUT
     assert "expression error: byte 8: dihedral parameter" in capsys.readouterr().err
+    for text, msg in (
+        ("S2 # S3", "byte 4: unexpected character '#'"),
+        ("semi(S2,1)", "byte 9: expected a top group name"),
+        ("dih(x)", "byte 5: expected an integer"),
+    ):
+        assert run(["realize", text]) == EX_INPUT, text
+        assert "expression error: " + msg in capsys.readouterr().err, text
     assert run(["realize", "dih(5)"]) == EX_OUTSIDE
     assert "not realizable" in capsys.readouterr().err
     assert run(["realize", "wr(wr(S5,S6),S6)"]) == EX_BUDGET
@@ -241,3 +262,30 @@ def test_fuzz_exhaustive(capsys):
     assert run(["fuzz", "--exhaustive", "--max-n", "6"]) == EX_OK
     out = capsys.readouterr().out
     assert "checked=25 mismatches=0" in out
+
+
+def test_realize_check_mismatch_and_skip(capsys, monkeypatch):
+    import bicaut.cli
+
+    monkeypatch.setattr(bicaut.cli, "automorphism_count", lambda g: 7)
+    assert run(["realize", "S3", "--check"]) == EX_MISMATCH
+    assert "check: formula=6 oracle=7 MISMATCH" in capsys.readouterr().out
+    # past the oracle bound the check is skipped, and the oracle never runs
+    monkeypatch.setattr(bicaut.cli, "automorphism_count", None)
+    monkeypatch.setenv("BICAUT_ORACLE_BOUND", "3")
+    assert run(["realize", "S3", "--check"]) == EX_OK
+    assert "check=skipped (26 vertices)" in capsys.readouterr().err
+
+
+def test_fuzz_reports_mismatch(capsys, monkeypatch):
+    import bicaut.cli
+
+    monkeypatch.setattr(bicaut.cli, "automorphism_count", lambda g: 0)
+    assert run(["fuzz", "--count", "2", "--max-n", "6", "--seed", "3"]) == EX_MISMATCH
+    captured = capsys.readouterr()
+    assert captured.out.strip().splitlines()[-1] == "checked=2 mismatches=2"
+    lines = captured.err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("mismatch: ") for line in lines)
+    for line in lines:
+        g = from_graph6(line[len("mismatch: "):])
+        assert len(g.edges) == g.n + 1  # each generated graph is bicyclic

@@ -2,14 +2,17 @@
 import random
 from itertools import combinations
 
+import bicaut.generate
+import bicaut.graphs
 from bicaut.generate import (
     CASE_LABELS,
     all_bicyclic,
     all_unicyclic,
     case_instance,
+    decorate,
     free_trees,
-    random_attached_tree,
     random_bicyclic,
+    random_tree,
     random_unicyclic,
     rooted_shapes,
     shape_code,
@@ -106,7 +109,7 @@ def test_random_generators():
         assert g.n == n and analyze(g).family == "bicyclic"
         g = random_unicyclic(rng, n)
         assert g.n == n and analyze(g).family == "unicyclic"
-        t = random_attached_tree(rng, n)
+        t = random_tree(rng, n)
         assert t.n == n and analyze(t).family == "tree"
 
 
@@ -115,3 +118,33 @@ def test_case_instance_families():
     for label in CASE_LABELS:
         g = case_instance(label, rng)
         assert analyze(g).family == "bicyclic", label
+
+
+def _counted(monkeypatch, module, name):
+    """Count the calls made through module.name."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_decorate_builds_once(monkeypatch):
+    core, slots = skeleton_core("theta", (2, 3, 3))
+    shapes = [(), (), ((),), (), (), ((), ()), ()]
+    built = _counted(monkeypatch, bicaut.graphs, "make_graph")
+    g = decorate(core, slots, shapes)
+    assert len(built) == 1
+    assert g.n == 7 + 1 + 2 and len(g.edges) == 8 + 1 + 2
+
+
+def test_random_bicyclic_builds_one_core_per_graph(monkeypatch):
+    cores = _counted(monkeypatch, bicaut.generate, "skeleton_core")
+    rng = random.Random(1)
+    for _ in range(50):
+        assert random_bicyclic(rng, 10).n == 10
+    assert len(cores) == 50

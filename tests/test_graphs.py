@@ -141,11 +141,19 @@ def test_centers():
 
 
 def test_splice_and_link():
-    g, remap = splice(C3, 1, P4, 2)
+    # P4 with vertex 0 inside it: arms 0-1-2 and 0-3
+    arms = make_graph(4, [(0, 1), (1, 2), (0, 3)])
+    g, (remap,) = splice(C3, [(1, arms)])
     assert g.n == 3 + 4 - 1
-    assert remap[2] == 1 and remap[0] == 3
+    assert remap == [1, 3, 4, 5]
     # vertex 1 has cycle + both path arms
     assert max(len(row) for row in adjacency(g)) == 4
+    assert g.edges == ((0, 1), (0, 2), (1, 2), (1, 3), (1, 5), (3, 4))
+    # parts number their vertices in turn, as one splice after the other
+    g, remaps = splice(C3, [(1, arms), (0, P4), (1, P4)])
+    assert remaps == [[1, 3, 4, 5], [0, 6, 7, 8], [1, 9, 10, 11]]
+    assert g.n == 12 and len(g.edges) == 3 + 3 * 3
+    assert [len(row) for row in adjacency(g)][:2] == [3, 5]
     h, remap = link(C3, 1, P4, 0)
     assert h.n == 7
     assert remap == [3, 4, 5, 6]

@@ -76,6 +76,14 @@ def test_all_automorphisms():
         assert compose(p, invert(p)) == identity_perm(5)
 
 
+def test_is_automorphism_rejects():
+    assert is_automorphism(C5, (1, 2, 3, 4, 0))  # a rotation
+    assert not is_automorphism(C5, (0, 0, 2, 3, 4))  # not a permutation
+    assert not is_automorphism(C5, (1, 0, 2, 3, 4))  # sends edge 1-2 to 0-2
+    assert not is_automorphism(C5, (0, 1, 2, 3))  # wrong length
+    assert not is_automorphism(C5, (0, 1, 2, 3, 4, 5))
+
+
 def test_close_generators_cap():
     gens = automorphism_generators(K4)
     with pytest.raises(ValueError):

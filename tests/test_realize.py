@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import bicaut.graphs
 from bicaut.bicyclic import analyze
 from bicaut.generate import free_trees
 from bicaut.groups import (
@@ -132,6 +133,19 @@ def test_realize_tree_anchored():
         assert [anchor] in vertex_orbits(g), txt
 
 
+def test_realize_tree_pins_a_moving_root():
+    # the root of _shape(e) moves in its free tree, so realize_tree hangs a
+    # pin chain from it; the hosts fix each slot and hang the bare shape
+    e = normalize(parse_expr("S2*S2*wr(S2*S2,S2)"))
+    g, anchor = realize_tree(e)
+    assert g.n == 35 and tree_aut_expr(g) == e
+    assert [anchor] in vertex_orbits(g)
+    r = realize(e)
+    assert r.graph.n == 50
+    assert analyze(r.graph).expr == e
+    assert automorphism_count(r.graph) == order(e) == 128
+
+
 def test_realize_tree_rejects_other_classes():
     with pytest.raises(RealizeError):
         realize_tree(KleinWreath(Sym(2)))
@@ -248,3 +262,18 @@ def test_decoration_catalog_is_built_once(monkeypatch):
         monkeypatch.setattr(importlib.import_module(name), "tree_aut_expr", counted)
     realize(parse_expr("S3"))
     assert len(calls) == 0
+
+
+def test_host_is_built_once(monkeypatch):
+    built = []
+    real = bicaut.graphs.make_graph
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bicaut.graphs, "make_graph", counted)
+    r = realize(parse_expr("b2(S2,S2,S3)"))
+    assert len(built) == 1
+    # the core, then 4 quad, 2 + 2 pair copies
+    assert len(r.manifest) == 9
