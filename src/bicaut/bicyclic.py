@@ -4,12 +4,14 @@ Every automorphism preserves the 2-core, so it splits into a symmetry of the
 core that preserves attached-tree shapes plus independent automorphisms of
 the attached trees fixing their roots.  The whole group is the product of
 the rooted-tree stabilizers extended by the group Q of shape-preserving core
-symmetries.  decompose reads everything off one adjacency and one leaf
-peel (graphs.peel): the vertices left are the core, which graphs.skeleton
-lays out in the one slot layout of graphs.PATH_ENDS (Decomposition.layout),
-and the parents root every attached tree at once, as one RootedTree whose
-virtual root n has the core vertices for children.  Each slot's code and
-expression, the rooted generators and the lifts of core symmetries
+symmetries.  decompose reads everything off one leaf peel of the edge
+list (graphs.peel), with no adjacency list of the graph: the vertices left
+are the core, whose own adjacency (graphs.core_adjacency) decides
+connectivity and which graphs.skeleton lays out in the one slot layout of
+graphs.PATH_ENDS (Decomposition.layout), and the parents root every
+attached tree at once, as one RootedTree whose virtual root n has the core
+vertices for children.  Each slot's code and expression, the rooted
+generators and the lifts of core symmetries
 (trees.aligned_iso) all come from that one tree.  The slot expressions
 come from trees.rooted_exprs, one per distinct code and normalized
 already.  The generators and lifts are support-only maps of the vertices
@@ -44,7 +46,7 @@ from .generate import skeleton_core
 from .graphs import (
     Graph,
     Perm,
-    adjacency,
+    core_adjacency,
     is_connected,
     make_graph,
     necklace_perms,
@@ -114,27 +116,29 @@ class Decomposition:
 
 def decompose(g: Graph) -> Decomposition:
     """Split a unicyclic or bicyclic graph into its core and attached trees,
-    all from one adjacency and one leaf peel (graphs.peel).
+    all from one leaf peel of the edge list (graphs.peel).
 
-    A graph with fewer than n - 1 edges cannot be connected, so it is
-    rejected before any adjacency is built."""
+    The graph is connected iff its core is (graphs.peel), so one walk over
+    the core's own adjacency checks it, before the cyclomatic number: a
+    disconnected graph is reported as such whatever its cycles.  A graph
+    with fewer than n - 1 edges cannot be connected, so it is rejected
+    before anything of size n is built."""
     c = len(g.edges) - g.n + 1
     if c < 0:
         raise UnsupportedFamilyError("graph is not connected")
-    adj = adjacency(g)
-    if not is_connected(adj):
+    parent = peel(g)
+    adj = core_adjacency(g, parent)
+    if not is_connected(adj, next(iter(adj))):
         raise UnsupportedFamilyError("graph is not connected")
     if c not in (1, 2):
         raise UnsupportedFamilyError(
             "graph has cyclomatic number %d, need 1 or 2" % c
         )
-    parent = peel(adj)
-    core = [v for v, p in enumerate(parent) if p < 0]
-    kind, layout, lengths = skeleton(adj, core)
+    kind, layout, lengths = skeleton(adj)
     # the peel's parents with the core hung below the virtual root n
     tree = RootedTree(g, g.n, [p if p >= 0 else g.n for p in parent] + [-1])
     exprs = rooted_exprs(tree)
-    slots = {v: _Slot(tree.code[v], exprs[v]) for v in core}
+    slots = {v: _Slot(tree.code[v], exprs[v]) for v in adj}
     return Decomposition(g.n, kind, layout, lengths, slots, tree)
 
 
@@ -384,12 +388,15 @@ class Analysis:
 def analyze(g: Graph) -> Analysis:
     """Family, case label and automorphism group expression of a connected
     graph with at most two independent cycles.  Connectivity is checked
-    once: here for a tree, in decompose for every other graph."""
+    once, from the peel (graphs.peel): a graph with n - 1 edges is a tree
+    iff it peels to at most two centres, and decompose walks every other
+    graph's core."""
     c = len(g.edges) - g.n + 1
     if c == 0:
-        if not is_connected(adjacency(g)):
-            raise UnsupportedFamilyError("graph is not connected")
-        t, _ = center_rooted(g)
+        try:
+            t, _ = center_rooted(g)
+        except ValueError:  # n - 1 edges but a cycle left: disconnected
+            raise UnsupportedFamilyError("graph is not connected") from None
         return Analysis("tree", None, (), "-", tree_aut_expr(g, t), None, (), t)
     dec = decompose(g)
     Q = core_symmetries(dec)

@@ -1,9 +1,13 @@
 """Undirected simple graphs on vertices 0..n-1, plus the structural
 decomposition used everywhere else.
 
-One leaf peel (peel) finds both what a graph's group is read off: the
-2-core of a unicyclic or bicyclic graph, or the centres of a tree, with
-the parent of every deleted vertex, which roots the trees hanging off them.
+One leaf peel (peel), run on the edge list with no adjacency list, finds
+both what a graph's group is read off: the 2-core of a unicyclic or
+bicyclic graph, or the centres of a tree, with the parent of every deleted
+vertex, which roots the trees hanging off them.  What it leaves also
+decides connectivity (peel states why), so the core's own adjacency
+(core_adjacency) is the only one analysis builds: a walk over it checks
+connectivity and skeleton lays the core out from it.
 
 Every core is a few anchors joined by paths, and PATH_ENDS is the one slot
 layout of all of them, the cycle included: skeleton lays a peeled core out
@@ -46,7 +50,9 @@ class Graph:
 
 def make_graph(n: int, edges) -> Graph:
     """Build a Graph from any iterable of pairs, sorting as needed."""
-    norm = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    # duplicates dropped in first-seen order, so edges that come sorted
+    # (from to_edgelist text, say) sort in linear time
+    norm = sorted(dict.fromkeys((u, v) if u < v else (v, u) for u, v in edges))
     return Graph(n, tuple(norm))
 
 
@@ -60,20 +66,18 @@ def adjacency(g: Graph) -> list[list[int]]:
     return adj
 
 
-def is_connected(adj: list[list[int]]) -> bool:
-    """Whether the graph with this adjacency (see adjacency) is connected."""
-    seen = [False] * len(adj)
-    stack = [0]
-    seen[0] = True
-    count = 1
+def is_connected(adj, start: int = 0) -> bool:
+    """Whether every vertex of adj is reachable from start.  adj maps each
+    vertex to its neighbours: a list of rows for vertices 0..n-1
+    (adjacency), or a dict of rows (core_adjacency) with start a key."""
+    seen = {start}
+    stack = [start]
     while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
                 stack.append(w)
-    return count == len(adj)
+    return len(seen) == len(adj)
 
 
 def induced_subgraph(g: Graph, vertices: list[int]) -> tuple[Graph, dict[int, int]]:
@@ -88,31 +92,52 @@ def induced_subgraph(g: Graph, vertices: list[int]) -> tuple[Graph, dict[int, in
 # --- core decomposition ---------------------------------------------------
 
 
-def peel(adj: list[list[int]]) -> list[int]:
+def peel(g: Graph) -> list[int]:
     """Delete leaves in rounds while more than two vertices are left; the
     parent of every vertex: the neighbour a deleted vertex hung from, -1 for
     a vertex left.
+
+    One pass over the edges gives each vertex its degree and the sum of its
+    neighbours' labels.  A leaf's one neighbour not deleted yet is then that
+    sum, and deleting it takes it off its parent's sum and degree, so no
+    adjacency list is built.
 
     On a connected graph with a cycle the rounds run out of leaves first (a
     cycle has three vertices or more), leaving the 2-core; on a tree they
     leave its one or two centres.  Either way every deleted vertex hangs
     from its neighbour towards the vertices left, so the parents root the
     trees hanging from them.
+
+    Connectivity can be read off what is left.  A graph with a cycle keeps
+    that cycle, so the rounds never stop early, and each component keeps at
+    least one vertex: its 2-core, or one vertex of a tree component.
+    Deleting a leaf keeps its component connected, so the graph is connected
+    iff the vertices left induce a connected graph (core_adjacency).  A
+    graph with n - 1 edges is connected iff it is left with at most two
+    vertices: disconnected, it would have a cycle, which is never deleted.
     """
-    deg = [len(row) for row in adj]
-    parent = [-1] * len(adj)
-    left = len(adj)
+    n = g.n
+    deg = [0] * n
+    nbr = [0] * n  # the sum of the neighbours not deleted yet
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+        nbr[u] += v
+        nbr[v] += u
+    parent = [-1] * n
+    left = n
     layer = [v for v, d in enumerate(deg) if d == 1]
     while layer and left > 2:
         nxt = []
         for v in layer:
-            # the neighbour not deleted yet; none only in a disconnected
-            # graph, when v's neighbour was a leaf of this round too
-            w = next((w for w in adj[v] if parent[w] < 0), -1)
-            if w < 0:
+            # no neighbour left only in a disconnected graph, when v's
+            # neighbour was a leaf of this round too
+            if not deg[v]:
                 continue
+            w = nbr[v]
             parent[v] = w
             left -= 1
+            nbr[w] -= v
             deg[w] -= 1
             if deg[w] == 1:
                 nxt.append(w)
@@ -120,11 +145,24 @@ def peel(adj: list[list[int]]) -> list[int]:
     return parent
 
 
+def core_adjacency(g: Graph, parent: list[int]) -> dict[int, list[int]]:
+    """The adjacency of the vertices peel leaves (parent -1) among
+    themselves: their rows, ascending by vertex, each row ascending."""
+    adj: dict[int, list[int]] = {v: [] for v, p in enumerate(parent) if p < 0}
+    for u, v in g.edges:
+        if u in adj and v in adj:
+            adj[u].append(v)
+            adj[v].append(u)
+    for row in adj.values():
+        row.sort()
+    return adj
+
+
 def core_vertices(g: Graph) -> list[int]:
     """The vertices peel leaves: for a connected graph with a cycle its
     2-core (the unique cycle, or both cycles and any path joining them), for
     a tree its centres."""
-    return [v for v, p in enumerate(peel(adjacency(g))) if p < 0]
+    return [v for v, p in enumerate(peel(g)) if p < 0]
 
 
 @dataclass(frozen=True)
@@ -176,12 +214,11 @@ PATH_ENDS: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
 }
 
 
-def skeleton(
-    adj: list[list[int]], core: list[int]
-) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
-    """Lay out the core (the vertices peel leaves, ascending) of a connected
-    graph with one or two independent cycles in the PATH_ENDS slot order;
-    returns (kind, layout, lengths), lengths being the paths' edge counts.
+def skeleton(adj: dict[int, list[int]]) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
+    """Lay out the core of a connected graph with one or two independent
+    cycles in the PATH_ENDS slot order, given the core's own adjacency
+    (core_adjacency: ascending vertices and rows); returns (kind, layout,
+    lengths), lengths being the paths' edge counts.
 
     kind is 'cycle'; 'theta' (two branch vertices joined by three internally
     disjoint paths); 'shared' (two cycles meeting in exactly one vertex); or
@@ -195,22 +232,20 @@ def skeleton(
     - dumbbell: anchors (a, b), a's cycle the smaller by (length, labels);
       a's cycle, b's cycle, then the bridge from a.
     """
-    in_core = set(core)
-    branch = [v for v in core if sum(w in in_core for w in adj[v]) > 2]
-    anchors = branch or [core[0]]
+    branch = [v for v, row in adj.items() if len(row) > 2]
+    anchors = branch or [next(iter(adj))]
     stops = set(anchors)
     found = []  # (first end, interior, second end) of each path
     seen = set()  # (end, next vertex) that starts a path already walked
     for a in anchors:
         for first in adj[a]:
-            if first not in in_core or (a, first) in seen:
+            if (a, first) in seen:
                 continue
             path, prev, cur = [], a, first
             while cur not in stops:
                 path.append(cur)
-                prev, cur = cur, next(
-                    w for w in adj[cur] if w != prev and w in in_core
-                )
+                x, y = adj[cur]
+                prev, cur = cur, (y if x == prev else x)
             seen.add((cur, path[-1] if path else a))
             found.append((a, tuple(path), cur))
 
@@ -375,6 +410,18 @@ def to_edgelist(g: Graph) -> str:
 
 
 def from_edgelist(text: str) -> Graph:
+    """Read to_edgelist's form: a header line 'n m', then m lines 'u v'.
+
+    Text exactly as to_edgelist writes it, with the edge count its header
+    says, is read in one flat pass over its words.  Any other text (blank
+    lines, more spaces, other line breaks, a line without two words) is
+    read line by line, which also words the error."""
+    words = text.split()
+    if words and text == "\n".join(map(" ".join, zip(words[::2], words[1::2]))) + "\n":
+        n, m = int(words[0]), int(words[1])
+        if len(words) == 2 * m + 2:
+            ends = list(map(int, words[2:]))
+            return make_graph(n, zip(ends[::2], ends[1::2]))
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows or len(rows[0]) != 2:
         raise ValueError("edge list must start with a 'n m' header line")

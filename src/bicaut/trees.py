@@ -2,14 +2,16 @@
 
 A RootedTree is built from one parent list and gives every vertex a
 canonical shape code (node_code: the child count, then the child codes
-sorted and concatenated, so distinct shapes never share a prefix).  The
+sorted and concatenated, so distinct shapes never share a prefix), which
+it builds inline, in one pass children first.  The
 automorphism group of a rooted tree is the iterated wreath product over
 classes of isomorphic child subtrees, so it depends on the rooted code
 alone: rooted_exprs builds one normalized expression per distinct code,
 from its children's with groups.wreath and groups.direct_product, and
 every vertex of that code shares it.  A free tree reduces to the rooted
 case by rooting at the center, straight from graphs.peel's parents, with
-two centers hung below a virtual root.
+two centers hung below a virtual root; the peel reads the edge list, so
+analyzing a tree builds no adjacency list.
 
 The walks take a RootedTree, and the vertices to start from, and work in
 the tree's own labels: rooted_exprs runs children first along t.order,
@@ -67,9 +69,18 @@ class RootedTree:
             self.order.extend(self.children[u])
         if len(self.order) != len(parent):
             raise ValueError("graph is not a connected tree")
-        self.code: list[bytes] = [b""] * len(parent)
+        # node_code inline: every leaf shares one code, and a lone child's
+        # code needs no sort
+        self.code: list[bytes] = [node_code(())] * len(parent)
+        code = self.code
         for u in reversed(self.order):
-            self.code[u] = node_code(self.code[w] for w in self.children[u])
+            kids = self.children[u]
+            if len(kids) == 1:
+                code[u] = b"\0\0\0\1" + code[kids[0]]
+            elif kids:
+                code[u] = len(kids).to_bytes(4, "big") + b"".join(
+                    sorted([code[w] for w in kids])
+                )
 
 
 def _walk_parents(g: Graph, root: int) -> list[int]:
@@ -139,7 +150,7 @@ def _peel_tree(g: Graph) -> tuple[list[int], list[int]]:
     graph that is not one has a cycle, whose vertices peel leaves."""
     if len(g.edges) != g.n - 1:
         raise ValueError("graph is not a tree")
-    parent = peel(adjacency(g))
+    parent = peel(g)
     cs = [v for v, p in enumerate(parent) if p < 0]
     if len(cs) > 2:
         raise ValueError("graph is not a tree")

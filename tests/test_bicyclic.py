@@ -1,5 +1,6 @@
 """Engine for unicyclic and bicyclic automorphism groups."""
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -56,6 +57,8 @@ THETA333 = skeleton_core("theta", (3, 3, 3))[0]
 DUMB331 = skeleton_core("dumbbell", (3, 3, 1))[0]
 C5 = skeleton_core("cycle", (5,))[0]
 C6 = skeleton_core("cycle", (6,))[0]
+# cyclomatic number 3, but disconnected
+TWO_THETAS = make_graph(8, list(DIAMOND.edges) + [(u + 4, v + 4) for u, v in DIAMOND.edges])
 
 
 def test_decompose_round_trip():
@@ -79,10 +82,15 @@ def test_decompose_rejects_unsupported():
         decompose(make_graph(3, [(0, 1), (1, 2)]))  # tree
     with pytest.raises(UnsupportedFamilyError):
         analyze(k4)
+    # being disconnected is reported before the cyclomatic number
+    for fn in (analyze, decompose):
+        with pytest.raises(UnsupportedFamilyError, match="^graph is not connected$"):
+            fn(TWO_THETAS)
 
 
 def test_sparse_graph_rejected_before_adjacency():
-    # fewer than n - 1 edges: no adjacency list of 3 million rows is built
+    # fewer than n - 1 edges: rejected before the peel builds its 3-million
+    # entry arrays
     g = Graph(3_000_000, ())
     for fn in (analyze, decompose):
         tracemalloc.start()
@@ -96,37 +104,49 @@ def test_sparse_graph_rejected_before_adjacency():
 
 
 def test_connectivity_checked_once(monkeypatch):
+    # connectivity is read off the peel: a tree by peeling to at most two
+    # centres, with no walk; every other graph by one walk over its core's
+    # own adjacency, whose rows are the core vertices' alone
     import bicaut.bicyclic as bicyclic
 
-    calls = []
+    walked = []
     real = bicyclic.is_connected
-    monkeypatch.setattr(bicyclic, "is_connected", lambda g: calls.append(g) or real(g))
-    for g in (make_graph(3, [(0, 1), (1, 2)]), C5, DIAMOND):
-        calls.clear()
-        analyze(g)
-        assert len(calls) == 1
-
-
-def test_one_adjacency_per_decompose(monkeypatch):
-    # one adjacency list feeds the connectivity check, the leaf peel and the
-    # skeleton; a tree's analyze needs one for connectivity, one to peel
-    import bicaut.bicyclic as bicyclic
-    import bicaut.graphs as graphs
-    import bicaut.trees as trees
-
-    calls = []
-    real = graphs.adjacency
-    for mod in (graphs, trees, bicyclic):
-        monkeypatch.setattr(mod, "adjacency", lambda g: calls.append(g) or real(g))
+    monkeypatch.setattr(
+        bicyclic, "is_connected", lambda adj, start: walked.append(set(adj)) or real(adj, start)
+    )
     decorated = decorate(*skeleton_core("theta", (2, 3, 3)), [(), ((),), ((), ())])
-    for g in (C5, DIAMOND, DUMB331, decorated):
-        calls.clear()
-        decompose(g)
-        assert len(calls) == 1, g.edges
-    for g in (make_graph(1, []), make_graph(4, [(0, 1), (1, 2), (2, 3)]), spine(5)):
-        calls.clear()
+    for g in (make_graph(3, [(0, 1), (1, 2)]), spine(4)):
+        walked.clear()
         analyze(g)
-        assert len(calls) <= 2, g.edges
+        assert walked == []
+    for g in (C5, DIAMOND, DUMB331, decorated, splice(C5, [(0, spine(3))])[0]):
+        walked.clear()
+        a = analyze(g)
+        assert walked == [set(a.dec.layout)], g.edges
+
+
+def test_no_adjacency_list_in_analyze(monkeypatch):
+    # the peel reads the edge list and the connectivity check and skeleton
+    # the core's own rows, so neither analyze nor decompose builds an
+    # adjacency list, on any family or on a graph they reject
+    def refuse(g):
+        raise AssertionError("adjacency list built")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("bicaut") and hasattr(mod, "adjacency"):
+            monkeypatch.setattr(mod, "adjacency", refuse)
+    decorated = decorate(*skeleton_core("theta", (2, 3, 3)), [(), ((),), ((), ())])
+    cycled = splice(C6, [(2, spine(2))])[0]
+    for g in (make_graph(1, []), spine(5), C5, cycled, DIAMOND, FIG8_34, DUMB331, decorated):
+        analyze(g)
+        if len(g.edges) >= g.n:
+            decompose(g)
+    split = make_graph(4, [(0, 1), (1, 2), (0, 2)])
+    k4 = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    for g in (TWO_THETAS, split, k4, Graph(5, ())):
+        for fn in (analyze, decompose):
+            with pytest.raises(UnsupportedFamilyError):
+                fn(g)
 
 
 def test_tree_rooted_once_per_aut(monkeypatch):

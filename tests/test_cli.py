@@ -135,7 +135,7 @@ def test_aut_rejects_unsupported_family(tmp_path, capsys):
     k4 = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert run(["aut", _write(tmp_path, k4)]) == EX_FAMILY
     assert "unsupported graph" in capsys.readouterr().err
-    # too few edges to be connected: rejected before any adjacency is built
+    # too few edges to be connected: rejected before anything of size n is built
     (tmp_path / "sparse.txt").write_text("3000000 0\n", encoding="ascii")
     assert run(["aut", str(tmp_path / "sparse.txt")]) == EX_FAMILY
     assert "not connected" in capsys.readouterr().err
@@ -143,6 +143,11 @@ def test_aut_rejects_unsupported_family(tmp_path, capsys):
     # finds it disconnected
     split = make_graph(4, [(0, 1), (1, 2), (0, 2)])
     assert run(["aut", _write(tmp_path, split)]) == EX_FAMILY
+    assert capsys.readouterr().err == "unsupported graph: graph is not connected\n"
+    # two disjoint thetas: cyclomatic number 3, reported as disconnected
+    theta = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]
+    thetas = make_graph(8, theta + [(u + 4, v + 4) for u, v in theta])
+    assert run(["aut", _write(tmp_path, thetas)]) == EX_FAMILY
     assert capsys.readouterr().err == "unsupported graph: graph is not connected\n"
 
 

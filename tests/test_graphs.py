@@ -1,14 +1,26 @@
 """Graph container, decompositions, formats."""
 import random
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bicaut.bicyclic import UnsupportedFamilyError, analyze, decompose
+from bicaut.generate import (
+    all_bicyclic,
+    all_unicyclic,
+    free_trees,
+    random_bicyclic,
+    random_tree,
+    random_unicyclic,
+)
 from bicaut.graphs import (
     Graph,
     adjacency,
     attached_trees,
+    core_adjacency,
     core_vertices,
     from_edgelist,
     from_graph6,
@@ -51,6 +63,9 @@ def test_basic_views():
     assert is_connected(adj)
     assert not is_connected(adjacency(make_graph(2, [])))
     assert is_connected(adjacency(make_graph(1, [])))
+    # a core's adjacency is a dict of rows, walked from one of its keys
+    assert is_connected({2: [5], 5: [2]}, 2)
+    assert not is_connected({2: [], 5: []}, 5)
 
 
 def test_induced_subgraph():
@@ -73,18 +88,80 @@ def test_core_and_attached_trees():
 def test_peel_parents():
     # the same triangle: 4 hangs from 3, 3 from the core vertex 0
     g = make_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)])
-    assert peel(adjacency(g)) == [-1, -1, -1, 0, 3]
+    assert peel(g) == [-1, -1, -1, 0, 3]
     # a tree keeps its centres: P4 peels to its middle edge, the star to 0
-    assert peel(adjacency(P4)) == [1, -1, -1, 2]
+    assert peel(P4) == [1, -1, -1, 2]
     star = make_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert peel(adjacency(star)) == [-1, 0, 0, 0]
+    assert peel(star) == [-1, 0, 0, 0]
     # a disconnected graph: an edge component keeps one end
-    assert peel(adjacency(make_graph(5, [(0, 1), (2, 3), (3, 4)]))) == [1, -1, 3, -1, 3]
+    assert peel(make_graph(5, [(0, 1), (2, 3), (3, 4)])) == [1, -1, 3, -1, 3]
+
+
+def _reference_peel(adj: list[list[int]]) -> list[int]:
+    """peel on an adjacency list, finding a leaf's neighbour by scanning its
+    row for one not deleted yet: the reference peel is checked against."""
+    deg = [len(row) for row in adj]
+    parent = [-1] * len(adj)
+    left = len(adj)
+    layer = [v for v, d in enumerate(deg) if d == 1]
+    while layer and left > 2:
+        nxt = []
+        for v in layer:
+            w = next((w for w in adj[v] if parent[w] < 0), -1)
+            if w < 0:
+                continue
+            parent[v] = w
+            left -= 1
+            deg[w] -= 1
+            if deg[w] == 1:
+                nxt.append(w)
+        layer = nxt
+    return parent
+
+
+def _relabelled(g: Graph, rng: random.Random) -> Graph:
+    p = list(range(g.n))
+    rng.shuffle(p)
+    return make_graph(g.n, [(p[u], p[v]) for u, v in g.edges])
+
+
+def _disconnected(rng: random.Random) -> Graph:
+    """Two or three components, each a tree, a unicyclic or a bicyclic
+    graph, under random labels."""
+    n, edges = 0, []
+    for _ in range(rng.randint(2, 3)):
+        make = rng.choice((random_tree, random_unicyclic, random_bicyclic))
+        part = make(rng, rng.randint(4, 9))
+        edges += [(u + n, v + n) for u, v in part.edges]
+        n += part.n
+    return _relabelled(make_graph(n, edges), rng)
+
+
+def test_peel_matches_the_adjacency_reference():
+    rng = random.Random(16)
+    pool = [g for n in range(1, 11) for g in free_trees(n)]
+    pool += [g for n in range(3, 9) for g in all_unicyclic(n)]
+    pool += [g for n in range(4, 9) for g in all_bicyclic(n)]
+    for g in pool:
+        for h in (g, _relabelled(g, rng)):
+            assert peel(h) == _reference_peel(adjacency(h)), h.edges
+    # disconnected graphs with cyclomatic number 0 to 3 peel the same, and
+    # connectivity read off the peel rejects every one
+    made = Counter()
+    while min(made[c] for c in range(4)) < 50:
+        g = _disconnected(rng)
+        c = len(g.edges) - g.n + 1
+        if not 0 <= c <= 3:
+            continue
+        made[c] += 1
+        assert peel(g) == _reference_peel(adjacency(g)), g.edges
+        for fn in (analyze, decompose):
+            with pytest.raises(UnsupportedFamilyError, match="^graph is not connected$"):
+                fn(g)
 
 
 def _skeleton(g):
-    adj = adjacency(g)
-    return skeleton(adj, [v for v, p in enumerate(peel(adj)) if p < 0])
+    return skeleton(core_adjacency(g, peel(g)))
 
 
 def test_skeleton_cycle():
@@ -171,6 +248,52 @@ def test_edgelist_round_trip():
         from_edgelist("2 1\n0 5\n")
     with pytest.raises(ValueError):
         from_edgelist("2 2\n0 1\n")
+
+
+def _read_lines(text: str) -> Graph:
+    """The edge list read line by line: the reference from_edgelist's flat
+    read is checked against."""
+    rows = [line.split() for line in text.splitlines() if line.strip()]
+    if not rows or len(rows[0]) != 2:
+        raise ValueError("edge list must start with a 'n m' header line")
+    n, m = int(rows[0][0]), int(rows[0][1])
+    if len(rows) - 1 != m:
+        raise ValueError("header says %d edges, found %d" % (m, len(rows) - 1))
+    edges = []
+    for row in rows[1:]:
+        if len(row) != 2:
+            raise ValueError("bad edge line %r" % " ".join(row))
+        edges.append((int(row[0]), int(row[1])))
+    return make_graph(n, edges)
+
+
+def _outcome(read, text: str):
+    try:
+        return read(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_edgelist_reads_as_line_by_line():
+    # to_edgelist's text, then with one word or line break changed: the
+    # same graph or the same error either way
+    rng = random.Random(12)
+    edits = [
+        lambda w, i: w.__setitem__(i, str(int(w[i]) + rng.choice((-1, 1)))),
+        lambda w, i: w.__setitem__(i, "x"),
+        lambda w, i: w.__setitem__(i, w[i] + rng.choice(("\n", " ", "\t", "\r\n"))),
+        lambda w, i: w.__setitem__(i, w[i].rstrip()),
+        lambda w, i: w.insert(i, rng.choice(("7 ", "\n", "  "))),
+    ]
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        text = to_edgelist(make_graph(n, rng.sample(pairs, rng.randint(0, len(pairs)))))
+        if rng.random() < 0.8:
+            w = re.findall(r"\S+\s*", text)  # each word with the space after it
+            rng.choice(edits)(w, rng.randrange(len(w)))
+            text = "".join(w)
+        assert _outcome(from_edgelist, text) == _outcome(_read_lines, text), repr(text)
 
 
 def test_graph6_known_values():

@@ -30,6 +30,7 @@ from bicaut.trees import (
     dense,
     fix_info,
     is_vertex_fixed,
+    node_code,
     rooted_aut_expr,
     rooted_aut_generators,
     rooted_exprs,
@@ -56,6 +57,16 @@ def test_rooted_codes():
     assert RootedTree(P4, 0).code[0] != RootedTree(P4, 1).code[1]
     assert RootedTree(BIN2, 1).code[1] == RootedTree(BIN2, 2).code[2]
     assert RootedTree(BIN2, 0).code[0] != RootedTree(BIN2, 1).code[1]
+
+
+def test_codes_are_the_node_code_fold():
+    # RootedTree builds node_code's bytes inline: each vertex's code is
+    # node_code of its children's, so by induction the whole fold
+    path = make_graph(5000, [(i, i + 1) for i in range(4999)])
+    for g in [g for n in range(1, 11) for g in free_trees(n)] + [path]:
+        for t in (RootedTree(g, 0), center_rooted(g)[0]):
+            for u in t.order:
+                assert t.code[u] == node_code(t.code[w] for w in t.children[u])
 
 
 def test_rooted_tree_rejects_non_trees():
