@@ -11,17 +11,20 @@ connectivity and which graphs.skeleton lays out in the one slot layout of
 graphs.PATH_ENDS (Decomposition.layout), and the parents root every
 attached tree at once, as one RootedTree whose virtual root n has the core
 vertices for children.  Each slot's code and expression, the rooted
-generators and the lifts of core symmetries
-(trees.aligned_iso) all come from that one tree.  The slot expressions
-come from trees.rooted_exprs, one per distinct code and normalized
-already.  The generators and lifts are support-only maps of the vertices
-they move, and emit_generators returns them so, as permutations of
-range(n) that store only their moves (trees.SparsePerm).  Q is the group
-of core symmetries that keep every slot's tree code, held as permutations
-of the positions in the layout.  A bicyclic core filters its at most 12
-bare symmetries (graphs.skeleton_perms); a cycle's candidates are the
-symmetries of its slot-code necklace (graphs.necklace_perms), read off its
-period and reflection in O(k), so they already keep every code.
+generators and the lifts of core symmetries all come from that one tree,
+whose child lists RootedTree sorts by (code, label) once: a lift
+(trees.aligned_iso) zips two slots' child lists as they stand, and the
+rooted generators swap adjacent siblings of equal code.  The slot
+expressions come from trees.rooted_exprs, one per distinct code and
+normalized already.  The generators and lifts are support-only maps of
+the vertices they move, and emit_generators returns them so, as
+permutations of range(n) that store only their moves (trees.SparsePerm).
+Q is the group of core symmetries that keep every slot's tree code, held
+as permutations of the positions in the layout.  A bicyclic core filters
+its at most 12 bare symmetries (graphs.skeleton_perms); a cycle's
+candidates are the symmetries of its slot-code necklace
+(graphs.necklace_perms), read off its period and reflection in O(k), so
+they already keep every code.
 Q is cyclic or dihedral, so at most two of its elements generate it, and
 _core_generators reads them off Q itself: a cycle's rotation by its period
 and first reflection; for any other core the least element of largest

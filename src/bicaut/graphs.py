@@ -14,8 +14,9 @@ layout of all of them, the cycle included: skeleton lays a peeled core out
 in it, generate.skeleton_core builds a bare core from it, and
 skeleton_perms and the D4 fold in bicyclic permute its slots.
 
-Graphs are immutable: a sorted tuple of sorted edge pairs plus the vertex
-count.  Formats: a plain edge-list text form and graph6.
+Graphs are immutable: a strictly increasing tuple of sorted edge pairs
+plus the vertex count, which Graph checks.  Formats: a plain edge-list
+text form and graph6.
 """
 from __future__ import annotations
 
@@ -34,18 +35,23 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
-        seen = set()
+        # one pass: each pair in range and sorted, the tuple strictly
+        # increasing, so no edge repeats
+        n = self.n
+        prev = (-1, -1)
         for e in self.edges:
             u, v = e
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError("edge %r out of range for n=%d" % (e, self.n))
-            if u == v:
-                raise ValueError("loop at vertex %d" % u)
-            if u > v:
+            if not 0 <= u < v < n:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError("edge %r out of range for n=%d" % (e, n))
+                if u == v:
+                    raise ValueError("loop at vertex %d" % u)
                 raise ValueError("edge %r must be sorted" % (e,))
-            if e in seen:
-                raise ValueError("duplicate edge %r" % (e,))
-            seen.add(e)
+            if e <= prev:
+                if e == prev:
+                    raise ValueError("duplicate edge %r" % (e,))
+                raise ValueError("edge %r comes after %r" % (e, prev))
+            prev = e
 
 
 def make_graph(n: int, edges) -> Graph:

@@ -3,15 +3,17 @@
 A RootedTree is built from one parent list and gives every vertex a
 canonical shape code (node_code: the child count, then the child codes
 sorted and concatenated, so distinct shapes never share a prefix), which
-it builds inline, in one pass children first.  The
-automorphism group of a rooted tree is the iterated wreath product over
-classes of isomorphic child subtrees, so it depends on the rooted code
+it builds inline, in one pass children first.  It sorts each child list
+by code once, stably, so children stand in (code, label) order and each
+class of isomorphic siblings is one run of equal codes, which no walk
+groups again.  The automorphism group of a rooted tree is the iterated
+wreath product over those classes, so it depends on the rooted code
 alone: rooted_exprs builds one normalized expression per distinct code,
-from its children's with groups.wreath and groups.direct_product, and
-every vertex of that code shares it.  A free tree reduces to the rooted
-case by rooting at the center, straight from graphs.peel's parents, with
-two centers hung below a virtual root; the peel reads the edge list, so
-analyzing a tree builds no adjacency list.
+from its children's runs with groups.wreath and groups.direct_product,
+and every vertex of that code shares it.  A free tree reduces to the
+rooted case by rooting at the center, straight from graphs.peel's
+parents, with two centers hung below a virtual root; the peel reads the
+edge list, so analyzing a tree builds no adjacency list.
 
 The walks take a RootedTree, and the vertices to start from, and work in
 the tree's own labels: rooted_exprs runs children first along t.order,
@@ -50,9 +52,9 @@ class RootedTree:
     parent[v] is v's parent, -1 for the root; when it is not given, a walk
     of the tree g from root fills it.  A root of g.n is virtual: the tree
     then has g.n + 1 vertices and the root's children are those with parent
-    g.n.  order lists the vertices parents first (breadth first), so
-    iterating it reversed visits children first; children are in ascending
-    order.
+    g.n.  order lists the vertices parents first (breadth first, over
+    ascending labels), so iterating it reversed visits children first.
+    children[u] is in (code, label) order: isomorphic siblings are adjacent.
     """
 
     def __init__(self, g: Graph, root: int, parent: list[int] | None = None):
@@ -78,8 +80,9 @@ class RootedTree:
             if len(kids) == 1:
                 code[u] = b"\0\0\0\1" + code[kids[0]]
             elif kids:
+                kids.sort(key=code.__getitem__)  # stable: (code, label)
                 code[u] = len(kids).to_bytes(4, "big") + b"".join(
-                    sorted([code[w] for w in kids])
+                    map(code.__getitem__, kids)
                 )
 
 
@@ -101,19 +104,11 @@ def _walk_parents(g: Graph, root: int) -> list[int]:
     return parent
 
 
-def _classes(t: RootedTree, u: int) -> dict[bytes, list[int]]:
-    """The children of u grouped by code, in order of first appearance."""
-    out: dict[bytes, list[int]] = {}
-    for w in t.children[u]:
-        out.setdefault(t.code[w], []).append(w)
-    return out
-
-
 def rooted_exprs(t: RootedTree) -> list[GroupExpr]:
     """Normalized automorphism group of every vertex's subtree, rooted at
     that vertex, indexed by vertex.  One pass children first along t.order
     builds one expression per distinct code: a vertex whose code was seen
-    shares that shape's expression object.  Each class of k isomorphic
+    shares that shape's expression object.  Each run of k equal-code
     children gives its child's expression (k = 1) or groups.wreath of it
     with Sym(k); groups.direct_product joins the classes.  Both take
     normalized parts, and the children's expressions are, so the result
@@ -124,12 +119,13 @@ def rooted_exprs(t: RootedTree) -> list[GroupExpr]:
     for u in reversed(t.order):
         e = by_code.get(code[u])
         if e is None:
-            factors = []
-            for ws in _classes(t, u).values():
-                f = ex[ws[0]]
-                if len(ws) > 1:
-                    f = wreath(f, len(ws))
-                factors.append(f)
+            factors, k, kids = [], 0, t.children[u]
+            for i, w in enumerate(kids, 1):
+                k += 1
+                if i == len(kids) or code[kids[i]] != code[w]:  # w ends a run
+                    f = ex[w]
+                    factors.append(f if k == 1 else wreath(f, k))
+                    k = 0
             e = by_code[code[u]] = direct_product(factors)
         ex[u] = e
     return ex
@@ -227,18 +223,18 @@ def is_vertex_fixed(g: Graph, v: int) -> bool:
 
 def aligned_iso(t: RootedTree, a: int, b: int) -> dict[int, int]:
     """The isomorphism subtree(a) -> subtree(b) that matches children in
-    sorted (code, label) order.  Raises ValueError unless a and b have equal
-    codes."""
+    (code, label) order, the order t.children holds them in, so it zips
+    the two lists at every vertex.  Raises ValueError unless a and b have
+    equal codes."""
     if t.code[a] != t.code[b]:
         raise ValueError("rooted subtrees are not isomorphic")
+    children = t.children
     out: dict[int, int] = {}
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
         out[x] = y
-        kx = sorted(t.children[x], key=lambda w: (t.code[w], w))
-        ky = sorted(t.children[y], key=lambda w: (t.code[w], w))
-        stack.extend(zip(kx, ky))
+        stack.extend(zip(children[x], children[y]))
     return out
 
 
@@ -290,18 +286,22 @@ def dense(n: int, moves: Iterable[dict[int, int]]) -> list[SparsePerm]:
 def rooted_aut_generators(t: RootedTree, v: int) -> list[dict[int, int]]:
     """Generators of the automorphisms of subtree(v) that fix v: adjacent
     swaps of isomorphic sibling subtrees, descending into one representative
-    per class.  Each is a support-only map of the vertices it moves (never v
-    or t.root); dense wraps them as permutations."""
+    per class: the first of each run of equal codes in t.children.  Each is
+    a support-only map of the vertices it moves (never v or t.root); dense
+    wraps them as permutations."""
+    children, code = t.children, t.code
     gens: list[dict[int, int]] = []
     stack = [v]
     while stack:
-        u = stack.pop()
-        for members in _classes(t, u).values():
-            stack.append(members[0])
-            for a, b in zip(members, members[1:]):
+        a = None
+        for b in children[stack.pop()]:
+            if a is not None and code[a] == code[b]:
                 swap = aligned_iso(t, a, b)
                 swap.update({y: x for x, y in swap.items()})
                 gens.append(swap)
+            elif children[b]:  # b starts a run; a leaf has nothing to swap
+                stack.append(b)
+            a = b
     return gens
 
 

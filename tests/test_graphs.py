@@ -49,6 +49,8 @@ def test_graph_validation():
         Graph(2, ((0, 1), (0, 1)))
     with pytest.raises(ValueError):
         Graph(2, ((1, 0),))
+    with pytest.raises(ValueError, match="comes after"):
+        Graph(3, ((1, 2), (0, 1)))
     with pytest.raises(ValueError):
         make_graph(0, [])
     # make_graph normalizes orientation and drops duplicates

@@ -144,9 +144,12 @@ def test_rooted_exprs_match_the_per_vertex_build():
 
 
 def test_rooted_exprs_build_each_shape_once(monkeypatch):
+    # rooted_exprs joins one shape's classes with one direct_product call
     builds = []
-    real = trees._classes
-    monkeypatch.setattr(trees, "_classes", lambda t, u: builds.append(u) or real(t, u))
+    real = trees.direct_product
+    monkeypatch.setattr(
+        trees, "direct_product", lambda fs: builds.append(fs) or real(fs)
+    )
     star = make_graph(5001, [(0, i) for i in range(1, 5001)])
     rooted_exprs(RootedTree(star, 0))
     assert len(builds) == 2
@@ -272,6 +275,93 @@ def test_rooted_generators_are_sparse_swaps():
                 assert v not in m and t.root not in m
                 (p,) = dense(g.n, [m])
                 assert is_automorphism(g, p)
+
+
+def _ascending_children(t):
+    """Each vertex's children in ascending label order, read off the
+    parents, as the grouped walk saw them."""
+    kids = [[] for _ in t.parent]
+    for w, p in enumerate(t.parent):
+        if p >= 0:
+            kids[p].append(w)
+    return kids
+
+
+def _reference_classes(t, kids, u):
+    """The children of u grouped by code, in order of first appearance."""
+    out = {}
+    for w in kids[u]:
+        out.setdefault(t.code[w], []).append(w)
+    return out
+
+
+def _reference_aligned_iso(t, kids, a, b):
+    """aligned_iso with both children lists sorted by (code, label) at every
+    vertex it visits."""
+    out = {}
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        out[x] = y
+        kx = sorted(kids[x], key=lambda w: (t.code[w], w))
+        ky = sorted(kids[y], key=lambda w: (t.code[w], w))
+        stack.extend(zip(kx, ky))
+    return out
+
+
+def _reference_generators(t, kids, v):
+    """rooted_aut_generators from the grouped classes: adjacent swaps in
+    each class, descending into its first member."""
+    gens = []
+    stack = [v]
+    while stack:
+        for members in _reference_classes(t, kids, stack.pop()).values():
+            stack.append(members[0])
+            for a, b in zip(members, members[1:]):
+                swap = _reference_aligned_iso(t, kids, a, b)
+                swap.update({y: x for x, y in swap.items()})
+                gens.append(swap)
+    return gens
+
+
+def _assert_runs_match_the_grouped_walk(t, starts):
+    kids = _ascending_children(t)
+    order = [t.root]  # breadth first over ascending children
+    for u in order:
+        order.extend(kids[u])
+    assert t.order == order
+    for u in t.order:
+        assert t.children[u] == sorted(kids[u], key=lambda w: (t.code[w], w))
+        for members in _reference_classes(t, kids, u).values():
+            for i, a in enumerate(members):
+                for b in members[i + 1:]:
+                    want = _reference_aligned_iso(t, kids, a, b)
+                    assert aligned_iso(t, a, b) == want
+    for v in starts:
+        got = {tuple(sorted(m.items())) for m in rooted_aut_generators(t, v)}
+        want = {
+            tuple(sorted(m.items())) for m in _reference_generators(t, kids, v)
+        }
+        assert got == want, v
+
+
+def test_sibling_runs_match_the_grouped_walk():
+    # children are sorted by (code, label) once, in RootedTree, so sibling
+    # classes are runs; the old grouped walk and keyed sorts are the reference
+    for n in range(1, 11):
+        for g in free_trees(n):
+            for root in range(n):
+                _assert_runs_match_the_grouped_walk(RootedTree(g, root), [root])
+            t = center_rooted(g)[0]
+            _assert_runs_match_the_grouped_walk(t, [t.root])
+    for n in range(3, 9):
+        for g in all_unicyclic(n) + all_bicyclic(n):
+            dec = decompose(g)
+            _assert_runs_match_the_grouped_walk(dec.tree, dec.layout)
+    rng = random.Random(17)
+    for _ in range(50):
+        g = random_tree(rng, rng.randint(100, 3000))
+        _assert_runs_match_the_grouped_walk(RootedTree(g, 0), [0])
 
 
 def test_sparse_perm_reads_like_its_tuple():
