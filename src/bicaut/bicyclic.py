@@ -9,12 +9,14 @@ list (graphs.peel), with no adjacency list of the graph: the vertices left
 are the core, whose own adjacency (graphs.core_adjacency) decides
 connectivity and which graphs.skeleton lays out in the one slot layout of
 graphs.PATH_ENDS (Decomposition.layout), and the parents root every
-attached tree at once, as one RootedTree whose virtual root n has the core
-vertices for children.  Each slot's code and expression, the rooted
-generators and the lifts of core symmetries all come from that one tree,
-whose child lists RootedTree sorts by (code, label) once: a lift
-(trees.aligned_iso) zips two slots' child lists as they stand, and the
-rooted generators swap adjacent siblings of equal code.  The slot
+attached tree at once, as the one RootedTree that trees.forest_tree
+builds from any peel (a free tree's centres hang the same way): its
+virtual root n has the core vertices for children.  Each slot's code and
+expression, the rooted generators and the lifts of core symmetries all
+come from that one tree, whose child lists RootedTree sorts by (code,
+label) once: a lift (trees.aligned_iso) zips two slots' child lists as
+they stand, and the rooted generators swap adjacent siblings of equal
+code.  The slot
 expressions come from trees.rooted_exprs, one per distinct code and
 normalized already.  The generators and lifts are support-only maps of
 the vertices they move, and emit_generators returns them so, as
@@ -71,6 +73,7 @@ from .trees import (
     aligned_iso,
     center_rooted,
     dense,
+    forest_tree,
     rooted_aut_generators,
     rooted_exprs,
     tree_aut_expr,
@@ -138,8 +141,7 @@ def decompose(g: Graph) -> Decomposition:
             "graph has cyclomatic number %d, need 1 or 2" % c
         )
     kind, layout, lengths = skeleton(adj)
-    # the peel's parents with the core hung below the virtual root n
-    tree = RootedTree(g, g.n, [p if p >= 0 else g.n for p in parent] + [-1])
+    tree = forest_tree(g, parent)
     exprs = rooted_exprs(tree)
     slots = {v: _Slot(tree.code[v], exprs[v]) for v in adj}
     return Decomposition(g.n, kind, layout, lengths, slots, tree)
@@ -397,7 +399,7 @@ def analyze(g: Graph) -> Analysis:
     c = len(g.edges) - g.n + 1
     if c == 0:
         try:
-            t, _ = center_rooted(g)
+            t = center_rooted(g)
         except ValueError:  # n - 1 edges but a cycle left: disconnected
             raise UnsupportedFamilyError("graph is not connected") from None
         return Analysis("tree", None, (), "-", tree_aut_expr(g, t), None, (), t)

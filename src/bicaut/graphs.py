@@ -276,26 +276,6 @@ def skeleton(adj: dict[int, list[int]]) -> tuple[str, tuple[int, ...], tuple[int
     return kind, layout, tuple(len(p) + 1 for p in paths)
 
 
-def _first_match(pattern: list[int], text: list[int]) -> int | None:
-    """Start of the first occurrence of pattern in text, or None: the
-    Knuth-Morris-Pratt failure function of pattern, -1, text (entries of
-    both are non-negative)."""
-    s = pattern + [-1] + text
-    m = len(pattern)
-    f = [0] * len(s)
-    b = 0
-    for i in range(1, len(s)):
-        x = s[i]
-        while b and s[b] != x:
-            b = f[b - 1]
-        if s[b] == x:
-            b += 1
-            if b == m:
-                return i - 2 * m
-        f[i] = b
-    return None
-
-
 def necklace_perms(labels) -> list[Perm]:
     """Every symmetry of a cycle that keeps its labels (hashable, one per
     vertex in cyclic order), as permutations p of positions with
@@ -304,24 +284,26 @@ def necklace_perms(labels) -> list[Perm]:
     These are the rotations by multiples of the smallest period and, if the
     reversed labels are a rotation of the labels, as many reflections
     i -> j - i, one for each j in a single residue class mod the period.
-    Two string searches find the period and the first reflection, so the
-    cost is O(k) plus the output.  The order is that of the 2k symmetries
-    (rotation by j, then reflection through j, for j = 0 .. k-1) with those
-    moving a label left out; all of them slice one shared identity tuple.
+    Two str.find searches over the labels, interned one character each (so
+    at most 0x110000 distinct labels), find the period and the first
+    reflection, so the cost is O(k) plus the output.  The order is that of
+    the 2k symmetries (rotation by j, then reflection through j, for j = 0
+    .. k-1) with those moving a label left out; all of them slice one
+    shared identity tuple.
     """
     ids: dict = {}
-    s = [ids.setdefault(x, len(ids)) for x in labels]
+    s = "".join([chr(ids.setdefault(x, len(ids))) for x in labels])
     k = len(s)
-    period = 1 + _first_match(s, s[1:] + s)
+    period = 1 + (s[1:] + s).find(s)
     # the reversed labels at offset o of the doubled labels
-    # <=> labels[(o - 1 - i) % k] == labels[i] for every i
-    o = _first_match(s[::-1], s + s[:-1])
+    # <=> labels[(o - 1 - i) % k] == labels[i] for every i; -1 for none
+    o = (s + s[:-1]).find(s[::-1])
     base = tuple(range(k))
     back = base[::-1]
     out = []
     for j in range(0, k, period):
         out.append(base[j:] + base[:j])
-        if o is not None:
+        if o >= 0:
             m = k - 1 - (j + (o - 1) % period)
             out.append(back[m:] + back[:m])
     return out

@@ -187,7 +187,10 @@ def _factors(e: GroupExpr) -> tuple[GroupExpr, ...]:
 def direct_product(factors: list[GroupExpr]) -> GroupExpr:
     """Normalized direct product of normalized factors: trivial factors
     dropped, products flattened one level, the rest sorted by printed form.
-    Equal to normalize(Product(tuple(factors))) for a nonempty list."""
+    Equal to normalize(Product(tuple(factors))) for a nonempty list; a
+    lone factor comes back as it is."""
+    if len(factors) == 1:
+        return factors[0]
     flat: list[GroupExpr] = []
     for f in factors:
         if not isinstance(f, Trivial):

@@ -40,7 +40,7 @@ from .groups import (
     normalize,
     print_expr,
 )
-from .trees import is_vertex_fixed, tree_aut_expr
+from .trees import fixed_vertices, tree_aut_expr
 
 
 class RealizeError(ValueError):
@@ -128,7 +128,7 @@ def realize_tree(e: GroupExpr) -> tuple[Graph, int]:
         raise RealizeError("not a tree-class expression: %s" % print_expr(e))
     sh = _shape(e)
     g = shape_to_graph(sh)
-    if not is_vertex_fixed(g, 0):
+    if 0 not in fixed_vertices(g):
         g = shape_to_graph(sh + (_chain(_depth(sh) + 2),))
     return g, 0
 

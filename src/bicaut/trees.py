@@ -10,18 +10,23 @@ groups again.  The automorphism group of a rooted tree is the iterated
 wreath product over those classes, so it depends on the rooted code
 alone: rooted_exprs builds one normalized expression per distinct code,
 from its children's runs with groups.wreath and groups.direct_product,
-and every vertex of that code shares it.  A free tree reduces to the
-rooted case by rooting at the center, straight from graphs.peel's
-parents, with two centers hung below a virtual root; the peel reads the
-edge list, so analyzing a tree builds no adjacency list.
+and every vertex of that code shares it.
+
+Every tree with a virtual root is built one way, by forest_tree, from
+graphs.peel's parents: whatever the peel leaves hangs below the virtual
+root g.n.  A free tree's peel leaves its one or two centres, so
+center_rooted roots it there, as Jordan did, and its group is the
+rooted group of that tree; a unicyclic or bicyclic graph's peel leaves
+its core, and bicyclic hangs every pendant tree from it the same way.
+The peel reads the edge list, so analyzing a tree builds no adjacency
+list.  The vertices every automorphism fixes are read off the same
+runs: fixed_vertices keeps, walking down from the root, each vertex
+alone in its run.
 
 The walks take a RootedTree, and the vertices to start from, and work in
 the tree's own labels: rooted_exprs runs children first along t.order,
 rooted_aut_generators and aligned_iso keep an explicit stack, so a deep
-tree needs no recursion.  One tree can carry many rooted trees below a
-virtual root: bicyclic hangs every pendant tree of a graph from its core
-that way, from the same peel, and reads each slot's code, expression,
-generators and lifts off that tree.
+tree needs no recursion.
 
 Generators stay support-only throughout: aligned_iso and
 rooted_aut_generators return dicts of just the vertices they move, so their
@@ -33,7 +38,6 @@ bicyclic.emit_generators each call it once, at the graph's n.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from .graphs import Graph, adjacency, make_graph, peel
 from .groups import GroupExpr, Trivial, direct_product, wreath
@@ -158,67 +162,48 @@ def centers(g: Graph) -> list[int]:
     return _peel_tree(g)[1]
 
 
-def center_rooted(g: Graph) -> tuple[RootedTree, bool]:
-    """Root a free tree at its center, straight from the peel's parents.
+def forest_tree(g: Graph, parent: list[int]) -> RootedTree:
+    """The peel's forest (graphs.peel's parents) as one RootedTree: every
+    vertex the peel left hangs below the virtual root g.n."""
+    return RootedTree(g, g.n, [p if p >= 0 else g.n for p in parent] + [-1])
 
-    Two centers both hang below a virtual vertex (index g.n), which every
-    automorphism then fixes; the flag reports whether that happened.
-    Automorphisms of the original tree correspond exactly to rooted
-    automorphisms of the result.
-    """
-    parent, cs = _peel_tree(g)
-    if len(cs) == 1:
-        return RootedTree(g, cs[0], parent), False
-    for c in cs:
-        parent[c] = g.n
-    return RootedTree(g, g.n, parent + [-1]), True
+
+def center_rooted(g: Graph) -> RootedTree:
+    """Root a free tree at its one or two centres, which hang below the
+    virtual root g.n (forest_tree).  Every automorphism fixes the virtual
+    root, so the automorphisms of the tree are exactly the rooted
+    automorphisms of the result."""
+    return forest_tree(g, _peel_tree(g)[0])
 
 
 def tree_code(g: Graph) -> bytes:
-    """Canonical shape code of a free tree (equal iff isomorphic)."""
-    t, virtual = center_rooted(g)
-    # flag byte: an edge-centered n-tree gains a virtual root, so without it
-    # the code could equal that of a vertex-centered tree on n + 1 vertices
-    return (b"\x01" if virtual else b"\x00") + t.code[t.root]
+    """Canonical shape code of a free tree (equal iff isomorphic): the
+    virtual root's code, whose child count (one centre or two) separates
+    vertex-centred from edge-centred trees."""
+    t = center_rooted(g)
+    return t.code[t.root]
 
 
 def tree_aut_expr(g: Graph, t: RootedTree | None = None) -> GroupExpr:
     """Automorphism group of a free tree as a normalized expression; t is
     the tree's center_rooted tree, rooted afresh when not given."""
     if t is None:
-        t, _ = center_rooted(g)
+        t = center_rooted(g)
     return rooted_exprs(t)[t.root]
 
 
-def rooted_orbit_labels(t: RootedTree) -> dict[int, int]:
-    """Orbit of each vertex under rooted automorphisms: two vertices are
-    equivalent iff their parents are and their subtree codes match."""
-    labels: dict[int, int] = {t.root: 0}
-    table: dict[tuple[int, bytes], int] = {}
-    for u in t.order[1:]:
-        key = (labels[t.parent[u]], t.code[u])
-        if key not in table:
-            table[key] = len(table) + 1
-        labels[u] = table[key]
-    return labels
-
-
-def tree_vertex_orbits(g: Graph) -> list[list[int]]:
-    """Orbits of the free tree's automorphism group on vertices."""
-    t, virtual = center_rooted(g)
-    labels = rooted_orbit_labels(t)
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(labels[v], []).append(v)
-    return sorted(groups.values())
-
-
-def is_vertex_fixed(g: Graph, v: int) -> bool:
-    """True when every automorphism of the free tree fixes v."""
-    for orbit in tree_vertex_orbits(g):
-        if v in orbit:
-            return len(orbit) == 1
-    raise ValueError("vertex %d out of range" % v)
+def fixed_vertices(g: Graph) -> list[int]:
+    """The vertices of a free tree that every automorphism fixes, in
+    ascending order.  Walking down from the virtual root, a vertex is fixed
+    iff its parent is and it is alone in its run of equal codes in its
+    parent's child list: no sibling can take its place."""
+    t = center_rooted(g)
+    fixed = [t.root]
+    for u in fixed:  # grows while read: a walk down the fixed vertices
+        kids = t.children[u]
+        cs = [None, *map(t.code.__getitem__, kids), None]
+        fixed += [w for i, w in enumerate(kids, 1) if cs[i - 1] != cs[i] != cs[i + 1]]
+    return sorted(fixed[1:])
 
 
 def aligned_iso(t: RootedTree, a: int, b: int) -> dict[int, int]:
@@ -310,27 +295,8 @@ def tree_aut_generators(g: Graph, t: RootedTree | None = None) -> list[SparsePer
     tree_aut_expr.  A virtual root (index g.n) is never moved, so the maps
     are permutations of range(g.n)."""
     if t is None:
-        t, _ = center_rooted(g)
+        t = center_rooted(g)
     return dense(g.n, rooted_aut_generators(t, t.root))
-
-
-@dataclass(frozen=True)
-class FixInfo:
-    """Vertices fixed by every automorphism of a tree.
-
-    fixed is empty exactly when the tree has two centers swapped by some
-    automorphism; empty_reason then says so.
-    """
-
-    fixed: tuple[int, ...]
-    empty_reason: str | None = None
-
-
-def fix_info(g: Graph) -> FixInfo:
-    fixed = tuple(o[0] for o in tree_vertex_orbits(g) if len(o) == 1)
-    if fixed:
-        return FixInfo(fixed)
-    return FixInfo((), "edge-center-symmetric")
 
 
 def bar_construction(g: Graph) -> tuple[Graph, int, int]:

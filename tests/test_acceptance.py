@@ -43,7 +43,7 @@ from bicaut.oracle import (
 from bicaut.realize import realize
 from bicaut.trees import (
     bar_construction,
-    fix_info,
+    fixed_vertices,
     rooted_aut_expr,
     tree_aut_expr,
 )
@@ -242,7 +242,7 @@ def test_criterion_7_bar_construction_preserves_order():
     bad = checked = 0
     for n in range(2, 11):
         for g in free_trees(n):
-            if fix_info(g).fixed:
+            if fixed_vertices(g):
                 continue
             # no fixed vertex means swapped centres and so odd diameter:
             # below 3 that is only the single edge

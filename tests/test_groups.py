@@ -85,6 +85,8 @@ def test_direct_product_of_normalized_factors():
     for size in [1] * 100 + [rng.randint(2, 6) for _ in range(400)]:
         fs = [normalize(_random_expr(rng, 3)) for _ in range(size)]
         assert direct_product(fs) == normalize(Product(tuple(fs))), fs
+        if size == 1:  # a lone normalized factor comes back as it is
+            assert direct_product(fs) is fs[0], fs
 
 
 def test_normalize_wreath_rewrites():

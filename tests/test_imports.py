@@ -16,7 +16,6 @@ FILES = SRC + sorted((ROOT / "tests").glob("*.py"))
 TEST_ONLY = {
     "are_isomorphic": "oracle reference for the enumeration counts",
     "bar_construction": "criterion 7",
-    "fix_info": "criterion 7",
     "reconstruct": "decomposition round-trip check",
     "shape_size": "enumeration check",
 }
@@ -162,3 +161,17 @@ def test_engine_builds_normal_forms():
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
         assert "normalize" not in names, name
+
+
+def test_bicyclic_roots_trees_through_forest_tree():
+    # every tree below a virtual root is built by trees.forest_tree, so
+    # bicyclic constructs no RootedTree of its own
+    tree = ast.parse((SRC_DIR / "bicyclic.py").read_text(encoding="utf-8"))
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+    assert "forest_tree" in called
+    assert "RootedTree" not in called

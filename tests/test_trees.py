@@ -28,8 +28,7 @@ from bicaut.trees import (
     center_rooted,
     centers,
     dense,
-    fix_info,
-    is_vertex_fixed,
+    fixed_vertices,
     node_code,
     rooted_aut_expr,
     rooted_aut_generators,
@@ -37,7 +36,6 @@ from bicaut.trees import (
     tree_aut_expr,
     tree_aut_generators,
     tree_code,
-    tree_vertex_orbits,
 )
 
 P2 = make_graph(2, [(0, 1)])
@@ -64,7 +62,7 @@ def test_codes_are_the_node_code_fold():
     # node_code of its children's, so by induction the whole fold
     path = make_graph(5000, [(i, i + 1) for i in range(4999)])
     for g in [g for n in range(1, 11) for g in free_trees(n)] + [path]:
-        for t in (RootedTree(g, 0), center_rooted(g)[0]):
+        for t in (RootedTree(g, 0), center_rooted(g)):
             for u in t.order:
                 assert t.code[u] == node_code(t.code[w] for w in t.children[u])
 
@@ -123,7 +121,7 @@ def _decorated_theta(rng, n):
 def test_rooted_exprs_match_the_per_vertex_build():
     for n in range(1, 11):
         for g in free_trees(n):
-            _assert_matches_reference(center_rooted(g)[0])
+            _assert_matches_reference(center_rooted(g))
             for v in range(n):
                 _assert_matches_reference(RootedTree(g, v))
     for n in range(3, 10):
@@ -213,10 +211,11 @@ def test_centers():
     k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     with pytest.raises(ValueError):
         centers(make_graph(8, k4 + [(4, 5)]))
-    t, virtual = center_rooted(P5)
-    assert not virtual and t.root == 2
-    t, virtual = center_rooted(P4)
-    assert virtual and t.root == 4 and len(t.order) == 5
+    # one or two centres, always below the virtual root g.n
+    t = center_rooted(P5)
+    assert t.root == 5 and t.children[5] == [2] and len(t.order) == 6
+    t = center_rooted(P4)
+    assert t.root == 4 and t.children[4] == [1, 2] and len(t.order) == 5
 
 
 def test_tree_code_is_isomorphism_invariant():
@@ -236,12 +235,13 @@ def test_tree_code_separates_sizes():
 
 
 def test_orbits_and_fixed_vertices():
-    assert tree_vertex_orbits(P4) == vertex_orbits(P4)
-    assert tree_vertex_orbits(STAR4) == vertex_orbits(STAR4)
-    assert tree_vertex_orbits(BIN2) == vertex_orbits(BIN2)
-    assert is_vertex_fixed(P5, 2)
-    assert not is_vertex_fixed(P5, 0)
-    assert is_vertex_fixed(STAR4, 0)
+    # the fixed vertices are the oracle's singleton orbits
+    rng = random.Random(21)
+    gs = [g for n in range(1, 11) for g in free_trees(n)]
+    gs += [random_tree(rng, rng.randint(1, 60)) for _ in range(50)]
+    for g in gs:
+        want = [o[0] for o in vertex_orbits(g) if len(o) == 1]
+        assert fixed_vertices(g) == sorted(want), g.edges
 
 
 def test_aligned_iso():
@@ -352,7 +352,7 @@ def test_sibling_runs_match_the_grouped_walk():
         for g in free_trees(n):
             for root in range(n):
                 _assert_runs_match_the_grouped_walk(RootedTree(g, root), [root])
-            t = center_rooted(g)[0]
+            t = center_rooted(g)
             _assert_runs_match_the_grouped_walk(t, [t.root])
     for n in range(3, 9):
         for g in all_unicyclic(n) + all_bicyclic(n):
@@ -402,20 +402,18 @@ def test_tree_generators():
         assert len(close_generators(g.n, gens, 1000)) == want
 
 
-def test_fix_info():
-    assert fix_info(P5).fixed == (2,)
-    assert fix_info(STAR4).fixed == (0,)
-    info = fix_info(P4)
-    assert info.fixed == ()
-    assert info.empty_reason == "edge-center-symmetric"
-    assert fix_info(BIN2).fixed == (0,)
+def test_fixed_vertices():
+    assert fixed_vertices(P5) == [2]
+    assert fixed_vertices(STAR4) == [0]
+    assert fixed_vertices(P4) == []  # two centres that swap
+    assert fixed_vertices(BIN2) == [0]
 
 
 def test_bar_construction():
     g2, u, v = bar_construction(P4)
     assert g2.n == 6
     assert automorphism_count(g2) == automorphism_count(P4)
-    assert is_vertex_fixed(g2, u) and is_vertex_fixed(g2, v)
+    assert u in fixed_vertices(g2) and v in fixed_vertices(g2)
     with pytest.raises(ValueError):
         bar_construction(P5)  # single center, already fixed
     with pytest.raises(ValueError):
