@@ -5,9 +5,10 @@ core that preserves attached-tree shapes plus independent automorphisms of
 the attached trees fixing their roots.  The whole group is the product of
 the rooted-tree stabilizers extended by the group Q of shape-preserving core
 symmetries.  decompose reads everything off one leaf peel of the edge
-list (graphs.peel), with no adjacency list of the graph: the vertices left
-are the core, whose own adjacency (graphs.core_adjacency) decides
-connectivity and which graphs.skeleton lays out in the one slot layout of
+list (graphs.peel_core), with no adjacency list of the graph or of its
+core: the vertices left are the core, and the degrees and neighbour sums
+the peel leaves on them let graphs.skeleton walk it, which decides
+connectivity and lays the core out in the one slot layout of
 graphs.PATH_ENDS (Decomposition.layout), and the parents root every
 attached tree at once, as the one RootedTree that trees.forest_tree
 builds from any peel (a free tree's centres hang the same way): its
@@ -18,9 +19,11 @@ label) once: a lift (trees.aligned_iso) zips two slots' child lists as
 they stand, and the rooted generators swap adjacent siblings of equal
 code.  The slot
 expressions come from trees.rooted_exprs, one per distinct code and
-normalized already.  The generators and lifts are support-only maps of
-the vertices they move, and emit_generators returns them so, as
-permutations of range(n) that store only their moves (trees.SparsePerm).
+normalized already, and the decomposition keeps the slots' codes and
+expressions as two lists in layout order.  The generators and lifts are
+support-only maps of the vertices they move, and emit_generators returns
+them so, as permutations of range(n) that store only their moves
+(trees.SparsePerm).
 Q is the group of core symmetries that keep every slot's tree code, held
 as permutations of the positions in the layout.  A bicyclic core filters
 its at most 12 bare symmetries (graphs.skeleton_perms); a cycle's
@@ -51,11 +54,10 @@ from .generate import skeleton_core
 from .graphs import (
     Graph,
     Perm,
-    core_adjacency,
-    is_connected,
+    UnsupportedFamilyError,
     make_graph,
     necklace_perms,
-    peel,
+    peel_core,
     skeleton,
     skeleton_perms,
 )
@@ -81,11 +83,6 @@ from .trees import (
 )
 
 
-class UnsupportedFamilyError(ValueError):
-    """Raised for graphs that are disconnected or have three or more
-    independent cycles."""
-
-
 @dataclass(frozen=True)
 class _Slot:
     """A core vertex's attached tree: its rooted code and its normalized
@@ -101,50 +98,48 @@ class Decomposition:
 
     layout lists the core vertices in the slot layout of graphs.PATH_ENDS
     (graphs.skeleton): the anchors, then each path's interior.  Core
-    symmetries permute positions in it.  tree holds every attached tree in
-    the graph's labels, rooted at the virtual vertex n whose children are
-    the core vertices."""
+    symmetries permute positions in it, and codes and exprs hold each
+    slot's tree code and normalized rooted group in the same order.  tree
+    holds every attached tree in the graph's labels, rooted at the virtual
+    vertex n whose children are the core vertices."""
 
     n: int
     kind: str
     layout: tuple[int, ...]
     lengths: tuple[int, ...]
-    slots: dict[int, _Slot]
+    codes: list[bytes]
+    exprs: list[GroupExpr]
     tree: RootedTree
 
     def is_bare(self) -> bool:
         return self.n == len(self.layout)
 
-    def exprs(self) -> list[GroupExpr]:
-        """The slot expressions in layout order."""
-        return [self.slots[v].expr for v in self.layout]
+    @property
+    def slots(self) -> dict[int, _Slot]:
+        """Each core vertex's code and expression, by vertex, built when
+        asked for."""
+        return {v: _Slot(c, e) for v, c, e in zip(self.layout, self.codes, self.exprs)}
 
 
 def decompose(g: Graph) -> Decomposition:
     """Split a unicyclic or bicyclic graph into its core and attached trees,
-    all from one leaf peel of the edge list (graphs.peel).
+    all from one leaf peel of the edge list (graphs.peel_core).
 
-    The graph is connected iff its core is (graphs.peel), so one walk over
-    the core's own adjacency checks it, before the cyclomatic number: a
-    disconnected graph is reported as such whatever its cycles.  A graph
-    with fewer than n - 1 edges cannot be connected, so it is rejected
-    before anything of size n is built."""
-    c = len(g.edges) - g.n + 1
-    if c < 0:
+    The graph is connected iff its core is, so graphs.skeleton's walk over
+    the core checks it, before the cyclomatic number: a disconnected graph
+    is reported as such whatever its cycles.  A graph with fewer than
+    n - 1 edges cannot be connected, so it is rejected before anything of
+    size n is built."""
+    if len(g.edges) < g.n - 1:
         raise UnsupportedFamilyError("graph is not connected")
-    parent = peel(g)
-    adj = core_adjacency(g, parent)
-    if not is_connected(adj, next(iter(adj))):
-        raise UnsupportedFamilyError("graph is not connected")
-    if c not in (1, 2):
-        raise UnsupportedFamilyError(
-            "graph has cyclomatic number %d, need 1 or 2" % c
-        )
-    kind, layout, lengths = skeleton(adj)
+    parent, deg, nbr = peel_core(g)
+    kind, layout, lengths = skeleton(g, parent, deg, nbr)
+    del deg, nbr  # n entries each: let them go before the tree is built
     tree = forest_tree(g, parent)
     exprs = rooted_exprs(tree)
-    slots = {v: _Slot(tree.code[v], exprs[v]) for v in adj}
-    return Decomposition(g.n, kind, layout, lengths, slots, tree)
+    codes = list(map(tree.code.__getitem__, layout))
+    slot_exprs = list(map(exprs.__getitem__, layout))
+    return Decomposition(g.n, kind, layout, lengths, codes, slot_exprs, tree)
 
 
 def reconstruct(dec: Decomposition) -> Graph:
@@ -165,7 +160,7 @@ def candidate_symmetries(dec: Decomposition) -> list[Perm]:
     bicyclic core (at most 12), and for a cycle only the symmetries of its
     slot-code necklace, which already keep every slot's code."""
     if dec.kind == "cycle":
-        return necklace_perms([dec.slots[v].code for v in dec.layout])
+        return necklace_perms(dec.codes)
     return skeleton_perms(dec.kind, dec.lengths)
 
 
@@ -176,7 +171,7 @@ def core_symmetries(dec: Decomposition) -> list[Perm]:
     cands = candidate_symmetries(dec)
     if dec.kind == "cycle":
         return cands
-    codes = [dec.slots[v].code for v in dec.layout]
+    codes = dec.codes
     return [q for q in cands if all(codes[j] == c for j, c in zip(q, codes))]
 
 
@@ -202,7 +197,7 @@ def _klein_assemble(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     the branch swap on a theta, the two flips or the central reversal on
     two cycles, the two reflections on a cycle.  Which of them fixes a pair
     puts it in the h or the k coordinates of the semidirect form."""
-    exprs = dec.exprs()
+    exprs = dec.exprs
     nonid = sorted(Q)[1:]  # the identity sorts first
     orbits = sorted({tuple(sorted({q[i] for q in Q})) for i in range(len(exprs))})
     fixed: list[GroupExpr] = []
@@ -233,7 +228,7 @@ def _d4_assemble(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     forward: cycle A, and for a dumbbell anchor a and the bridge half next
     to it.  Its flip is the one element other than the identity that moves
     nothing else."""
-    exprs = dec.exprs()
+    exprs = dec.exprs
     ident = tuple(range(len(exprs)))
     forward = [j > i for i, j in enumerate(max(Q))]
     flip = next(
@@ -294,14 +289,14 @@ def _top_name(dec: Decomposition, Q: list[Perm]) -> str:
 def _honest_semi(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     """Order-preserving fallback: the slot product with a named top of the
     right size."""
-    return semi_top(direct_product(dec.exprs()), _top_name(dec, Q))
+    return semi_top(direct_product(dec.exprs), _top_name(dec, Q))
 
 
 def _theta_s3_fold(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     """Three pointwise-isomorphic branches permuted without the end swap:
     the branches wreathe with Sym(3), the two branch vertices (positions 0
     and 1) stay fixed.  The first branch's interior follows them."""
-    exprs = dec.exprs()
+    exprs = dec.exprs
     block = direct_product(exprs[2 : 1 + dec.lengths[0]])
     return direct_product([exprs[0], exprs[1], wreath(block, 3)])
 
@@ -311,7 +306,7 @@ def _theta_full_fold(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     vertices and the S3 part only on the branch midpoints whenever every
     off-center branch slot is trivial; then the two wreaths split off
     exactly.  Otherwise fall back to the explicit semidirect form."""
-    exprs = dec.exprs()
+    exprs = dec.exprs
     branch = exprs[2 : 1 + dec.lengths[0]]  # the first branch's interior
     half = len(branch) // 2
     if not all(isinstance(e, Trivial) for e in branch[:half]):
@@ -330,8 +325,7 @@ def _case_label(dec: Decomposition, Q: list[Perm]) -> str:
         if k == 8:
             if dec.is_bare():
                 return "M1"
-            codes = {dec.slots[v].code for v in dec.layout[1:]}
-            return "M2" if len(codes) == 1 else "M3"
+            return "M2" if len(set(dec.codes[1:])) == 1 else "M3"
         if k == 4:
             return "M6" if dec.is_bare() else "M7"
         if k == 2:
@@ -353,9 +347,9 @@ def _case_label(dec: Decomposition, Q: list[Perm]) -> str:
 def _assemble(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     k = len(Q)
     if k == 1:
-        return direct_product(dec.exprs())
+        return direct_product(dec.exprs)
     if k == 2:  # the identity sorts first, so max(Q) is the involution
-        return _z2_fold(dec.exprs(), range(len(dec.layout)), max(Q))
+        return _z2_fold(dec.exprs, range(len(dec.layout)), max(Q))
     if k == 4 and len(_core_generators(dec, Q)) == 2:
         return _klein_assemble(dec, Q)
     if dec.kind in ("shared", "dumbbell") and k == 8:
@@ -365,7 +359,7 @@ def _assemble(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     if dec.kind == "theta" and k == 12:
         return _theta_full_fold(dec, Q)
     if dec.kind == "cycle" and k == 2 * len(dec.layout):
-        rep = dec.slots[dec.layout[0]].expr
+        rep = dec.exprs[0]
         if len(dec.layout) == 3:
             return wreath(rep, 3)
         if len(dec.layout) == 4:

@@ -1,13 +1,16 @@
 """Undirected simple graphs on vertices 0..n-1, plus the structural
 decomposition used everywhere else.
 
-One leaf peel (peel), run on the edge list with no adjacency list, finds
-both what a graph's group is read off: the 2-core of a unicyclic or
+One leaf peel (peel_core), run on the edge list with no adjacency list,
+finds both what a graph's group is read off: the 2-core of a unicyclic or
 bicyclic graph, or the centres of a tree, with the parent of every deleted
-vertex, which roots the trees hanging off them.  What it leaves also
-decides connectivity (peel states why), so the core's own adjacency
-(core_adjacency) is the only one analysis builds: a walk over it checks
-connectivity and skeleton lays the core out from it.
+vertex, which roots the trees hanging off them.  The degree and the
+neighbour-label sum it leaves on every vertex left describe the core too: a
+core vertex of degree 2 is left by its sum minus the vertex it was entered
+from.  So skeleton walks the core with explicit rows for its branch
+vertices alone, gathered in one scan of the edge list, and the same walk
+decides connectivity (peel_core states why).  Analysis builds no adjacency
+list at all.
 
 Every core is a few anchors joined by paths, and PATH_ENDS is the one slot
 layout of all of them, the cycle included: skeleton lays a peeled core out
@@ -15,16 +18,22 @@ in it, generate.skeleton_core builds a bare core from it, and
 skeleton_perms and the D4 fold in bicyclic permute its slots.
 
 Graphs are immutable: a strictly increasing tuple of sorted edge pairs
-plus the vertex count, which Graph checks.  Formats: a plain edge-list
-text form and graph6.
+plus the vertex count, which Graph checks.  make_graph keeps an edge list
+that is in that form already.  Formats: a plain edge-list text form and
+graph6.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 # a permutation of range(len(p)), i -> p[i]
 Perm = tuple[int, ...]
+
+
+class UnsupportedFamilyError(ValueError):
+    """Raised for graphs that are disconnected or have three or more
+    independent cycles."""
 
 
 @dataclass(frozen=True)
@@ -55,9 +64,26 @@ class Graph:
 
 
 def make_graph(n: int, edges) -> Graph:
-    """Build a Graph from any iterable of pairs, sorting as needed."""
-    # duplicates dropped in first-seen order, so edges that come sorted
-    # (from to_edgelist text, say) sort in linear time
+    """Build a Graph from any iterable of pairs.  A list or tuple of
+    ordered pairs, themselves tuples, in strictly increasing order (the
+    order Graph holds and to_edgelist writes) becomes the graph's edges as
+    it stands, the pairs shared with the caller.  Any other input is
+    normalized: each pair ordered, repeats dropped, the pairs sorted."""
+    if isinstance(edges, (list, tuple)):
+        # a plain loop: all(map(operator.lt, ...)) and the like were
+        # slower, and it stops at the first pair out of order
+        prev = ()
+        for e in edges:
+            if type(e) is not tuple:
+                break
+            u, v = e
+            if not u < v or e <= prev:
+                break
+            prev = e
+        else:
+            return Graph(n, tuple(edges))
+    # duplicates dropped in first-seen order, so edges that come nearly
+    # sorted sort in linear time
     norm = sorted(dict.fromkeys((u, v) if u < v else (v, u) for u, v in edges))
     return Graph(n, tuple(norm))
 
@@ -72,12 +98,12 @@ def adjacency(g: Graph) -> list[list[int]]:
     return adj
 
 
-def is_connected(adj, start: int = 0) -> bool:
-    """Whether every vertex of adj is reachable from start.  adj maps each
-    vertex to its neighbours: a list of rows for vertices 0..n-1
-    (adjacency), or a dict of rows (core_adjacency) with start a key."""
-    seen = {start}
-    stack = [start]
+def is_connected(adj: list[list[int]]) -> bool:
+    """Whether every vertex of an adjacency list (adjacency) is reachable
+    from vertex 0.  Analysis reads connectivity off the peel instead
+    (skeleton); this walk is the plain check for any graph."""
+    seen = {0}
+    stack = [0]
     while stack:
         for w in adj[stack.pop()]:
             if w not in seen:
@@ -98,15 +124,16 @@ def induced_subgraph(g: Graph, vertices: list[int]) -> tuple[Graph, dict[int, in
 # --- core decomposition ---------------------------------------------------
 
 
-def peel(g: Graph) -> list[int]:
+def peel_core(g: Graph) -> tuple[list[int], list[int], list[int]]:
     """Delete leaves in rounds while more than two vertices are left; the
-    parent of every vertex: the neighbour a deleted vertex hung from, -1 for
-    a vertex left.
+    parent of every vertex (the neighbour a deleted vertex hung from, -1 for
+    a vertex left), and for each vertex left its degree among the vertices
+    left and the sum of their labels.
 
     One pass over the edges gives each vertex its degree and the sum of its
     neighbours' labels.  A leaf's one neighbour not deleted yet is then that
     sum, and deleting it takes it off its parent's sum and degree, so no
-    adjacency list is built.
+    adjacency list is built.  A deleted vertex keeps degree 1.
 
     On a connected graph with a cycle the rounds run out of leaves first (a
     cycle has three vertices or more), leaving the 2-core; on a tree they
@@ -116,11 +143,12 @@ def peel(g: Graph) -> list[int]:
 
     Connectivity can be read off what is left.  A graph with a cycle keeps
     that cycle, so the rounds never stop early, and each component keeps at
-    least one vertex: its 2-core, or one vertex of a tree component.
-    Deleting a leaf keeps its component connected, so the graph is connected
-    iff the vertices left induce a connected graph (core_adjacency).  A
-    graph with n - 1 edges is connected iff it is left with at most two
-    vertices: disconnected, it would have a cycle, which is never deleted.
+    least one vertex: its 2-core, or one vertex of a tree component, left
+    with degree 0.  Deleting a leaf keeps its component connected, so the
+    graph is connected iff the vertices left induce a connected graph
+    (skeleton walks it).  A graph with n - 1 edges is connected iff it is
+    left with at most two vertices: disconnected, it would have a cycle,
+    which is never deleted.
     """
     n = g.n
     deg = [0] * n
@@ -148,20 +176,13 @@ def peel(g: Graph) -> list[int]:
             if deg[w] == 1:
                 nxt.append(w)
         layer = nxt
-    return parent
+    return parent, deg, nbr
 
 
-def core_adjacency(g: Graph, parent: list[int]) -> dict[int, list[int]]:
-    """The adjacency of the vertices peel leaves (parent -1) among
-    themselves: their rows, ascending by vertex, each row ascending."""
-    adj: dict[int, list[int]] = {v: [] for v, p in enumerate(parent) if p < 0}
-    for u, v in g.edges:
-        if u in adj and v in adj:
-            adj[u].append(v)
-            adj[v].append(u)
-    for row in adj.values():
-        row.sort()
-    return adj
+def peel(g: Graph) -> list[int]:
+    """peel_core's parents alone: the neighbour each deleted vertex hung
+    from, -1 for a vertex left."""
+    return peel_core(g)[0]
 
 
 def core_vertices(g: Graph) -> list[int]:
@@ -220,16 +241,28 @@ PATH_ENDS: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
 }
 
 
-def skeleton(adj: dict[int, list[int]]) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
+def skeleton(
+    g: Graph, parent: list[int], deg: list[int], nbr: list[int]
+) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
     """Lay out the core of a connected graph with one or two independent
-    cycles in the PATH_ENDS slot order, given the core's own adjacency
-    (core_adjacency: ascending vertices and rows); returns (kind, layout,
-    lengths), lengths being the paths' edge counts.
+    cycles in the PATH_ENDS slot order, from what peel_core left: parent,
+    and the degree and neighbour-label sum of each vertex left; returns
+    (kind, layout, lengths), lengths being the paths' edge counts.
+
+    The anchors are the vertices left whose degree there is not 2 (on a
+    core, its branch vertices), or else the smallest vertex left (a
+    cycle's).  One scan of the edge list gathers the anchors' rows, their
+    neighbours left in ascending order.  A walk takes each row to the
+    anchor at the path's other end, going on from every vertex of degree 2
+    to its sum minus the vertex it came from, and then goes on from each
+    anchor it reaches, starting at the first.  The graph is connected iff
+    the walk reaches every vertex left (peel_core), so it raises
+    UnsupportedFamilyError for a disconnected graph, then for one whose
+    cyclomatic number is not 1 or 2.
 
     kind is 'cycle'; 'theta' (two branch vertices joined by three internally
     disjoint paths); 'shared' (two cycles meeting in exactly one vertex); or
-    'dumbbell' (two disjoint cycles joined by a path).  The anchors are the
-    core's branch vertices, or a cycle's smallest vertex.  A path is walked
+    'dumbbell' (two disjoint cycles joined by a path).  A path is walked
     from its first end, and a cycle leaves its anchor towards the smaller of
     its two neighbours there.  The paths are, in order:
     - cycle: the cycle through its anchor;
@@ -238,22 +271,38 @@ def skeleton(adj: dict[int, list[int]]) -> tuple[str, tuple[int, ...], tuple[int
     - dumbbell: anchors (a, b), a's cycle the smaller by (length, labels);
       a's cycle, b's cycle, then the bridge from a.
     """
-    branch = [v for v, row in adj.items() if len(row) > 2]
-    anchors = branch or [next(iter(adj))]
-    stops = set(anchors)
+    branch = [v for v, d in enumerate(deg) if d != 2 and parent[v] < 0]
+    anchors = branch or [parent.index(-1)]
+    rows: dict[int, list[int]] = {a: [] for a in anchors}
+    for u, v in g.edges:  # sorted, so each row comes out ascending
+        if u in rows and parent[v] < 0:
+            rows[u].append(v)
+        if v in rows and parent[u] < 0:
+            rows[v].append(u)
     found = []  # (first end, interior, second end) of each path
     seen = set()  # (end, next vertex) that starts a path already walked
-    for a in anchors:
-        for first in adj[a]:
+    reached = [anchors[0]]
+    met = set(reached)
+    for a in reached:  # grows while read: the anchors in the order reached
+        for first in rows[a]:
             if (a, first) in seen:
                 continue
             path, prev, cur = [], a, first
-            while cur not in stops:
+            while cur not in rows:
                 path.append(cur)
-                x, y = adj[cur]
-                prev, cur = cur, (y if x == prev else x)
+                prev, cur = cur, nbr[cur] - prev
             seen.add((cur, path[-1] if path else a))
             found.append((a, tuple(path), cur))
+            if cur not in met:
+                met.add(cur)
+                reached.append(cur)
+    if len(reached) + sum(len(p) for _, p, _ in found) != parent.count(-1):
+        raise UnsupportedFamilyError("graph is not connected")
+    c = len(g.edges) - g.n + 1
+    if c not in (1, 2):
+        raise UnsupportedFamilyError(
+            "graph has cyclomatic number %d, need 1 or 2" % c
+        )
 
     def size(p):
         return (len(p), p)
@@ -405,11 +454,12 @@ def from_edgelist(text: str) -> Graph:
     lines, more spaces, other line breaks, a line without two words) is
     read line by line, which also words the error."""
     words = text.split()
-    if words and text == "\n".join(map(" ".join, zip(words[::2], words[1::2]))) + "\n":
+    w = iter(words)
+    if words and text == "\n".join(map(" ".join, zip(w, w))) + "\n":
         n, m = int(words[0]), int(words[1])
         if len(words) == 2 * m + 2:
-            ends = list(map(int, words[2:]))
-            return make_graph(n, zip(ends[::2], ends[1::2]))
+            it = map(int, islice(words, 2, None))
+            return make_graph(n, list(zip(it, it)))
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows or len(rows[0]) != 2:
         raise ValueError("edge list must start with a 'n m' header line")

@@ -26,10 +26,11 @@ from bicaut.generate import (
     free_trees,
     random_bicyclic,
     random_tree,
+    random_unicyclic,
     rooted_shapes,
     skeleton_core,
 )
-from bicaut.graphs import Graph, from_graph6, make_graph, splice
+from bicaut.graphs import PATH_ENDS, Graph, from_graph6, make_graph, splice
 from bicaut.groups import (
     Dihedral,
     KleinWreath,
@@ -88,6 +89,55 @@ def test_decompose_rejects_unsupported():
             fn(TWO_THETAS)
 
 
+def _relabelled(g: Graph, rng: random.Random) -> Graph:
+    p = list(range(g.n))
+    rng.shuffle(p)
+    return make_graph(g.n, [(p[u], p[v]) for u, v in g.edges])
+
+
+def _disjoint(*parts: Graph) -> Graph:
+    n, edges = 0, []
+    for g in parts:
+        edges += [(u + n, v + n) for u, v in g.edges]
+        n += g.n
+    return make_graph(n, edges)
+
+
+def test_core_walk_reaches_the_whole_core():
+    # the core walk starts at the first anchor and must reach every vertex
+    # the peel left: under random labels the first anchor falls in either
+    # component, or on what a tree component leaves
+    c3 = skeleton_core("cycle", (3,))[0]
+    c4 = skeleton_core("cycle", (4,))[0]
+    disconnected = [
+        _disjoint(c3, c3),
+        _disjoint(DIAMOND, DIAMOND),
+        _disjoint(c3, make_graph(2, [(0, 1)])),
+        _disjoint(THETA333, c4),
+        _disjoint(c3, c4, random_tree(random.Random(3), 6)),
+    ]
+    k4 = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    rng = random.Random(23)
+    cases = [(g, "^graph is not connected$") for g in disconnected]
+    cases.append((k4, "^graph has cyclomatic number 3, need 1 or 2$"))
+    for g, message in cases:
+        for h in [g] + [_relabelled(g, rng) for _ in range(20)]:
+            for fn in (analyze, decompose):
+                with pytest.raises(UnsupportedFamilyError, match=message):
+                    fn(h)
+
+
+def test_relabelling_keeps_the_answer():
+    rng = random.Random(29)
+    for _ in range(150):
+        make = rng.choice((random_unicyclic, random_bicyclic))
+        g = make(rng, rng.randint(4, 200))
+        a, b = analyze(g), analyze(_relabelled(g, rng))
+        assert (b.kind, b.lengths, b.case, print_expr(b.expr), len(b.symmetries)) == (
+            a.kind, a.lengths, a.case, print_expr(a.expr), len(a.symmetries)
+        ), g.edges
+
+
 def test_sparse_graph_rejected_before_adjacency():
     # fewer than n - 1 edges: rejected before the peel builds its 3-million
     # entry arrays
@@ -105,24 +155,36 @@ def test_sparse_graph_rejected_before_adjacency():
 
 def test_connectivity_checked_once(monkeypatch):
     # connectivity is read off the peel: a tree by peeling to at most two
-    # centres, with no walk; every other graph by one walk over its core's
-    # own adjacency, whose rows are the core vertices' alone
-    import bicaut.bicyclic as bicyclic
+    # centres, with no walk; every other graph by one walk of its core in
+    # graphs.skeleton, which goes on from each core vertex between anchors
+    # by its neighbour sum, read once for each of them and for no other
+    read = []
 
-    walked = []
-    real = bicyclic.is_connected
-    monkeypatch.setattr(
-        bicyclic, "is_connected", lambda adj, start: walked.append(set(adj)) or real(adj, start)
-    )
+    class Sums(list):
+        def __getitem__(self, v):
+            read.append(v)
+            return super().__getitem__(v)
+
+    walks = []
+    real = bicyclic.skeleton
+
+    def counted(g, parent, deg, nbr):
+        walks.append(g)
+        return real(g, parent, deg, Sums(nbr))
+
+    monkeypatch.setattr(bicyclic, "skeleton", counted)
     decorated = decorate(*skeleton_core("theta", (2, 3, 3)), [(), ((),), ((), ())])
     for g in (make_graph(3, [(0, 1), (1, 2)]), spine(4)):
-        walked.clear()
+        walks.clear()
         analyze(g)
-        assert walked == []
+        assert walks == []
     for g in (C5, DIAMOND, DUMB331, decorated, splice(C5, [(0, spine(3))])[0]):
-        walked.clear()
+        walks.clear()
+        read.clear()
         a = analyze(g)
-        assert walked == [set(a.dec.layout)], g.edges
+        anchors = PATH_ENDS[a.kind][0]
+        assert walks == [g]
+        assert sorted(read) == sorted(a.dec.layout[anchors:]), g.edges
 
 
 def test_no_adjacency_list_in_analyze(monkeypatch):

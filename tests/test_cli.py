@@ -1,6 +1,9 @@
 """End-to-end runs of the command line interface."""
+import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 from bicaut.cli import (
     EX_BUDGET,
@@ -294,3 +297,19 @@ def test_fuzz_reports_mismatch(capsys, monkeypatch):
     for line in lines:
         g = from_graph6(line[len("mismatch: "):])
         assert len(g.edges) == g.n + 1  # each generated graph is bicyclic
+
+
+def test_scale_probe_smoke():
+    # tools/scale_probe.py at a small N: one line per graph, each run of
+    # `bicaut aut` exits 0 and reports its own CPU time and max RSS
+    probe = Path(__file__).resolve().parent.parent / "tools" / "scale_probe.py"
+    done = subprocess.run(
+        [sys.executable, str(probe), "2000"], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["tree", "bicyclic"]
+    for line in lines:
+        m = re.fullmatch(r"\w+ n=2000 exit=0 cpu_s=(\d+\.\d\d) max_rss_mb=(\d+\.\d)", line)
+        assert m, line
+        assert float(m[2]) > 0

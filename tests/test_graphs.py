@@ -1,6 +1,7 @@
 """Graph container, decompositions, formats."""
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -20,7 +21,6 @@ from bicaut.graphs import (
     Graph,
     adjacency,
     attached_trees,
-    core_adjacency,
     core_vertices,
     from_edgelist,
     from_graph6,
@@ -29,6 +29,7 @@ from bicaut.graphs import (
     link,
     make_graph,
     peel,
+    peel_core,
     skeleton,
     splice,
     to_edgelist,
@@ -65,9 +66,6 @@ def test_basic_views():
     assert is_connected(adj)
     assert not is_connected(adjacency(make_graph(2, [])))
     assert is_connected(adjacency(make_graph(1, [])))
-    # a core's adjacency is a dict of rows, walked from one of its keys
-    assert is_connected({2: [5], 5: [2]}, 2)
-    assert not is_connected({2: [], 5: []}, 5)
 
 
 def test_induced_subgraph():
@@ -163,7 +161,7 @@ def test_peel_matches_the_adjacency_reference():
 
 
 def _skeleton(g):
-    return skeleton(core_adjacency(g, peel(g)))
+    return skeleton(g, *peel_core(g))
 
 
 def test_skeleton_cycle():
@@ -324,6 +322,54 @@ def _random_graph(rng: random.Random) -> Graph:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     m = rng.randint(0, len(pairs))
     return make_graph(n, rng.sample(pairs, m))
+
+
+def _peak(fn, *args):
+    """fn(*args) and the peak of memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_make_graph_keeps_sorted_pairs():
+    # edges already in Graph's order become the graph's edges as they
+    # stand: no pair is rebuilt, and only the tuple of them is new
+    edges = [(i, i + 1) for i in range(10**5)]
+    g, peak = _peak(make_graph, 10**5 + 1, edges)
+    assert len(g.edges) == len(edges)
+    assert all(a is b for a, b in zip(g.edges, edges))
+    assert peak < 1.5 * 2**20
+    t = tuple(edges)
+    assert make_graph(10**5 + 1, t).edges is t
+    # pairs that are not tuples are rebuilt as tuples
+    assert make_graph(3, [[0, 1], [1, 2]]).edges == ((0, 1), (1, 2))
+
+
+def test_make_graph_any_order_same_graph():
+    # shuffled, flipped and repeated pairs, as a list or as an iterator,
+    # give the graph of the sorted pairs
+    rng = random.Random(19)
+    for _ in range(300):
+        g = _random_graph(rng)
+        edges = list(g.edges)
+        assert make_graph(g.n, edges) == g
+        mixed = edges + rng.sample(edges, rng.randint(0, len(edges)))
+        rng.shuffle(mixed)
+        mixed = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in mixed]
+        assert make_graph(g.n, mixed) == g
+        assert make_graph(g.n, iter(mixed)) == g
+
+
+def test_edgelist_read_memory():
+    # to_edgelist's text of a 10^5-edge tree is read with no int list, no
+    # slices and no sort of its pairs
+    g = random_tree(random.Random(1), 10**5 + 1)
+    h, peak = _peak(from_edgelist, to_edgelist(g))
+    assert h == g
+    assert peak < 26 * 2**20
 
 
 @settings(max_examples=200, deadline=None)

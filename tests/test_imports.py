@@ -16,6 +16,7 @@ FILES = SRC + sorted((ROOT / "tests").glob("*.py"))
 TEST_ONLY = {
     "are_isomorphic": "oracle reference for the enumeration counts",
     "bar_construction": "criterion 7",
+    "is_connected": "plain connectivity walk the generators' tests check against",
     "reconstruct": "decomposition round-trip check",
     "shape_size": "enumeration check",
 }
