@@ -33,11 +33,14 @@ rooted_aut_generators return dicts of just the vertices they move, so their
 size follows the swapped subtrees, not the tree.  dense wraps such maps as
 SparsePerms, read-only permutations of range(n) that read like the tuple of
 their images but store only the moves; tree_aut_generators and
-bicyclic.emit_generators each call it once, at the graph's n.
+bicyclic.emit_generators each call it once, at the graph's n.  Every map
+they emit sends a subtree onto a disjoint one, so it moves each of its keys
+and the SparsePerm keeps it as it is, with no copy.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from operator import ne
 
 from .graphs import Graph, adjacency, make_graph, peel
 from .groups import GroupExpr, Trivial, direct_product, wreath
@@ -227,13 +230,21 @@ class SparsePerm(Sequence):
     """A read-only permutation of range(n) that stores only the vertices it
     moves.  It reads like the tuple of its n images: len, indexing
     (negative indices and slices too), iteration, and equality and hash
-    equal to that tuple's; tuple(p) densifies it."""
+    equal to that tuple's; tuple(p) densifies it.
+
+    A map that moves every one of its keys, checked in one C-level pass, is
+    kept as given: the SparsePerm then owns it, and the caller must not
+    change it afterwards.  A map with a fixed point is copied into a new
+    dict without its fixed points."""
 
     __slots__ = ("n", "moves")
 
     def __init__(self, n: int, moves: dict[int, int]):
         self.n = n
-        self.moves = {x: y for x, y in moves.items() if x != y}
+        if all(map(ne, moves, moves.values())):
+            self.moves = moves
+        else:
+            self.moves = {x: y for x, y in moves.items() if x != y}
 
     def __len__(self) -> int:
         return self.n
@@ -264,7 +275,8 @@ class SparsePerm(Sequence):
 
 def dense(n: int, moves: Iterable[dict[int, int]]) -> list[SparsePerm]:
     """Permutations of range(n) from support-only maps (vertex -> image),
-    each stored as the vertices it moves."""
+    each stored as the vertices it moves.  Each SparsePerm owns the map it
+    was given when that map has no fixed point (see SparsePerm)."""
     return [SparsePerm(n, m) for m in moves]
 
 

@@ -313,3 +313,15 @@ def test_scale_probe_smoke():
         m = re.fullmatch(r"\w+ n=2000 exit=0 cpu_s=(\d+\.\d\d) max_rss_mb=(\d+\.\d)", line)
         assert m, line
         assert float(m[2]) > 0
+
+
+def test_order_probe_smoke():
+    # tools/order_probe.py at a small N: one line, the oracle's order of the
+    # emitted tree generators agrees with the expression's
+    probe = Path(__file__).resolve().parent.parent / "tools" / "order_probe.py"
+    done = subprocess.run(
+        [sys.executable, str(probe), "60"], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    line, = done.stdout.splitlines()
+    assert re.fullmatch(r"tree n=60 generators=\d+ cpu_s=\d+\.\d\d order=ok", line), line

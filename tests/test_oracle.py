@@ -23,6 +23,7 @@ from bicaut.oracle import (
     vertex_orbits,
 )
 from bicaut.realize import realize
+from bicaut.trees import SparsePerm
 
 P4 = make_graph(4, [(0, 1), (1, 2), (2, 3)])
 C5 = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -99,7 +100,7 @@ def _bfs_closure(n, gens, cap):
         nxt = []
         for p in frontier:
             for g in gens:
-                q = compose(g, p)
+                q = tuple(map(g.__getitem__, p))  # g after p, without compose
                 if q not in elements:
                     elements.add(q)
                     nxt.append(q)
@@ -153,6 +154,63 @@ def test_closure_of_emitted_generators():
         gens = emit_generators(g, a)
         want = _bfs_closure(g.n, [tuple(p) for p in gens], order(a.expr))
         assert close_generators(g.n, gens, order(a.expr)) == want, g.edges
+
+
+def _sparse(p):
+    return SparsePerm(len(p), dict(enumerate(p)))
+
+
+def test_compose_matches_indexing():
+    # the product is p[q[i]] at every length, the edge sizes 0, 1 and 2
+    # included, and it is a tuple whatever sequences it is given
+    rng = random.Random(5)
+    for n in list(range(6)) + [9, 40, 300]:
+        for _ in range(10):
+            p, q = list(range(n)), list(range(n))
+            rng.shuffle(p)
+            rng.shuffle(q)
+            want = tuple(p[i] for i in q)
+            for a, b in ((tuple(p), tuple(q)), (p, q), (_sparse(tuple(p)), tuple(q))):
+                got = compose(a, b)
+                assert type(got) is tuple and got == want
+            assert compose(tuple(p), invert(tuple(p))) == identity_perm(n)
+            assert compose(invert(tuple(p)), tuple(p)) == identity_perm(n)
+    assert compose((), ()) == () == invert(())
+    assert compose((0,), (0,)) == (0,) == invert((0,))
+    assert compose((1, 0), (1, 0)) == (0, 1) and invert((1, 0)) == (1, 0)
+
+
+def test_edge_sizes():
+    # n = 0, 1 and 2: the identity alone, and the one transposition, with
+    # the generators as tuples, lists and support-only permutations
+    cases = [
+        (0, [], [()]),
+        (0, [()], [()]),
+        (1, [], [(0,)]),
+        (1, [(0,)], [(0,)]),
+        (2, [(0, 1)], [(0, 1)]),
+        (2, [(1, 0)], [(0, 1), (1, 0)]),
+        (2, [(1, 0), (0, 1), (1, 0)], [(0, 1), (1, 0)]),
+    ]
+    for n, gens, want in cases:
+        for form in (tuple, list, _sparse):
+            given = [form(p) for p in gens]
+            assert close_generators(n, given, len(want)) == want
+            assert group_order(n, given) == len(want)
+            if len(want) > 1:
+                with pytest.raises(ValueError):
+                    close_generators(n, given, len(want) - 1)
+
+
+def test_long_cycle_closure_matches_bfs():
+    # bare C_128: the dihedral group of order 256 on tuples of length 128
+    g = skeleton_core("cycle", (128,))[0]
+    a = analyze(g)
+    gens = emit_generators(g, a)
+    want = _bfs_closure(g.n, [tuple(p) for p in gens], 256)
+    assert len(want) == 256 == order(a.expr)
+    assert close_generators(g.n, gens, 256) == want
+    assert group_order(g.n, gens) == 256
 
 
 def test_generators_may_be_any_sequence():

@@ -393,6 +393,19 @@ def test_sparse_perm_reads_like_its_tuple():
         p[0] = 3
 
 
+def test_dense_keeps_a_fixed_point_free_map():
+    # a map that moves each of its keys is kept, not copied; a map with a
+    # fixed point is filtered into a new dict and still reads as its tuple
+    m = {1: 4, 4: 6, 6: 1, 2: 7, 7: 2}
+    p = dense(8, [m])[0]
+    assert p.moves is m and p == (0, 4, 7, 3, 6, 5, 1, 2)
+    f = {0: 1, 1: 0, 2: 2}
+    q = dense(4, [f])[0]
+    assert q.moves is not f and q.moves == {0: 1, 1: 0}
+    assert f == {0: 1, 1: 0, 2: 2}
+    assert q == (1, 0, 2, 3) and hash(q) == hash((1, 0, 2, 3))
+
+
 def test_tree_generators():
     for g in (P4, P5, STAR4, BIN2, SPIDER):
         gens = tree_aut_generators(g)
