@@ -9,21 +9,21 @@ list (graphs.peel_core), with no adjacency list of the graph or of its
 core: the vertices left are the core, and the degrees and neighbour sums
 the peel leaves on them let graphs.skeleton walk it, which decides
 connectivity and lays the core out in the one slot layout of
-graphs.PATH_ENDS (Decomposition.layout), and the parents root every
-attached tree at once, as the one RootedTree that trees.forest_tree
-builds from any peel (a free tree's centres hang the same way): its
-virtual root n has the core vertices for children.  Each slot's code and
-expression, the rooted generators and the lifts of core symmetries all
-come from that one tree, whose child lists RootedTree sorts by (code,
-label) once: a lift (trees.aligned_iso) zips two slots' child lists as
-they stand, and the rooted generators swap adjacent siblings of equal
-code.  The slot
-expressions come from trees.rooted_exprs, one per distinct code and
-normalized already, and the decomposition keeps the slots' codes and
-expressions as two lists in layout order.  The generators and lifts are
-support-only maps of the vertices they move, and emit_generators returns
-them so, as permutations of range(n) that store only their moves
-(trees.SparsePerm).
+graphs.PATH_ENDS (Decomposition.layout).  The same peel hangs every
+attached tree from its core vertex as it deletes leaves, and
+trees.forest_tree takes that forest as one RootedTree, the way a free
+tree's centres hang too: its virtual root n has the core vertices for
+children.  Each slot's code and expression, the rooted generators and the
+lifts of core symmetries all come from that one tree, whose child lists
+RootedTree sorts by (code, label) once: a lift (trees.aligned_iso) zips
+two slots' child lists as they stand, and the rooted generators, read in
+one walk from every slot (trees.rooted_aut_generators), swap adjacent
+siblings of equal code.  The slot expressions come from
+trees.rooted_exprs, one per distinct code and normalized already, and the
+decomposition keeps the slots' codes and expressions as two lists in
+layout order.  The generators and lifts are support-only maps of the
+vertices they move, and emit_generators returns them so, as permutations
+of range(n) that store only their moves (trees.SparsePerm).
 Q is the group of core symmetries that keep every slot's tree code, held
 as permutations of the positions in the layout.  A bicyclic core filters
 its at most 12 bare symmetries (graphs.skeleton_perms); a cycle's
@@ -132,10 +132,10 @@ def decompose(g: Graph) -> Decomposition:
     size n is built."""
     if len(g.edges) < g.n - 1:
         raise UnsupportedFamilyError("graph is not connected")
-    parent, deg, nbr = peel_core(g)
-    kind, layout, lengths = skeleton(g, parent, deg, nbr)
-    del deg, nbr  # n entries each: let them go before the tree is built
-    tree = forest_tree(g, parent)
+    peeled = peel_core(g)
+    kind, layout, lengths = skeleton(g, peeled)
+    tree = forest_tree(g, peeled)
+    del peeled  # its degrees and sums: n entries each, no longer read
     exprs = rooted_exprs(tree)
     codes = list(map(tree.code.__getitem__, layout))
     slot_exprs = list(map(exprs.__getitem__, layout))
@@ -387,7 +387,7 @@ class Analysis:
 def analyze(g: Graph) -> Analysis:
     """Family, case label and automorphism group expression of a connected
     graph with at most two independent cycles.  Connectivity is checked
-    once, from the peel (graphs.peel): a graph with n - 1 edges is a tree
+    once, from the peel (graphs.peel_core): a graph with n - 1 edges is a tree
     iff it peels to at most two centres, and decompose walks every other
     graph's core."""
     c = len(g.edges) - g.n + 1
@@ -414,7 +414,7 @@ def emit_generators(g: Graph, analysis: Analysis | None = None) -> list[SparsePe
         return tree_aut_generators(g, a.tree)
     dec = a.dec
     t = dec.tree
-    moves = [m for v in dec.layout for m in rooted_aut_generators(t, v)]
+    moves = rooted_aut_generators(t, *dec.layout)
     for q in _core_generators(dec, a.symmetries):
         lift: dict[int, int] = {}
         for i, v in enumerate(dec.layout):

@@ -3,8 +3,11 @@ decomposition used everywhere else.
 
 One leaf peel (peel_core), run on the edge list with no adjacency list,
 finds both what a graph's group is read off: the 2-core of a unicyclic or
-bicyclic graph, or the centres of a tree, with the parent of every deleted
-vertex, which roots the trees hanging off them.  The degree and the
+bicyclic graph, or the centres of a tree, and, built as the leaves go, the
+forest of the trees hanging off them: every deleted vertex's parent, each
+vertex's children and an order of all of them, parents first (Peel), all
+below a virtual root n whose children are the vertices left; a vertex with
+no child gets no list of its own.  The degree and the
 neighbour-label sum it leaves on every vertex left describe the core too: a
 core vertex of degree 2 is left by its sum minus the vertex it was entered
 from.  So skeleton walks the core with explicit rows for its branch
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, permutations, product
+from typing import NamedTuple
 
 # a permutation of range(len(p)), i -> p[i]
 Perm = tuple[int, ...]
@@ -124,22 +128,50 @@ def induced_subgraph(g: Graph, vertices: list[int]) -> tuple[Graph, dict[int, in
 # --- core decomposition ---------------------------------------------------
 
 
-def peel_core(g: Graph) -> tuple[list[int], list[int], list[int]]:
-    """Delete leaves in rounds while more than two vertices are left; the
-    parent of every vertex (the neighbour a deleted vertex hung from, -1 for
-    a vertex left), and for each vertex left its degree among the vertices
-    left and the sum of their labels.
+class Peel(NamedTuple):
+    """What peel_core leaves: the peel's rooted forest, below a virtual
+    root g.n, and the degrees of the vertices left.
+
+    - parent: n + 1 entries; a deleted vertex's neighbour towards the
+      vertices left, g.n for a vertex left, -1 for g.n;
+    - children: n + 1 entries; for each vertex the vertices hung from it,
+      in the order they were deleted, and for g.n the vertices left, in
+      ascending order.  Every vertex with no child shares one empty tuple;
+    - order: all n + 1 vertices, parents first: g.n, the vertices left in
+      descending order, then the deleted ones in the reverse of the order
+      they were deleted;
+    - deg and nbr: n entries; for a vertex left, its degree among the
+      vertices left and the sum of their labels (a deleted vertex keeps
+      degree 1 and its parent's label).
+    """
+
+    parent: list[int]
+    children: list
+    order: list[int]
+    deg: list[int]
+    nbr: list[int]
+
+
+def peel_core(g: Graph) -> Peel:
+    """Delete leaves in rounds while more than two vertices are left, and
+    hang every deleted vertex from the neighbour it was deleted from; the
+    vertices left hang from the virtual root g.n (Peel).
 
     One pass over the edges gives each vertex its degree and the sum of its
     neighbours' labels.  A leaf's one neighbour not deleted yet is then that
     sum, and deleting it takes it off its parent's sum and degree, so no
-    adjacency list is built.  A deleted vertex keeps degree 1.
+    adjacency list is built.  Each round deletes its leaves in ascending
+    order.  The forest is built as the leaves go: a vertex becomes a leaf
+    only once all its children are deleted, so the deletion order lists
+    children first, and each vertex's children are appended to its list as
+    they go, so two deleted in one round, as two of equal height are, stand
+    in ascending order.  Only a vertex that gets a child gets a list.
 
     On a connected graph with a cycle the rounds run out of leaves first (a
     cycle has three vertices or more), leaving the 2-core; on a tree they
     leave its one or two centres.  Either way every deleted vertex hangs
-    from its neighbour towards the vertices left, so the parents root the
-    trees hanging from them.
+    from its neighbour towards the vertices left, so the forest holds the
+    trees hanging from them, each rooted at the vertex left it hangs from.
 
     Connectivity can be read off what is left.  A graph with a cycle keeps
     that cycle, so the rounds never stop early, and each component keeps at
@@ -158,7 +190,9 @@ def peel_core(g: Graph) -> tuple[list[int], list[int], list[int]]:
         deg[v] += 1
         nbr[u] += v
         nbr[v] += u
-    parent = [-1] * n
+    parent = [n] * n + [-1]
+    children: list = [()] * (n + 1)
+    order: list[int] = []  # the deleted vertices, children first
     left = n
     layer = [v for v, d in enumerate(deg) if d == 1]
     while layer and left > 2:
@@ -170,26 +204,40 @@ def peel_core(g: Graph) -> tuple[list[int], list[int], list[int]]:
                 continue
             w = nbr[v]
             parent[v] = w
+            kids = children[w]
+            if kids:
+                kids.append(v)
+            else:
+                children[w] = [v]
             left -= 1
             nbr[w] -= v
             deg[w] -= 1
             if deg[w] == 1:
                 nxt.append(w)
+        order += layer
+        nxt.sort()
         layer = nxt
-    return parent, deg, nbr
+    if len(order) != n - left:  # a vertex was skipped: disconnected
+        order = [v for v in order if parent[v] != n]
+    children[n] = core = [v for v, p in enumerate(parent) if p == n]
+    order += core
+    order.append(n)
+    order.reverse()
+    return Peel(parent, children, order, deg, nbr)
 
 
 def peel(g: Graph) -> list[int]:
-    """peel_core's parents alone: the neighbour each deleted vertex hung
-    from, -1 for a vertex left."""
-    return peel_core(g)[0]
+    """peel_core's parents of the n vertices, with -1 for a vertex left:
+    the neighbour each deleted vertex hung from."""
+    n = g.n
+    return [-1 if p == n else p for p in peel_core(g).parent[:n]]
 
 
 def core_vertices(g: Graph) -> list[int]:
     """The vertices peel leaves: for a connected graph with a cycle its
     2-core (the unique cycle, or both cycles and any path joining them), for
     a tree its centres."""
-    return [v for v, p in enumerate(peel(g)) if p < 0]
+    return peel_core(g).children[g.n]
 
 
 @dataclass(frozen=True)
@@ -241,13 +289,12 @@ PATH_ENDS: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
 }
 
 
-def skeleton(
-    g: Graph, parent: list[int], deg: list[int], nbr: list[int]
-) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
+def skeleton(g: Graph, peeled: Peel) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
     """Lay out the core of a connected graph with one or two independent
-    cycles in the PATH_ENDS slot order, from what peel_core left: parent,
-    and the degree and neighbour-label sum of each vertex left; returns
-    (kind, layout, lengths), lengths being the paths' edge counts.
+    cycles in the PATH_ENDS slot order, from what peel_core left: the
+    vertices left (the virtual root's children), and the degree and
+    neighbour-label sum of each; returns (kind, layout, lengths), lengths
+    being the paths' edge counts.
 
     The anchors are the vertices left whose degree there is not 2 (on a
     core, its branch vertices), or else the smallest vertex left (a
@@ -271,13 +318,14 @@ def skeleton(
     - dumbbell: anchors (a, b), a's cycle the smaller by (length, labels);
       a's cycle, b's cycle, then the bridge from a.
     """
-    branch = [v for v, d in enumerate(deg) if d != 2 and parent[v] < 0]
-    anchors = branch or [parent.index(-1)]
+    n, parent, deg, nbr = g.n, peeled.parent, peeled.deg, peeled.nbr
+    core = peeled.children[n]
+    anchors = [v for v in core if deg[v] != 2] or core[:1]
     rows: dict[int, list[int]] = {a: [] for a in anchors}
     for u, v in g.edges:  # sorted, so each row comes out ascending
-        if u in rows and parent[v] < 0:
+        if u in rows and parent[v] == n:
             rows[u].append(v)
-        if v in rows and parent[u] < 0:
+        if v in rows and parent[u] == n:
             rows[v].append(u)
     found = []  # (first end, interior, second end) of each path
     seen = set()  # (end, next vertex) that starts a path already walked
@@ -296,7 +344,7 @@ def skeleton(
             if cur not in met:
                 met.add(cur)
                 reached.append(cur)
-    if len(reached) + sum(len(p) for _, p, _ in found) != parent.count(-1):
+    if len(reached) + sum(len(p) for _, p, _ in found) != len(core):
         raise UnsupportedFamilyError("graph is not connected")
     c = len(g.edges) - g.n + 1
     if c not in (1, 2):

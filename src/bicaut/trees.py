@@ -1,32 +1,35 @@
 """Tree automorphism engine.
 
-A RootedTree is built from one parent list and gives every vertex a
-canonical shape code (node_code: the child count, then the child codes
-sorted and concatenated, so distinct shapes never share a prefix), which
-it builds inline, in one pass children first.  It sorts each child list
-by code once, stably, so children stand in (code, label) order and each
-class of isomorphic siblings is one run of equal codes, which no walk
-groups again.  The automorphism group of a rooted tree is the iterated
-wreath product over those classes, so it depends on the rooted code
-alone: rooted_exprs builds one normalized expression per distinct code,
-from its children's runs with groups.wreath and groups.direct_product,
-and every vertex of that code shares it.
+A RootedTree is a forest given as parents, child lists and an order of
+its vertices, parents first, and it gives every vertex a canonical shape
+code (node_code: the child count, then the child codes sorted and
+concatenated, so distinct shapes never share a prefix), which it builds
+inline, in one pass children first.  A leaf needs no child list of its
+own: every leaf may share one empty tuple.  The pass sorts each child
+list by code once, stably, so children stand in (code, label) order and
+each class of isomorphic siblings is one run of equal codes, which no
+walk groups again.  The automorphism group of a rooted tree is the
+iterated wreath product over those classes, so it depends on the rooted
+code alone: rooted_exprs builds one normalized expression per distinct
+code, from its children's runs with groups.wreath and
+groups.direct_product, and every vertex of that code shares it.
 
-Every tree with a virtual root is built one way, by forest_tree, from
-graphs.peel's parents: whatever the peel leaves hangs below the virtual
-root g.n.  A free tree's peel leaves its one or two centres, so
-center_rooted roots it there, as Jordan did, and its group is the
-rooted group of that tree; a unicyclic or bicyclic graph's peel leaves
-its core, and bicyclic hangs every pendant tree from it the same way.
-The peel reads the edge list, so analyzing a tree builds no adjacency
-list.  The vertices every automorphism fixes are read off the same
-runs: fixed_vertices keeps, walking down from the root, each vertex
-alone in its run.
+Every tree with a virtual root is the forest graphs.peel_core builds as it
+deletes leaves (forest_tree): whatever the peel leaves hangs below the
+virtual root g.n, and the deletion order, reversed, is the order.  A free
+tree's peel leaves its one or two centres, so center_rooted roots it
+there, as Jordan did, and its group is the rooted group of that tree; a
+unicyclic or bicyclic graph's peel leaves its core, and bicyclic hangs
+every pendant tree from it the same way.  RootedTree(g, root) builds the
+same three lists by a walk of g from root.  The peel reads the edge list,
+so analyzing a tree builds no adjacency list.  The vertices every
+automorphism fixes are read off the same runs: fixed_vertices keeps,
+walking down from the root, each vertex alone in its run.
 
 The walks take a RootedTree, and the vertices to start from, and work in
 the tree's own labels: rooted_exprs runs children first along t.order,
-rooted_aut_generators and aligned_iso keep an explicit stack, so a deep
-tree needs no recursion.
+rooted_aut_generators (one walk from any number of roots) and aligned_iso
+keep an explicit stack, so a deep tree needs no recursion.
 
 Generators stay support-only throughout: aligned_iso and
 rooted_aut_generators return dicts of just the vertices they move, so their
@@ -42,7 +45,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from operator import ne
 
-from .graphs import Graph, adjacency, make_graph, peel
+from .graphs import Graph, Peel, adjacency, make_graph, peel_core
 from .groups import GroupExpr, Trivial, direct_product, wreath
 
 
@@ -56,34 +59,31 @@ def node_code(kid_codes) -> bytes:
 class RootedTree:
     """Parent/children structure plus shape codes for a tree.
 
-    parent[v] is v's parent, -1 for the root; when it is not given, a walk
-    of the tree g from root fills it.  A root of g.n is virtual: the tree
-    then has g.n + 1 vertices and the root's children are those with parent
-    g.n.  order lists the vertices parents first (breadth first, over
-    ascending labels), so iterating it reversed visits children first.
-    children[u] is in (code, label) order: isomorphic siblings are adjacent.
+    forest is (parent, children, order), as graphs.Peel holds them:
+    parent[v] is v's parent, -1 for the root; children[v] lists v's
+    children, siblings of equal height in ascending order, and every vertex
+    with none may share one empty tuple; order lists every vertex once,
+    each after its parent.  When forest is not given, a walk of the tree g
+    from root builds it.  A root of g.n is virtual: the tree then has
+    g.n + 1 vertices and the root's children are those with parent g.n.
+    One pass along order reversed, children first, builds the codes and
+    sorts each child list by code in place, stably, so it stands in (code,
+    label) order (isomorphic siblings have equal heights) and isomorphic
+    siblings are adjacent.
     """
 
-    def __init__(self, g: Graph, root: int, parent: list[int] | None = None):
-        if parent is None:
-            parent = _walk_parents(g, root)
+    def __init__(self, g: Graph, root: int, forest: tuple | None = None):
+        if forest is None:
+            forest = _walk(g, root)
         self.root = root
-        self.parent = parent
-        self.children: list[list[int]] = [[] for _ in parent]
-        for v, p in enumerate(parent):
-            if p >= 0:
-                self.children[p].append(v)
-        self.order = [root]
-        for u in self.order:  # grows while read: a breadth-first walk
-            self.order.extend(self.children[u])
-        if len(self.order) != len(parent):
-            raise ValueError("graph is not a connected tree")
+        self.parent, self.children, self.order = forest
+        children = self.children
         # node_code inline: every leaf shares one code, and a lone child's
         # code needs no sort
-        self.code: list[bytes] = [node_code(())] * len(parent)
+        self.code: list[bytes] = [node_code(())] * len(self.parent)
         code = self.code
         for u in reversed(self.order):
-            kids = self.children[u]
+            kids = children[u]
             if len(kids) == 1:
                 code[u] = b"\0\0\0\1" + code[kids[0]]
             elif kids:
@@ -93,22 +93,27 @@ class RootedTree:
                 )
 
 
-def _walk_parents(g: Graph, root: int) -> list[int]:
-    """Parents of a tree rooted at root; a vertex the walk does not reach
-    keeps -2, which RootedTree rejects."""
+def _walk(g: Graph, root: int) -> tuple[list[int], list, list[int]]:
+    """(parent, children, order) of the tree g rooted at root, as
+    RootedTree takes them: a walk breadth first over ascending labels.
+    Raises ValueError unless g is a connected tree."""
     if len(g.edges) != g.n - 1:
         raise ValueError("graph is not a tree")
     adj = adjacency(g)
-    parent = [-2] * g.n
+    parent = [-2] * g.n  # -2: not reached yet
     parent[root] = -1
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if parent[w] == -2:
+    children: list = [()] * g.n
+    order = [root]
+    for u in order:  # grows while read
+        kids = [w for w in adj[u] if parent[w] == -2]
+        if kids:
+            for w in kids:
                 parent[w] = u
-                stack.append(w)
-    return parent
+            children[u] = kids
+            order += kids
+    if len(order) != g.n:
+        raise ValueError("graph is not a connected tree")
+    return parent, children, order
 
 
 def rooted_exprs(t: RootedTree) -> list[GroupExpr]:
@@ -147,28 +152,27 @@ def rooted_aut_expr(g: Graph, root: int) -> GroupExpr:
     return rooted_exprs(RootedTree(g, root))[root]
 
 
-def _peel_tree(g: Graph) -> tuple[list[int], list[int]]:
-    """graphs.peel's parents of a tree and its one or two centres, the
-    vertices left.  Raises ValueError unless g is a tree: with n - 1 edges a
-    graph that is not one has a cycle, whose vertices peel leaves."""
+def _peel_tree(g: Graph) -> Peel:
+    """graphs.peel_core of a tree, whose vertices left are its one or two
+    centres.  Raises ValueError unless g is a tree: with n - 1 edges a graph
+    that is not one has a cycle, whose vertices the peel leaves."""
     if len(g.edges) != g.n - 1:
         raise ValueError("graph is not a tree")
-    parent = peel(g)
-    cs = [v for v, p in enumerate(parent) if p < 0]
-    if len(cs) > 2:
+    p = peel_core(g)
+    if len(p.children[g.n]) > 2:
         raise ValueError("graph is not a tree")
-    return parent, cs
+    return p
 
 
 def centers(g: Graph) -> list[int]:
     """The one or two middle vertices of a tree."""
-    return _peel_tree(g)[1]
+    return _peel_tree(g).children[g.n]
 
 
-def forest_tree(g: Graph, parent: list[int]) -> RootedTree:
-    """The peel's forest (graphs.peel's parents) as one RootedTree: every
-    vertex the peel left hangs below the virtual root g.n."""
-    return RootedTree(g, g.n, [p if p >= 0 else g.n for p in parent] + [-1])
+def forest_tree(g: Graph, p: Peel) -> RootedTree:
+    """The forest graphs.peel_core built as one RootedTree: every vertex the
+    peel left hangs below the virtual root g.n."""
+    return RootedTree(g, g.n, (p.parent, p.children, p.order))
 
 
 def center_rooted(g: Graph) -> RootedTree:
@@ -176,7 +180,7 @@ def center_rooted(g: Graph) -> RootedTree:
     virtual root g.n (forest_tree).  Every automorphism fixes the virtual
     root, so the automorphisms of the tree are exactly the rooted
     automorphisms of the result."""
-    return forest_tree(g, _peel_tree(g)[0])
+    return forest_tree(g, _peel_tree(g))
 
 
 def tree_code(g: Graph) -> bytes:
@@ -280,21 +284,27 @@ def dense(n: int, moves: Iterable[dict[int, int]]) -> list[SparsePerm]:
     return [SparsePerm(n, m) for m in moves]
 
 
-def rooted_aut_generators(t: RootedTree, v: int) -> list[dict[int, int]]:
-    """Generators of the automorphisms of subtree(v) that fix v: adjacent
-    swaps of isomorphic sibling subtrees, descending into one representative
-    per class: the first of each run of equal codes in t.children.  Each is
-    a support-only map of the vertices it moves (never v or t.root); dense
-    wraps them as permutations."""
+def rooted_aut_generators(t: RootedTree, *roots: int) -> list[dict[int, int]]:
+    """Generators of the automorphisms of the subtrees below roots that fix
+    every root: adjacent swaps of isomorphic sibling subtrees, descending
+    into one representative per class: the first of each run of equal codes
+    in t.children.  One walk takes the roots in the order given, each
+    subtree in turn, so the maps are those of one call per root,
+    concatenated.  Each is a support-only map of the vertices it moves
+    (never a root or t.root); two leaves swap as {a: b, b: a}.  dense wraps
+    them as permutations."""
     children, code = t.children, t.code
     gens: list[dict[int, int]] = []
-    stack = [v]
+    stack = list(reversed(roots))  # popped in the order given
     while stack:
         a = None
         for b in children[stack.pop()]:
             if a is not None and code[a] == code[b]:
-                swap = aligned_iso(t, a, b)
-                swap.update({y: x for x, y in swap.items()})
+                if children[b]:
+                    swap = aligned_iso(t, a, b)
+                    swap.update({y: x for x, y in swap.items()})
+                else:
+                    swap = {a: b, b: a}
                 gens.append(swap)
             elif children[b]:  # b starts a run; a leaf has nothing to swap
                 stack.append(b)

@@ -168,9 +168,9 @@ def test_connectivity_checked_once(monkeypatch):
     walks = []
     real = bicyclic.skeleton
 
-    def counted(g, parent, deg, nbr):
+    def counted(g, peeled):
         walks.append(g)
-        return real(g, parent, deg, Sums(nbr))
+        return real(g, peeled._replace(nbr=Sums(peeled.nbr)))
 
     monkeypatch.setattr(bicyclic, "skeleton", counted)
     decorated = decorate(*skeleton_core("theta", (2, 3, 3)), [(), ((),), ((), ())])

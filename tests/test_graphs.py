@@ -115,7 +115,7 @@ def _reference_peel(adj: list[list[int]]) -> list[int]:
             deg[w] -= 1
             if deg[w] == 1:
                 nxt.append(w)
-        layer = nxt
+        layer = sorted(nxt)  # each round's leaves in ascending order
     return parent
 
 
@@ -161,7 +161,7 @@ def test_peel_matches_the_adjacency_reference():
 
 
 def _skeleton(g):
-    return skeleton(g, *peel_core(g))
+    return skeleton(g, peel_core(g))
 
 
 def test_skeleton_cycle():

@@ -17,6 +17,7 @@ TEST_ONLY = {
     "are_isomorphic": "oracle reference for the enumeration counts",
     "bar_construction": "criterion 7",
     "is_connected": "plain connectivity walk the generators' tests check against",
+    "peel": "the peel's parents alone, the reference its forest is checked against",
     "reconstruct": "decomposition round-trip check",
     "shape_size": "enumeration check",
 }

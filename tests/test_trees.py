@@ -1,5 +1,6 @@
 """Rooted and free tree codes, automorphism expressions, generators."""
 import random
+import tracemalloc
 
 import pytest
 
@@ -9,10 +10,12 @@ from bicaut.generate import (
     all_bicyclic,
     all_unicyclic,
     free_trees,
+    random_bicyclic,
     random_tree,
+    random_unicyclic,
     skeleton_core,
 )
-from bicaut.graphs import make_graph
+from bicaut.graphs import make_graph, peel
 from bicaut.groups import Product, Sym, Trivial, Wreath, normalize, order
 from bicaut.oracle import (
     automorphism_count,
@@ -326,12 +329,14 @@ def _reference_generators(t, kids, v):
 
 def _assert_runs_match_the_grouped_walk(t, starts):
     kids = _ascending_children(t)
-    order = [t.root]  # breadth first over ascending children
-    for u in order:
-        order.extend(kids[u])
-    assert t.order == order
+    # every vertex once, each after its parent (a peeled forest lists them
+    # in the peel's deletion order, reversed)
+    assert sorted(t.order) == list(range(len(t.parent)))
+    at = {v: i for i, v in enumerate(t.order)}
+    assert t.order[0] == t.root
+    assert all(at[t.parent[v]] < at[v] for v in t.order[1:])
     for u in t.order:
-        assert t.children[u] == sorted(kids[u], key=lambda w: (t.code[w], w))
+        assert list(t.children[u]) == sorted(kids[u], key=lambda w: (t.code[w], w))
         for members in _reference_classes(t, kids, u).values():
             for i, a in enumerate(members):
                 for b in members[i + 1:]:
@@ -362,6 +367,75 @@ def test_sibling_runs_match_the_grouped_walk():
     for _ in range(50):
         g = random_tree(rng, rng.randint(100, 3000))
         _assert_runs_match_the_grouped_walk(RootedTree(g, 0), [0])
+
+
+def _reference_forest(g):
+    """Parents, child lists (ascending) and codes of the peel's forest, from
+    graphs.peel's parents alone: every vertex left hangs below g.n, and the
+    codes are the node_code fold."""
+    n = g.n
+    parent = [n if p < 0 else p for p in peel(g)] + [-1]
+    kids = [[] for _ in parent]
+    for v, p in enumerate(parent[:n]):
+        kids[p].append(v)
+    order = [n]
+    for u in order:  # grows while read: parents first
+        order.extend(kids[u])
+    code = [b""] * len(parent)
+    for u in reversed(order):
+        code[u] = node_code(code[w] for w in kids[u])
+    return parent, kids, code
+
+
+def test_peel_forest_matches_the_parents_reference():
+    # graphs.peel_core builds the forest as it deletes leaves; the same tree
+    # built afresh from its parents is the reference, and one walk of
+    # rooted_aut_generators from every slot gives the per-slot maps in turn
+    pool = [g for n in range(1, 11) for g in free_trees(n)]
+    pool += [g for n in range(3, 9) for g in all_unicyclic(n) + all_bicyclic(n)]
+    rng = random.Random(23)
+    for _ in range(50):
+        make = rng.choice((random_tree, random_unicyclic, random_bicyclic))
+        pool.append(make(rng, rng.randint(100, 3000)))
+    leaf_swaps = 0
+    for g in pool:
+        if len(g.edges) == g.n - 1:
+            t = center_rooted(g)
+            roots = list(t.children[g.n])
+        else:
+            dec = decompose(g)
+            t, roots = dec.tree, list(dec.layout)
+        parent, kids, code = _reference_forest(g)
+        assert t.root == g.n and t.parent == parent, g.edges
+        assert [sorted(c) for c in t.children] == kids, g.edges
+        assert t.code == code, g.edges
+        for c in t.children:
+            assert list(c) == sorted(c, key=lambda w: (code[w], w)), g.edges
+        per_root = [m for v in roots for m in rooted_aut_generators(t, v)]
+        assert rooted_aut_generators(t, *roots) == per_root, g.edges
+        leaf_swaps += sum(
+            len(m) == 2 and not any(map(t.children.__getitem__, m)) for m in per_root
+        )
+    assert leaf_swaps > 1000
+
+
+def test_a_leaf_owns_no_child_list():
+    # every leaf of the peel's forest shares one empty tuple, so a star's
+    # forest costs about one list, not one per leaf
+    n = 10**5
+    star = make_graph(n + 1, [(0, i) for i in range(1, n + 1)])
+    for g in (star, random_tree(random.Random(1), n)):
+        leaves = [c for c in center_rooted(g).children if not c]
+        assert len(leaves) > n // 3
+        assert all(c is leaves[0] for c in leaves)
+    tracemalloc.start()
+    try:
+        center_rooted(star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 17.7 MB on CPython 3.11; one list per leaf made it 22.4 MB
+    assert peak < 20_000_000, peak
 
 
 def test_sparse_perm_reads_like_its_tuple():
