@@ -11,7 +11,7 @@ the peel leaves on them let graphs.skeleton walk it, which decides
 connectivity and lays the core out in the one slot layout of
 graphs.PATH_ENDS (Decomposition.layout).  The same peel hangs every
 attached tree from its core vertex as it deletes leaves, and
-trees.forest_tree takes that forest as one RootedTree, the way a free
+decompose builds that forest as one trees.RootedTree, the way a free
 tree's centres hang too: its virtual root n has the core vertices for
 children.  Each slot's code and expression, the rooted generators and the
 lifts of core symmetries all come from that one tree, whose child lists
@@ -75,7 +75,6 @@ from .trees import (
     aligned_iso,
     center_rooted,
     dense,
-    forest_tree,
     rooted_aut_generators,
     rooted_exprs,
     tree_aut_expr,
@@ -134,7 +133,7 @@ def decompose(g: Graph) -> Decomposition:
         raise UnsupportedFamilyError("graph is not connected")
     peeled = peel_core(g)
     kind, layout, lengths = skeleton(g, peeled)
-    tree = forest_tree(g, peeled)
+    tree = RootedTree(peeled)
     del peeled  # its degrees and sums: n entries each, no longer read
     exprs = rooted_exprs(tree)
     codes = list(map(tree.code.__getitem__, layout))

@@ -7,7 +7,9 @@ bicyclic graph, or the centres of a tree, and, built as the leaves go, the
 forest of the trees hanging off them: every deleted vertex's parent, each
 vertex's children and an order of all of them, parents first (Peel), all
 below a virtual root n whose children are the vertices left; a vertex with
-no child gets no list of its own.  The degree and the
+no child gets no list of its own.  Given a root, which it never deletes,
+it peels a tree down to that root, so the forest is the tree rooted
+there; trees builds every RootedTree from a peel.  The degree and the
 neighbour-label sum it leaves on every vertex left describe the core too: a
 core vertex of degree 2 is left by its sum minus the vertex it was entered
 from.  So skeleton walks the core with explicit rows for its branch
@@ -152,10 +154,13 @@ class Peel(NamedTuple):
     nbr: list[int]
 
 
-def peel_core(g: Graph) -> Peel:
-    """Delete leaves in rounds while more than two vertices are left, and
-    hang every deleted vertex from the neighbour it was deleted from; the
-    vertices left hang from the virtual root g.n (Peel).
+def peel_core(g: Graph, root: int | None = None) -> Peel:
+    """Delete leaves in rounds while more than two vertices are left, or,
+    given a root, until only the root is left, and hang every deleted vertex
+    from the neighbour it was deleted from; the vertices left hang from the
+    virtual root g.n (Peel).  The root is never deleted: it counts two more
+    than its degree, so it never falls to degree 1.  Raises ValueError for
+    a root outside range(g.n).
 
     One pass over the edges gives each vertex its degree and the sum of its
     neighbours' labels.  A leaf's one neighbour not deleted yet is then that
@@ -169,9 +174,10 @@ def peel_core(g: Graph) -> Peel:
 
     On a connected graph with a cycle the rounds run out of leaves first (a
     cycle has three vertices or more), leaving the 2-core; on a tree they
-    leave its one or two centres.  Either way every deleted vertex hangs
-    from its neighbour towards the vertices left, so the forest holds the
-    trees hanging from them, each rooted at the vertex left it hangs from.
+    leave its one or two centres, or the root.  Either way every deleted
+    vertex hangs from its neighbour towards the vertices left, so the forest
+    holds the trees hanging from them, each rooted at the vertex left it
+    hangs from: given a root, the whole tree rooted there.
 
     Connectivity can be read off what is left.  A graph with a cycle keeps
     that cycle, so the rounds never stop early, and each component keeps at
@@ -179,8 +185,8 @@ def peel_core(g: Graph) -> Peel:
     with degree 0.  Deleting a leaf keeps its component connected, so the
     graph is connected iff the vertices left induce a connected graph
     (skeleton walks it).  A graph with n - 1 edges is connected iff it is
-    left with at most two vertices: disconnected, it would have a cycle,
-    which is never deleted.
+    left with at most two vertices, or with the root alone: disconnected,
+    it would have a cycle, which is never deleted.
     """
     n = g.n
     deg = [0] * n
@@ -190,12 +196,18 @@ def peel_core(g: Graph) -> Peel:
         deg[v] += 1
         nbr[u] += v
         nbr[v] += u
+    keep = 2
+    if root is not None:
+        if not 0 <= root < n:
+            raise ValueError("root %r out of range for n=%d" % (root, n))
+        deg[root] += 2
+        keep = 1
     parent = [n] * n + [-1]
     children: list = [()] * (n + 1)
     order: list[int] = []  # the deleted vertices, children first
     left = n
     layer = [v for v, d in enumerate(deg) if d == 1]
-    while layer and left > 2:
+    while layer and left > keep:
         nxt = []
         for v in layer:
             # no neighbour left only in a disconnected graph, when v's
@@ -217,6 +229,8 @@ def peel_core(g: Graph) -> Peel:
         order += layer
         nxt.sort()
         layer = nxt
+    if root is not None:
+        deg[root] -= 2
     if len(order) != n - left:  # a vertex was skipped: disconnected
         order = [v for v in order if parent[v] != n]
     children[n] = core = [v for v, p in enumerate(parent) if p == n]
@@ -226,15 +240,8 @@ def peel_core(g: Graph) -> Peel:
     return Peel(parent, children, order, deg, nbr)
 
 
-def peel(g: Graph) -> list[int]:
-    """peel_core's parents of the n vertices, with -1 for a vertex left:
-    the neighbour each deleted vertex hung from."""
-    n = g.n
-    return [-1 if p == n else p for p in peel_core(g).parent[:n]]
-
-
 def core_vertices(g: Graph) -> list[int]:
-    """The vertices peel leaves: for a connected graph with a cycle its
+    """The vertices peel_core leaves: for a connected graph with a cycle its
     2-core (the unique cycle, or both cycles and any path joining them), for
     a tree its centres."""
     return peel_core(g).children[g.n]

@@ -14,17 +14,18 @@ code alone: rooted_exprs builds one normalized expression per distinct
 code, from its children's runs with groups.wreath and
 groups.direct_product, and every vertex of that code shares it.
 
-Every tree with a virtual root is the forest graphs.peel_core builds as it
-deletes leaves (forest_tree): whatever the peel leaves hangs below the
-virtual root g.n, and the deletion order, reversed, is the order.  A free
-tree's peel leaves its one or two centres, so center_rooted roots it
+Every RootedTree is the forest graphs.peel_core builds as it deletes
+leaves: whatever the peel leaves hangs below the virtual root g.n, which
+is the tree's root, and the deletion order, reversed, is the order.  A
+free tree's peel leaves its one or two centres, so center_rooted roots it
 there, as Jordan did, and its group is the rooted group of that tree; a
 unicyclic or bicyclic graph's peel leaves its core, and bicyclic hangs
-every pendant tree from it the same way.  RootedTree(g, root) builds the
-same three lists by a walk of g from root.  The peel reads the edge list,
-so analyzing a tree builds no adjacency list.  The vertices every
-automorphism fixes are read off the same runs: fixed_vertices keeps,
-walking down from the root, each vertex alone in its run.
+every pendant tree from it the same way.  Given a root, the peel never
+deletes it, so it leaves the root alone, with the whole tree below it
+(rooted_aut_expr).  The peel reads the edge list, so no rooting builds an
+adjacency list.  The vertices every automorphism fixes are read off the
+same runs: fixed_vertices keeps, walking down from the root, each vertex
+alone in its run.
 
 The walks take a RootedTree, and the vertices to start from, and work in
 the tree's own labels: rooted_exprs runs children first along t.order,
@@ -45,7 +46,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from operator import ne
 
-from .graphs import Graph, Peel, adjacency, make_graph, peel_core
+from .graphs import Graph, Peel, make_graph, peel_core
 from .groups import GroupExpr, Trivial, direct_product, wreath
 
 
@@ -57,26 +58,23 @@ def node_code(kid_codes) -> bytes:
 
 
 class RootedTree:
-    """Parent/children structure plus shape codes for a tree.
+    """Parent/children structure plus shape codes for the forest of a peel.
 
-    forest is (parent, children, order), as graphs.Peel holds them:
-    parent[v] is v's parent, -1 for the root; children[v] lists v's
-    children, siblings of equal height in ascending order, and every vertex
-    with none may share one empty tuple; order lists every vertex once,
-    each after its parent.  When forest is not given, a walk of the tree g
-    from root builds it.  A root of g.n is virtual: the tree then has
-    g.n + 1 vertices and the root's children are those with parent g.n.
-    One pass along order reversed, children first, builds the codes and
-    sorts each child list by code in place, stably, so it stands in (code,
-    label) order (isomorphic siblings have equal heights) and isomorphic
-    siblings are adjacent.
+    parent, children and order are the graphs.Peel's own lists: the tree
+    has g.n + 1 vertices, and its root is the virtual root g.n, whose
+    children are the vertices the peel left; parent[v] is v's parent, -1
+    for the root; children[v] lists v's children, siblings of equal height
+    in ascending order, and every vertex with none shares one empty tuple;
+    order lists every vertex once, each after its parent.  One pass along
+    order reversed, children first, builds the codes and sorts each child
+    list by code in place, stably, so it stands in (code, label) order
+    (isomorphic siblings have equal heights) and isomorphic siblings are
+    adjacent.
     """
 
-    def __init__(self, g: Graph, root: int, forest: tuple | None = None):
-        if forest is None:
-            forest = _walk(g, root)
-        self.root = root
-        self.parent, self.children, self.order = forest
+    def __init__(self, p: Peel):
+        self.parent, self.children, self.order = p.parent, p.children, p.order
+        self.root = self.order[0]
         children = self.children
         # node_code inline: every leaf shares one code, and a lone child's
         # code needs no sort
@@ -91,29 +89,6 @@ class RootedTree:
                 code[u] = len(kids).to_bytes(4, "big") + b"".join(
                     map(code.__getitem__, kids)
                 )
-
-
-def _walk(g: Graph, root: int) -> tuple[list[int], list, list[int]]:
-    """(parent, children, order) of the tree g rooted at root, as
-    RootedTree takes them: a walk breadth first over ascending labels.
-    Raises ValueError unless g is a connected tree."""
-    if len(g.edges) != g.n - 1:
-        raise ValueError("graph is not a tree")
-    adj = adjacency(g)
-    parent = [-2] * g.n  # -2: not reached yet
-    parent[root] = -1
-    children: list = [()] * g.n
-    order = [root]
-    for u in order:  # grows while read
-        kids = [w for w in adj[u] if parent[w] == -2]
-        if kids:
-            for w in kids:
-                parent[w] = u
-            children[u] = kids
-            order += kids
-    if len(order) != g.n:
-        raise ValueError("graph is not a connected tree")
-    return parent, children, order
 
 
 def rooted_exprs(t: RootedTree) -> list[GroupExpr]:
@@ -149,16 +124,18 @@ def rooted_aut_expr(g: Graph, root: int) -> GroupExpr:
     This is also the stabilizer of root inside the automorphism group of the
     free tree, since fixing a vertex of a tree fixes distances from it.
     """
-    return rooted_exprs(RootedTree(g, root))[root]
+    return rooted_exprs(RootedTree(_peel_tree(g, root)))[root]
 
 
-def _peel_tree(g: Graph) -> Peel:
+def _peel_tree(g: Graph, root: int | None = None) -> Peel:
     """graphs.peel_core of a tree, whose vertices left are its one or two
-    centres.  Raises ValueError unless g is a tree: with n - 1 edges a graph
-    that is not one has a cycle, whose vertices the peel leaves."""
+    centres, or the root alone when one is given.  Raises ValueError unless
+    g is a tree (and, as peel_core does, for a root outside range(g.n)):
+    with n - 1 edges a graph that is not one has a cycle, whose three or
+    more vertices the peel leaves, root or no root."""
     if len(g.edges) != g.n - 1:
         raise ValueError("graph is not a tree")
-    p = peel_core(g)
+    p = peel_core(g, root)
     if len(p.children[g.n]) > 2:
         raise ValueError("graph is not a tree")
     return p
@@ -169,18 +146,12 @@ def centers(g: Graph) -> list[int]:
     return _peel_tree(g).children[g.n]
 
 
-def forest_tree(g: Graph, p: Peel) -> RootedTree:
-    """The forest graphs.peel_core built as one RootedTree: every vertex the
-    peel left hangs below the virtual root g.n."""
-    return RootedTree(g, g.n, (p.parent, p.children, p.order))
-
-
 def center_rooted(g: Graph) -> RootedTree:
     """Root a free tree at its one or two centres, which hang below the
-    virtual root g.n (forest_tree).  Every automorphism fixes the virtual
-    root, so the automorphisms of the tree are exactly the rooted
-    automorphisms of the result."""
-    return forest_tree(g, _peel_tree(g))
+    virtual root g.n.  Every automorphism fixes the virtual root, so the
+    automorphisms of the tree are exactly the rooted automorphisms of the
+    result."""
+    return RootedTree(_peel_tree(g))
 
 
 def tree_code(g: Graph) -> bytes:

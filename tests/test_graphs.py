@@ -28,7 +28,6 @@ from bicaut.graphs import (
     is_connected,
     link,
     make_graph,
-    peel,
     peel_core,
     skeleton,
     splice,
@@ -85,30 +84,43 @@ def test_core_and_attached_trees():
     assert set(trees[0].edges) == {(0, 3), (3, 4)}
 
 
+def _parents(g, root=None):
+    """The parents peel_core gives the n vertices: n for a vertex left."""
+    return peel_core(g, root).parent[:g.n]
+
+
 def test_peel_parents():
     # the same triangle: 4 hangs from 3, 3 from the core vertex 0
     g = make_graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)])
-    assert peel(g) == [-1, -1, -1, 0, 3]
+    assert _parents(g) == [5, 5, 5, 0, 3]
     # a tree keeps its centres: P4 peels to its middle edge, the star to 0
-    assert peel(P4) == [1, -1, -1, 2]
+    assert _parents(P4) == [1, 4, 4, 2]
     star = make_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert peel(star) == [-1, 0, 0, 0]
+    assert _parents(star) == [4, 0, 0, 0]
+    # given a root, a tree keeps the root alone
+    assert _parents(P4, 0) == [4, 0, 1, 2]
+    assert _parents(star, 3) == [3, 0, 0, 4]
+    for root in (4, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            peel_core(star, root)
     # a disconnected graph: an edge component keeps one end
-    assert peel(make_graph(5, [(0, 1), (2, 3), (3, 4)])) == [1, -1, 3, -1, 3]
+    assert _parents(make_graph(5, [(0, 1), (2, 3), (3, 4)])) == [1, 5, 3, 5, 3]
 
 
 def _reference_peel(adj: list[list[int]]) -> list[int]:
-    """peel on an adjacency list, finding a leaf's neighbour by scanning its
-    row for one not deleted yet: the reference peel is checked against."""
+    """peel_core's parents on an adjacency list, finding a leaf's neighbour
+    by scanning its row for one not deleted yet: the reference the peel is
+    checked against."""
+    n = len(adj)
     deg = [len(row) for row in adj]
-    parent = [-1] * len(adj)
-    left = len(adj)
+    parent = [n] * n
+    left = n
     layer = [v for v, d in enumerate(deg) if d == 1]
     while layer and left > 2:
         nxt = []
         for v in layer:
-            w = next((w for w in adj[v] if parent[w] < 0), -1)
-            if w < 0:
+            w = next((w for w in adj[v] if parent[w] == n), n)
+            if w == n:
                 continue
             parent[v] = w
             left -= 1
@@ -116,6 +128,21 @@ def _reference_peel(adj: list[list[int]]) -> list[int]:
             if deg[w] == 1:
                 nxt.append(w)
         layer = sorted(nxt)  # each round's leaves in ascending order
+    return parent
+
+
+def _reference_walk(adj: list[list[int]], root: int) -> list[int]:
+    """The parents of a tree rooted at root, from a breadth-first walk of
+    its adjacency list, with n for the root, as peel_core gives them."""
+    n = len(adj)
+    parent = [-1] * n
+    parent[root] = n
+    order = [root]
+    for u in order:  # grows while read
+        for w in adj[u]:
+            if parent[w] < 0:
+                parent[w] = u
+                order.append(w)
     return parent
 
 
@@ -144,7 +171,11 @@ def test_peel_matches_the_adjacency_reference():
     pool += [g for n in range(4, 9) for g in all_bicyclic(n)]
     for g in pool:
         for h in (g, _relabelled(g, rng)):
-            assert peel(h) == _reference_peel(adjacency(h)), h.edges
+            adj = adjacency(h)
+            assert _parents(h) == _reference_peel(adj), h.edges
+            if len(h.edges) == h.n - 1:  # a tree, peeled down to each root
+                for root in range(h.n):
+                    assert _parents(h, root) == _reference_walk(adj, root), h.edges
     # disconnected graphs with cyclomatic number 0 to 3 peel the same, and
     # connectivity read off the peel rejects every one
     made = Counter()
@@ -154,10 +185,15 @@ def test_peel_matches_the_adjacency_reference():
         if not 0 <= c <= 3:
             continue
         made[c] += 1
-        assert peel(g) == _reference_peel(adjacency(g)), g.edges
+        assert _parents(g) == _reference_peel(adjacency(g)), g.edges
         for fn in (analyze, decompose):
             with pytest.raises(UnsupportedFamilyError, match="^graph is not connected$"):
                 fn(g)
+    for _ in range(50):
+        g = _relabelled(random_tree(rng, rng.randint(100, 3000)), rng)
+        adj = adjacency(g)
+        for root in (0, rng.randrange(g.n), g.n - 1):
+            assert _parents(g, root) == _reference_walk(adj, root), root
 
 
 def _skeleton(g):

@@ -17,7 +17,6 @@ TEST_ONLY = {
     "are_isomorphic": "oracle reference for the enumeration counts",
     "bar_construction": "criterion 7",
     "is_connected": "plain connectivity walk the generators' tests check against",
-    "peel": "the peel's parents alone, the reference its forest is checked against",
     "reconstruct": "decomposition round-trip check",
     "shape_size": "enumeration check",
 }
@@ -165,15 +164,33 @@ def test_engine_builds_normal_forms():
         assert "normalize" not in names, name
 
 
-def test_bicyclic_roots_trees_through_forest_tree():
-    # every tree below a virtual root is built by trees.forest_tree, so
-    # bicyclic constructs no RootedTree of its own
+def test_decompose_roots_its_tree_on_the_peel_skeleton_reads():
+    # decompose peels the graph once: skeleton reads the peel, and the one
+    # RootedTree bicyclic builds is that peel's forest
     tree = ast.parse((SRC_DIR / "bicyclic.py").read_text(encoding="utf-8"))
-    called = {
-        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, (ast.Name, ast.Attribute))
+    calls = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            calls.setdefault(node.func.id, []).append(ast.unparse(node))
+    (dec,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "decompose"
+    ]
+    (peeled,) = [
+        node.targets[0].id for node in ast.walk(dec)
+        if isinstance(node, ast.Assign) and ast.unparse(node.value) == "peel_core(g)"
+    ]
+    assert calls["peel_core"] == ["peel_core(g)"]
+    assert calls["skeleton"] == ["skeleton(g, %s)" % peeled]
+    assert calls["RootedTree"] == ["RootedTree(%s)" % peeled]
+
+
+def test_trees_imports_no_adjacency():
+    # every RootedTree is a peel's forest, read off the edge list, so the
+    # tree engine builds no adjacency list
+    tree = ast.parse((SRC_DIR / "trees.py").read_text(encoding="utf-8"))
+    names = {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
     }
-    assert "forest_tree" in called
-    assert "RootedTree" not in called
+    assert "Peel" in names and "adjacency" not in names

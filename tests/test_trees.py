@@ -1,6 +1,7 @@
 """Rooted and free tree codes, automorphism expressions, generators."""
 import random
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -15,7 +16,7 @@ from bicaut.generate import (
     random_unicyclic,
     skeleton_core,
 )
-from bicaut.graphs import make_graph, peel
+from bicaut.graphs import make_graph, peel_core
 from bicaut.groups import Product, Sym, Trivial, Wreath, normalize, order
 from bicaut.oracle import (
     automorphism_count,
@@ -51,13 +52,18 @@ BIN2 = make_graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
 SPIDER = make_graph(6, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)])
 
 
+def _code(g, root):
+    """The code of the tree g rooted at root."""
+    return RootedTree(peel_core(g, root)).code[root]
+
+
 def test_rooted_codes():
-    assert RootedTree(make_graph(1, []), 0).code[0] == b"\x00\x00\x00\x00"
-    assert RootedTree(P2, 0).code[0] == RootedTree(P2, 1).code[1]
-    assert RootedTree(P4, 0).code[0] == RootedTree(P4, 3).code[3]
-    assert RootedTree(P4, 0).code[0] != RootedTree(P4, 1).code[1]
-    assert RootedTree(BIN2, 1).code[1] == RootedTree(BIN2, 2).code[2]
-    assert RootedTree(BIN2, 0).code[0] != RootedTree(BIN2, 1).code[1]
+    assert _code(make_graph(1, []), 0) == b"\x00\x00\x00\x00"
+    assert _code(P2, 0) == _code(P2, 1)
+    assert _code(P4, 0) == _code(P4, 3)
+    assert _code(P4, 0) != _code(P4, 1)
+    assert _code(BIN2, 1) == _code(BIN2, 2)
+    assert _code(BIN2, 0) != _code(BIN2, 1)
 
 
 def test_codes_are_the_node_code_fold():
@@ -65,18 +71,74 @@ def test_codes_are_the_node_code_fold():
     # node_code of its children's, so by induction the whole fold
     path = make_graph(5000, [(i, i + 1) for i in range(4999)])
     for g in [g for n in range(1, 11) for g in free_trees(n)] + [path]:
-        for t in (RootedTree(g, 0), center_rooted(g)):
+        for t in (RootedTree(peel_core(g, 0)), center_rooted(g)):
             for u in t.order:
                 assert t.code[u] == node_code(t.code[w] for w in t.children[u])
 
 
+def _disconnected_with_n_minus_1_edges():
+    """Every disconnected graph with n <= 8 vertices and n - 1 edges, up to
+    isomorphism, as a disjoint union of connected ones.  The components'
+    cyclomatic numbers sum to one less than their count, so with n <= 8
+    each is a tree, a unicyclic or bicyclic graph, or one with three
+    independent cycles on 4 or 5 vertices beside three trees: K4, or K5
+    less three edges (a triangle, a path of three edges, a claw, or a path
+    of two edges and one beside it)."""
+    pool = [g for n in range(1, 8) for g in free_trees(n)]
+    pool += [g for n in range(3, 8) for g in all_unicyclic(n)]
+    pool += [g for n in range(4, 7) for g in all_bicyclic(n)]
+    pool.append(make_graph(4, list(combinations(range(4), 2))))
+    k5 = list(combinations(range(5), 2))
+    for less in (
+        [(0, 1), (0, 2), (1, 2)],
+        [(0, 1), (1, 2), (2, 3)],
+        [(0, 1), (0, 2), (0, 3)],
+        [(0, 1), (1, 2), (3, 4)],
+    ):
+        pool.append(make_graph(5, [e for e in k5 if e not in less]))
+
+    def unions(start, parts, n, m):
+        if len(parts) > 1 and m == n - 1:
+            yield parts
+        for i in range(start, len(pool)):
+            g = pool[i]
+            if n + g.n <= 8:
+                yield from unions(i, parts + [g], n + g.n, m + len(g.edges))
+
+    for parts in unions(0, [], 0, 0):
+        n, edges = 0, []
+        for g in parts:
+            edges += [(u + n, v + n) for u, v in g.edges]
+            n += g.n
+        yield make_graph(n, edges)
+
+
 def test_rooted_tree_rejects_non_trees():
-    with pytest.raises(ValueError):
-        RootedTree(make_graph(3, [(0, 1), (1, 2), (0, 2)]), 0)
-    with pytest.raises(ValueError):
-        RootedTree(make_graph(3, [(0, 1)]), 0)
-    with pytest.raises(ValueError):  # n - 1 edges, not connected
-        RootedTree(make_graph(4, [(0, 1), (1, 2), (0, 2)]), 3)
+    for g, root in (
+        (make_graph(3, [(0, 1), (1, 2), (0, 2)]), 0),
+        (make_graph(3, [(0, 1)]), 0),
+        (make_graph(4, [(0, 1), (1, 2), (0, 2)]), 3),  # n - 1 edges, not connected
+    ):
+        with pytest.raises(ValueError, match="^graph is not a tree$"):
+            rooted_aut_expr(g, root)
+    # a root must be a vertex: g.n is none, and -1 is no name for g.n - 1
+    for root in (STAR4.n, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            rooted_aut_expr(STAR4, root)
+    # every root of every disconnected graph with n - 1 edges: the peel
+    # never deletes a cycle, so the root is never left alone
+    sizes, isolated = [0] * 9, 0
+    for g in _disconnected_with_n_minus_1_edges():
+        sizes[g.n] += 1
+        isolated += g.n - len({v for e in g.edges for v in e})
+        with pytest.raises(ValueError, match="^graph is not a tree$"):
+            centers(g)
+        for root in range(g.n):
+            with pytest.raises(ValueError, match="^graph is not a tree$"):
+                rooted_aut_expr(g, root)
+    # the counts of such graphs up to isomorphism (by Burnside's lemma)
+    assert sizes[4:] == [1, 3, 9, 30, 92]
+    assert isolated > 0
 
 
 def test_rooted_aut_exprs():
@@ -126,16 +188,17 @@ def test_rooted_exprs_match_the_per_vertex_build():
         for g in free_trees(n):
             _assert_matches_reference(center_rooted(g))
             for v in range(n):
-                _assert_matches_reference(RootedTree(g, v))
+                _assert_matches_reference(RootedTree(peel_core(g, v)))
     for n in range(3, 10):
         for g in all_unicyclic(n) + all_bicyclic(n):
             _assert_matches_reference(decompose(g).tree)
     rng = random.Random(13)
     for _ in range(50):
-        _assert_matches_reference(RootedTree(random_tree(rng, rng.randint(100, 3000)), 0))
+        g = random_tree(rng, rng.randint(100, 3000))
+        _assert_matches_reference(RootedTree(peel_core(g, 0)))
     # complete binary tree of depth 10: S2 wreathed with S2 nine times
     binary = make_graph(2047, [((v - 1) // 2, v) for v in range(1, 2047)])
-    t = RootedTree(binary, 0)
+    t = RootedTree(peel_core(binary, 0))
     _assert_matches_reference(t)
     e = rooted_exprs(t)[0]
     for _ in range(9):
@@ -152,8 +215,8 @@ def test_rooted_exprs_build_each_shape_once(monkeypatch):
         trees, "direct_product", lambda fs: builds.append(fs) or real(fs)
     )
     star = make_graph(5001, [(0, i) for i in range(1, 5001)])
-    rooted_exprs(RootedTree(star, 0))
-    assert len(builds) == 2
+    rooted_exprs(RootedTree(peel_core(star, 0)))
+    assert len(builds) == 3  # a leaf, the centre, the virtual root above it
     t = decompose(_decorated_theta(random.Random(4), 2000)).tree
     builds.clear()
     ex = rooted_exprs(t)
@@ -248,7 +311,7 @@ def test_orbits_and_fixed_vertices():
 
 
 def test_aligned_iso():
-    t = RootedTree(BIN2, 0)
+    t = RootedTree(peel_core(BIN2, 0))
     iso = aligned_iso(t, 1, 2)
     assert iso[1] == 2
     assert set(iso) == {1, 3, 4}
@@ -259,7 +322,7 @@ def test_aligned_iso():
 
 def test_rooted_generators():
     for g, root, want in ((STAR4, 0, 24), (BIN2, 0, 8), (P5, 2, 2), (P5, 0, 1)):
-        gens = dense(g.n, rooted_aut_generators(RootedTree(g, root), root))
+        gens = dense(g.n, rooted_aut_generators(RootedTree(peel_core(g, root)), root))
         for p in gens:
             assert is_automorphism(g, p)
             assert p[root] == root
@@ -271,11 +334,11 @@ def test_rooted_generators_are_sparse_swaps():
     # keys that keeps v and the root, and an automorphism once densified
     trees = [(g, 0) for g in free_trees(8)] + [(BIN2, 1), (SPIDER, 2), (P5, 1)]
     for g, root in trees:
-        t = RootedTree(g, root)
+        t = RootedTree(peel_core(g, root))
         for v in range(g.n):
             for m in rooted_aut_generators(t, v):
                 assert m and all(m[y] == x and x != y for x, y in m.items())
-                assert v not in m and t.root not in m
+                assert v not in m and root not in m and t.root not in m
                 (p,) = dense(g.n, [m])
                 assert is_automorphism(g, p)
 
@@ -356,7 +419,8 @@ def test_sibling_runs_match_the_grouped_walk():
     for n in range(1, 11):
         for g in free_trees(n):
             for root in range(n):
-                _assert_runs_match_the_grouped_walk(RootedTree(g, root), [root])
+                t = RootedTree(peel_core(g, root))
+                _assert_runs_match_the_grouped_walk(t, [root])
             t = center_rooted(g)
             _assert_runs_match_the_grouped_walk(t, [t.root])
     for n in range(3, 9):
@@ -366,15 +430,17 @@ def test_sibling_runs_match_the_grouped_walk():
     rng = random.Random(17)
     for _ in range(50):
         g = random_tree(rng, rng.randint(100, 3000))
-        _assert_runs_match_the_grouped_walk(RootedTree(g, 0), [0])
+        for root in (0, g.n - 1):
+            _assert_runs_match_the_grouped_walk(RootedTree(peel_core(g, root)), [root])
 
 
 def _reference_forest(g):
     """Parents, child lists (ascending) and codes of the peel's forest, from
-    graphs.peel's parents alone: every vertex left hangs below g.n, and the
-    codes are the node_code fold."""
+    graphs.peel_core's parents alone (tests/test_graphs.py checks them
+    against a peel on an adjacency list): every vertex left hangs below
+    g.n, and the codes are the node_code fold."""
     n = g.n
-    parent = [n if p < 0 else p for p in peel(g)] + [-1]
+    parent = peel_core(g).parent
     kids = [[] for _ in parent]
     for v, p in enumerate(parent[:n]):
         kids[p].append(v)
