@@ -15,21 +15,24 @@ decompose builds that forest as one trees.RootedTree, the way a free
 tree's centres hang too: its virtual root n has the core vertices for
 children.  Each slot's code and expression, the rooted generators and the
 lifts of core symmetries all come from that one tree, whose child lists
-RootedTree sorts by (code, label) once: a lift (trees.aligned_iso) zips
+RootedTree sorts by (id, label) once: a lift (trees.aligned_iso) zips
 two slots' child lists as they stand, and the rooted generators, read in
 one walk from every slot (trees.rooted_aut_generators), swap adjacent
-siblings of equal code.  The slot expressions come from
-trees.rooted_exprs, one per distinct code and normalized already, and the
-decomposition keeps the slots' codes and expressions as two lists in
+siblings of equal shape id.  A slot's code is its tree's integer shape id,
+which compares slots of one graph; the slot expressions come from
+trees.rooted_exprs, one per id and normalized already, and the
+decomposition keeps the slots' ids and expressions as two lists in
 layout order.  The generators and lifts are support-only maps of the
 vertices they move, and emit_generators returns them so, as permutations
 of range(n) that store only their moves (trees.SparsePerm).
-Q is the group of core symmetries that keep every slot's tree code, held
+Q is the group of core symmetries that keep every slot's shape id, held
 as permutations of the positions in the layout.  A bicyclic core filters
-its at most 12 bare symmetries (graphs.skeleton_perms); a cycle's
-candidates are the symmetries of its slot-code necklace
+its at most 12 bare symmetries, which depend on (kind, lengths) alone and
+are cached per pair (graphs.skeleton_perms), keeping a candidate q iff
+the ids read through q are the ids, one list comparison; a cycle's
+candidates are the symmetries of its slot-id necklace
 (graphs.necklace_perms), read off its period and reflection in O(k), so
-they already keep every code.
+they already keep every id.
 Q is cyclic or dihedral, so at most two of its elements generate it, and
 _core_generators reads them off Q itself: a cycle's rotation by its period
 and first reflection; for any other core the least element of largest
@@ -77,6 +80,7 @@ from .trees import (
     dense,
     rooted_aut_generators,
     rooted_exprs,
+    shape_bytes,
     tree_aut_expr,
     tree_aut_generators,
 )
@@ -84,8 +88,9 @@ from .trees import (
 
 @dataclass(frozen=True)
 class _Slot:
-    """A core vertex's attached tree: its rooted code and its normalized
-    rooted automorphism group, the object every vertex of that code shares."""
+    """A core vertex's attached tree: its rooted code, as node_code's
+    bytes, and its normalized rooted automorphism group, the object every
+    vertex of that shape shares."""
 
     code: bytes
     expr: GroupExpr
@@ -98,15 +103,16 @@ class Decomposition:
     layout lists the core vertices in the slot layout of graphs.PATH_ENDS
     (graphs.skeleton): the anchors, then each path's interior.  Core
     symmetries permute positions in it, and codes and exprs hold each
-    slot's tree code and normalized rooted group in the same order.  tree
-    holds every attached tree in the graph's labels, rooted at the virtual
-    vertex n whose children are the core vertices."""
+    slot's shape id in tree (an int, equal iff the slots' trees are
+    isomorphic) and normalized rooted group in the same order.  tree holds
+    every attached tree in the graph's labels, rooted at the virtual vertex
+    n whose children are the core vertices."""
 
     n: int
     kind: str
     layout: tuple[int, ...]
     lengths: tuple[int, ...]
-    codes: list[bytes]
+    codes: list[int]
     exprs: list[GroupExpr]
     tree: RootedTree
 
@@ -115,9 +121,10 @@ class Decomposition:
 
     @property
     def slots(self) -> dict[int, _Slot]:
-        """Each core vertex's code and expression, by vertex, built when
-        asked for."""
-        return {v: _Slot(c, e) for v, c, e in zip(self.layout, self.codes, self.exprs)}
+        """Each core vertex's code, as node_code's bytes (trees.shape_bytes),
+        and expression, by vertex, built when asked for."""
+        codes = shape_bytes(self.tree, self.codes)
+        return {v: _Slot(c, e) for v, c, e in zip(self.layout, codes, self.exprs)}
 
 
 def decompose(g: Graph) -> Decomposition:
@@ -135,9 +142,8 @@ def decompose(g: Graph) -> Decomposition:
     kind, layout, lengths = skeleton(g, peeled)
     tree = RootedTree(peeled)
     del peeled  # its degrees and sums: n entries each, no longer read
-    exprs = rooted_exprs(tree)
     codes = list(map(tree.code.__getitem__, layout))
-    slot_exprs = list(map(exprs.__getitem__, layout))
+    slot_exprs = list(map(rooted_exprs(tree).__getitem__, codes))
     return Decomposition(g.n, kind, layout, lengths, codes, slot_exprs, tree)
 
 
@@ -154,10 +160,11 @@ def reconstruct(dec: Decomposition) -> Graph:
 # --- core symmetry candidates ----------------------------------------------
 
 
-def candidate_symmetries(dec: Decomposition) -> list[Perm]:
+def candidate_symmetries(dec: Decomposition) -> Sequence[Perm]:
     """Core symmetries on layout positions: every symmetry of a bare
-    bicyclic core (at most 12), and for a cycle only the symmetries of its
-    slot-code necklace, which already keep every slot's code."""
+    bicyclic core (at most 12, the cached tuple of graphs.skeleton_perms),
+    and for a cycle only the symmetries of its slot-id necklace, which
+    already keep every slot's id."""
     if dec.kind == "cycle":
         return necklace_perms(dec.codes)
     return skeleton_perms(dec.kind, dec.lengths)
@@ -165,13 +172,15 @@ def candidate_symmetries(dec: Decomposition) -> list[Perm]:
 
 def core_symmetries(dec: Decomposition) -> list[Perm]:
     """The group Q: candidate core symmetries that preserve attached-tree
-    shapes.  Shape preservation is closed under composition, so filtering
-    the candidate group keeps a group."""
+    shapes, in the candidates' order.  A bicyclic core's candidate q is
+    kept iff the slot ids read through it are the slot ids, one C-level
+    list comparison.  Shape preservation is closed under composition, so
+    filtering the candidate group keeps a group."""
     cands = candidate_symmetries(dec)
     if dec.kind == "cycle":
         return cands
     codes = dec.codes
-    return [q for q in cands if all(codes[j] == c for j, c in zip(q, codes))]
+    return [q for q in cands if list(map(codes.__getitem__, q)) == codes]
 
 
 # --- assembly ----------------------------------------------------------------

@@ -124,8 +124,8 @@ def _decorated(kind: str, lengths: tuple[int, ...], n: int) -> list[Graph]:
     for comp in _compositions(extra, len(slots)):
         pools = [rooted_shapes(c + 1) for c in comp]
         for combo in product(*pools):
-            codes = tuple(shape_code(sh) for sh in combo)
-            key = min(tuple(codes[p[i]] for i in range(len(slots))) for p in perms)
+            codes = tuple(map(shape_code, combo))
+            key = min(tuple(map(codes.__getitem__, p)) for p in perms)
             if key in seen:
                 continue
             seen.add(key)

@@ -30,6 +30,7 @@ graph6.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice, permutations, product
 from typing import NamedTuple
 
@@ -431,18 +432,20 @@ _END_MAPS = {
 }
 
 
-def skeleton_perms(kind: str, lengths: tuple[int, ...]) -> list[Perm]:
+@lru_cache(maxsize=1024)
+def skeleton_perms(kind: str, lengths: tuple[int, ...]) -> tuple[Perm, ...]:
     """Every symmetry of the bare core, as a permutation p of the
     PATH_ENDS slots sending slot i to slot p[i].
 
     Bare cores are determined by (kind, lengths), so this is the whole
     symmetry group: D_k for a k-cycle, and for a bicyclic core the maps in
     _END_MAPS that send each path onto one of equal length, at most S3 x Z2
-    for a theta and D4 for two cycles.
+    for a theta and D4 for two cycles.  It is cached per (kind, lengths),
+    the last 1024 asked for, as a tuple so that no caller can change it.
     """
     if kind == "cycle":
         (k,) = lengths
-        return necklace_perms([0] * k)
+        return tuple(necklace_perms([0] * k))
     nxt = PATH_ENDS[kind][0]
     interiors = []
     for x in lengths:
@@ -458,7 +461,7 @@ def skeleton_perms(kind: str, lengths: tuple[int, ...]) -> list[Perm]:
             for j, r in zip(pi, rev):
                 perm += runs[r][j]
             out.append(perm)
-    return out
+    return tuple(out)
 
 
 def splice(g: Graph, parts: list[tuple[int, Graph]]) -> tuple[Graph, list[list[int]]]:

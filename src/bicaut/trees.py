@@ -1,18 +1,23 @@
 """Tree automorphism engine.
 
 A RootedTree is a forest given as parents, child lists and an order of
-its vertices, parents first, and it gives every vertex a canonical shape
-code (node_code: the child count, then the child codes sorted and
-concatenated, so distinct shapes never share a prefix), which it builds
-inline, in one pass children first.  A leaf needs no child list of its
-own: every leaf may share one empty tuple.  The pass sorts each child
-list by code once, stably, so children stand in (code, label) order and
-each class of isomorphic siblings is one run of equal codes, which no
-walk groups again.  The automorphism group of a rooted tree is the
-iterated wreath product over those classes, so it depends on the rooted
-code alone: rooted_exprs builds one normalized expression per distinct
-code, from its children's runs with groups.wreath and
-groups.direct_product, and every vertex of that code shares it.
+its vertices, parents first, and it gives every vertex an integer shape
+id (Aho, Hopcroft & Ullman's tree isomorphism, 1974): one table per tree
+interns each sorted tuple of child ids, so two vertices of one tree share
+an id iff their subtrees are isomorphic.  Id 0 is the leaf, and the ids
+are issued children first, in one pass that visits only the vertices with
+children: a leaf needs no child list of its own (every leaf may share one
+empty tuple) and costs nothing.  The pass sorts each child list by id
+once, stably, so children stand in (id, label) order and each class of
+isomorphic siblings is one run of equal ids, which no walk groups again.
+The table takes O(n) memory whatever the depth.  Ids are local to their
+tree; shape_bytes turns them into node_code's bytes (the child count, then
+the child codes sorted and concatenated, so distinct shapes never share a
+prefix), which compare across trees: tree_code and bicyclic's slot codes
+are those bytes.  The automorphism group of a rooted tree is the iterated
+wreath product over the classes of isomorphic children, so it depends on
+the shape alone: rooted_exprs builds one normalized expression per id,
+from its children's runs with groups.wreath and groups.direct_product.
 
 Every RootedTree is the forest graphs.peel_core builds as it deletes
 leaves: whatever the peel leaves hangs below the virtual root g.n, which
@@ -28,9 +33,9 @@ same runs: fixed_vertices keeps, walking down from the root, each vertex
 alone in its run.
 
 The walks take a RootedTree, and the vertices to start from, and work in
-the tree's own labels: rooted_exprs runs children first along t.order,
-rooted_aut_generators (one walk from any number of roots) and aligned_iso
-keep an explicit stack, so a deep tree needs no recursion.
+the tree's own labels: rooted_exprs and shape_bytes run along the table
+in id order, rooted_aut_generators (one walk from any number of roots) and
+aligned_iso keep an explicit stack, so a deep tree needs no recursion.
 
 Generators stay support-only throughout: aligned_iso and
 rooted_aut_generators return dicts of just the vertices they move, so their
@@ -44,10 +49,11 @@ and the SparsePerm keeps it as it is, with no copy.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import islice
 from operator import ne
 
 from .graphs import Graph, Peel, make_graph, peel_core
-from .groups import GroupExpr, Trivial, direct_product, wreath
+from .groups import GroupExpr, direct_product, wreath
 
 
 def node_code(kid_codes) -> bytes:
@@ -58,63 +64,80 @@ def node_code(kid_codes) -> bytes:
 
 
 class RootedTree:
-    """Parent/children structure plus shape codes for the forest of a peel.
+    """Parent/children structure plus shape ids for the forest of a peel.
 
     parent, children and order are the graphs.Peel's own lists: the tree
     has g.n + 1 vertices, and its root is the virtual root g.n, whose
     children are the vertices the peel left; parent[v] is v's parent, -1
     for the root; children[v] lists v's children, siblings of equal height
     in ascending order, and every vertex with none shares one empty tuple;
-    order lists every vertex once, each after its parent.  One pass along
-    order reversed, children first, builds the codes and sorts each child
-    list by code in place, stably, so it stands in (code, label) order
+    order lists every vertex once, each after its parent.
+
+    code[v] is the id of v's rooted shape and shapes[i] the shape of id i:
+    the tuple of its children's ids, ascending.  Id 0 is the leaf, (), and
+    one table, local to the tree, issues the others children first, so
+    every id in shapes[i] is below i.  One pass along order reversed,
+    children first, visits only the vertices with children: it sorts each
+    child list by id in place, stably, so it stands in (id, label) order
     (isomorphic siblings have equal heights) and isomorphic siblings are
-    adjacent.
+    adjacent, and it interns the sorted ids.
     """
 
     def __init__(self, p: Peel):
         self.parent, self.children, self.order = p.parent, p.children, p.order
         self.root = self.order[0]
         children = self.children
-        # node_code inline: every leaf shares one code, and a lone child's
-        # code needs no sort
-        self.code: list[bytes] = [node_code(())] * len(self.parent)
+        self.code: list[int] = [0] * len(self.parent)
         code = self.code
-        for u in reversed(self.order):
+        ids = {(): 0}
+        for u in filter(children.__getitem__, reversed(self.order)):
             kids = children[u]
-            if len(kids) == 1:
-                code[u] = b"\0\0\0\1" + code[kids[0]]
-            elif kids:
-                kids.sort(key=code.__getitem__)  # stable: (code, label)
-                code[u] = len(kids).to_bytes(4, "big") + b"".join(
-                    map(code.__getitem__, kids)
-                )
+            if len(kids) == 1:  # a lone child needs no sort
+                key = (code[kids[0]],)
+            else:
+                kids.sort(key=code.__getitem__)  # stable: (id, label)
+                key = tuple(map(code.__getitem__, kids))
+            code[u] = ids.setdefault(key, len(ids))
+        self.shapes: list[tuple[int, ...]] = list(ids)
+
+
+def shape_bytes(t: RootedTree, ids: Sequence[int]) -> list[bytes]:
+    """node_code's bytes of each shape id in ids, in order: equal iff the
+    shapes are, across trees too.  One pass along t.shapes in id order, as
+    far as the largest id asked for, builds one bytes object per id from
+    its children's, which come before it."""
+    out = [b"\0\0\0\0"]  # the leaf, id 0
+    for kids in islice(t.shapes, 1, max(ids, default=0) + 1):
+        # node_code inline: a lone child's code needs no sort
+        if len(kids) == 1:
+            out.append(b"\0\0\0\1" + out[kids[0]])
+        else:
+            b = sorted(map(out.__getitem__, kids))
+            out.append(len(b).to_bytes(4, "big") + b"".join(b))
+    return list(map(out.__getitem__, ids))
 
 
 def rooted_exprs(t: RootedTree) -> list[GroupExpr]:
-    """Normalized automorphism group of every vertex's subtree, rooted at
-    that vertex, indexed by vertex.  One pass children first along t.order
-    builds one expression per distinct code: a vertex whose code was seen
-    shares that shape's expression object.  Each run of k equal-code
-    children gives its child's expression (k = 1) or groups.wreath of it
-    with Sym(k); groups.direct_product joins the classes.  Both take
-    normalized parts, and the children's expressions are, so the result
-    is normalized."""
-    ex: list[GroupExpr] = [Trivial()] * len(t.parent)
-    by_code: dict[bytes, GroupExpr] = {}
-    code = t.code
-    for u in reversed(t.order):
-        e = by_code.get(code[u])
-        if e is None:
-            factors, k, kids = [], 0, t.children[u]
-            for i, w in enumerate(kids, 1):
-                k += 1
-                if i == len(kids) or code[kids[i]] != code[w]:  # w ends a run
-                    f = ex[w]
-                    factors.append(f if k == 1 else wreath(f, k))
-                    k = 0
-            e = by_code[code[u]] = direct_product(factors)
-        ex[u] = e
+    """Normalized automorphism group of every rooted shape of t, indexed by
+    shape id: vertex v's subtree, rooted at v, has exprs[t.code[v]].  One
+    pass along t.shapes in id order builds each from its children's, which
+    come before it; a shape with one child shares that child's object.
+    Each run of k equal child ids gives that child's expression (k = 1) or
+    groups.wreath of it with Sym(k); groups.direct_product joins the
+    classes.  Both take normalized parts, and the children's expressions
+    are, so the result is normalized."""
+    ex: list[GroupExpr] = []
+    for kids in t.shapes:
+        if len(kids) == 1:  # a lone child's group
+            ex.append(ex[kids[0]])
+            continue
+        factors, k = [], 0
+        for i, c in enumerate(kids, 1):
+            k += 1
+            if i == len(kids) or kids[i] != c:  # c ends a run
+                factors.append(ex[c] if k == 1 else wreath(ex[c], k))
+                k = 0
+        ex.append(direct_product(factors))
     return ex
 
 
@@ -124,7 +147,8 @@ def rooted_aut_expr(g: Graph, root: int) -> GroupExpr:
     This is also the stabilizer of root inside the automorphism group of the
     free tree, since fixing a vertex of a tree fixes distances from it.
     """
-    return rooted_exprs(RootedTree(_peel_tree(g, root)))[root]
+    t = RootedTree(_peel_tree(g, root))
+    return rooted_exprs(t)[t.code[root]]
 
 
 def _peel_tree(g: Graph, root: int | None = None) -> Peel:
@@ -156,10 +180,11 @@ def center_rooted(g: Graph) -> RootedTree:
 
 def tree_code(g: Graph) -> bytes:
     """Canonical shape code of a free tree (equal iff isomorphic): the
-    virtual root's code, whose child count (one centre or two) separates
-    vertex-centred from edge-centred trees."""
+    virtual root's shape as node_code's bytes (shape_bytes), whose child
+    count (one centre or two) separates vertex-centred from edge-centred
+    trees."""
     t = center_rooted(g)
-    return t.code[t.root]
+    return shape_bytes(t, [t.code[t.root]])[0]
 
 
 def tree_aut_expr(g: Graph, t: RootedTree | None = None) -> GroupExpr:
@@ -167,13 +192,13 @@ def tree_aut_expr(g: Graph, t: RootedTree | None = None) -> GroupExpr:
     the tree's center_rooted tree, rooted afresh when not given."""
     if t is None:
         t = center_rooted(g)
-    return rooted_exprs(t)[t.root]
+    return rooted_exprs(t)[t.code[t.root]]
 
 
 def fixed_vertices(g: Graph) -> list[int]:
     """The vertices of a free tree that every automorphism fixes, in
     ascending order.  Walking down from the virtual root, a vertex is fixed
-    iff its parent is and it is alone in its run of equal codes in its
+    iff its parent is and it is alone in its run of equal ids in its
     parent's child list: no sibling can take its place."""
     t = center_rooted(g)
     fixed = [t.root]
@@ -186,9 +211,9 @@ def fixed_vertices(g: Graph) -> list[int]:
 
 def aligned_iso(t: RootedTree, a: int, b: int) -> dict[int, int]:
     """The isomorphism subtree(a) -> subtree(b) that matches children in
-    (code, label) order, the order t.children holds them in, so it zips
+    (id, label) order, the order t.children holds them in, so it zips
     the two lists at every vertex.  Raises ValueError unless a and b have
-    equal codes."""
+    equal shape ids."""
     if t.code[a] != t.code[b]:
         raise ValueError("rooted subtrees are not isomorphic")
     children = t.children
@@ -258,7 +283,7 @@ def dense(n: int, moves: Iterable[dict[int, int]]) -> list[SparsePerm]:
 def rooted_aut_generators(t: RootedTree, *roots: int) -> list[dict[int, int]]:
     """Generators of the automorphisms of the subtrees below roots that fix
     every root: adjacent swaps of isomorphic sibling subtrees, descending
-    into one representative per class: the first of each run of equal codes
+    into one representative per class: the first of each run of equal ids
     in t.children.  One walk takes the roots in the order given, each
     subtree in turn, so the maps are those of one call per root,
     concatenated.  Each is a support-only map of the vertices it moves

@@ -30,13 +30,21 @@ from bicaut.generate import (
     rooted_shapes,
     skeleton_core,
 )
-from bicaut.graphs import PATH_ENDS, Graph, from_graph6, make_graph, splice
+from bicaut.graphs import (
+    PATH_ENDS,
+    Graph,
+    from_graph6,
+    make_graph,
+    skeleton_perms,
+    splice,
+)
 from bicaut.groups import (
     Dihedral,
     KleinWreath,
     Product,
     SemiTop,
     Sym,
+    Trivial,
     Wreath,
     classify,
     normalize,
@@ -266,6 +274,28 @@ def test_filtered_symmetries_form_a_group():
             for b in Q:
                 assert compose(a, b) in members
         assert len(candidate_symmetries(dec)) % len(Q) == 0
+
+
+def test_cached_core_symmetries_match_the_uncached_filter():
+    # graphs.skeleton_perms is cached per (kind, lengths) and core_symmetries
+    # keeps a candidate with one list comparison; the reference is a fresh
+    # candidate list per graph kept by the slots' byte codes, slot by slot
+    skeleton_perms.cache_clear()
+    pool = [g for n in range(4, 10) for g in all_bicyclic(n)]
+    assert len(pool) == 1125
+    rng = random.Random(31)
+    pool += [random_bicyclic(rng, rng.randint(10, 14)) for _ in range(500)]
+    for g in pool:
+        dec = decompose(g)
+        fresh = skeleton_perms.__wrapped__(dec.kind, dec.lengths)
+        codes = [dec.slots[v].code for v in dec.layout]
+        want = [q for q in fresh if all(codes[j] == c for j, c in zip(q, codes))]
+        assert core_symmetries(dec) == want, g.edges
+        cached = skeleton_perms(dec.kind, dec.lengths)
+        assert type(cached) is tuple and cached == fresh
+        assert all(type(q) is tuple for q in cached)
+    info = skeleton_perms.cache_info()
+    assert info.misses < 200 < info.hits
 
 
 def reference_q(dec):
@@ -622,3 +652,41 @@ def test_generators_of_a_tree_at_1e5_vertices():
         tracemalloc.stop()
     assert len(gens) > 10_000
     assert peak < 300 * 2**20
+
+
+def _analyze_and_emit(g):
+    """The expression and the number of generators."""
+    a = analyze(g)
+    return a.expr, len(emit_generators(g, a))
+
+
+def test_deep_trees_stay_under_200_mb():
+    # integer shape ids take O(n) memory whatever the depth; byte codes took
+    # 4 bytes per vertex per ancestor, O(n * depth): about 20 GB for the
+    # path rooted at an end, which was killed for memory
+    n = 100_000
+    path = make_graph(n, [(i, i + 1) for i in range(n - 1)])
+    half = n // 2  # a broom: a handle of half the vertices, the rest bristles
+    broom = make_graph(
+        n, [(i, i + 1) for i in range(half - 1)] + [(half - 1, v) for v in range(half, n)]
+    )
+    # C4 with a pendant path of n vertices hung from vertex 3
+    c4_path = make_graph(
+        n + 4, [(0, 1), (1, 2), (0, 3), (2, 3)] + [(i, i + 1) for i in range(3, n + 3)]
+    )
+    runs = {
+        "rooted path": (lambda: trees.rooted_aut_expr(path, 0), Trivial()),
+        "path": (lambda: _analyze_and_emit(path), (Sym(2), 1)),
+        "broom": (lambda: _analyze_and_emit(broom), (Sym(half), half - 1)),
+        "C4 + path": (lambda: _analyze_and_emit(c4_path), (Sym(2), 1)),
+    }
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, (run, want) in runs.items():
+            tracemalloc.reset_peak()
+            assert run() == want, name
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(peak < 200 * 2**20 for peak in peaks.values()), peaks

@@ -37,6 +37,7 @@ from bicaut.trees import (
     rooted_aut_expr,
     rooted_aut_generators,
     rooted_exprs,
+    shape_bytes,
     tree_aut_expr,
     tree_aut_generators,
     tree_code,
@@ -53,8 +54,9 @@ SPIDER = make_graph(6, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)])
 
 
 def _code(g, root):
-    """The code of the tree g rooted at root."""
-    return RootedTree(peel_core(g, root)).code[root]
+    """node_code's bytes of the tree g rooted at root."""
+    t = RootedTree(peel_core(g, root))
+    return shape_bytes(t, [t.code[root]])[0]
 
 
 def test_rooted_codes():
@@ -64,16 +66,44 @@ def test_rooted_codes():
     assert _code(P4, 0) != _code(P4, 1)
     assert _code(BIN2, 1) == _code(BIN2, 2)
     assert _code(BIN2, 0) != _code(BIN2, 1)
+    # ids compare shapes within one tree; id 0 is the leaf
+    t = center_rooted(P4)
+    assert t.code[0] == t.code[3] == 0 and t.code[1] == t.code[2] != 0
+    t = RootedTree(peel_core(BIN2, 0))
+    assert t.code[1] == t.code[2] != t.code[0]
+    assert t.shapes[0] == () and t.shapes[t.code[0]] == (t.code[1], t.code[2])
+
+
+def _node_code_fold(t):
+    """node_code's bytes of every vertex of t, folded children first."""
+    fold = [b""] * len(t.parent)
+    for u in reversed(t.order):
+        fold[u] = node_code(fold[w] for w in t.children[u])
+    return fold
+
+
+def _assert_ids_match_the_fold(t, fold):
+    """Ids are equal iff the folds are, each id's shape is its vertices'
+    sorted child ids, issued children first, and the serializer gives the
+    fold back."""
+    code = t.code
+    assert len(set(zip(code, fold))) == len(set(code)) == len(set(fold))
+    assert set(code) == set(range(len(t.shapes)))
+    for u in t.order:
+        kids = t.shapes[code[u]]
+        assert kids == tuple(sorted(map(code.__getitem__, t.children[u])))
+        assert all(c < code[u] for c in kids)
+    assert shape_bytes(t, code) == fold
 
 
 def test_codes_are_the_node_code_fold():
-    # RootedTree builds node_code's bytes inline: each vertex's code is
-    # node_code of its children's, so by induction the whole fold
+    # every vertex of every free tree up to n = 10, rooted at every vertex
+    # and at its centres, and a path deeper than the recursion limit
     path = make_graph(5000, [(i, i + 1) for i in range(4999)])
     for g in [g for n in range(1, 11) for g in free_trees(n)] + [path]:
-        for t in (RootedTree(peel_core(g, 0)), center_rooted(g)):
-            for u in t.order:
-                assert t.code[u] == node_code(t.code[w] for w in t.children[u])
+        roots = range(g.n) if g.n <= 10 else (0,)
+        for t in [RootedTree(peel_core(g, v)) for v in roots] + [center_rooted(g)]:
+            _assert_ids_match_the_fold(t, _node_code_fold(t))
 
 
 def _disconnected_with_n_minus_1_edges():
@@ -173,8 +203,9 @@ def _reference_exprs(t):
 
 def _assert_matches_reference(t):
     got, ref = rooted_exprs(t), _reference_exprs(t)
+    assert len(got) == len(t.shapes)
     for v in t.order:
-        assert got[v] == normalize(ref[v]), v
+        assert got[t.code[v]] == normalize(ref[v]), v
 
 
 def _decorated_theta(rng, n):
@@ -200,7 +231,7 @@ def test_rooted_exprs_match_the_per_vertex_build():
     binary = make_graph(2047, [((v - 1) // 2, v) for v in range(1, 2047)])
     t = RootedTree(peel_core(binary, 0))
     _assert_matches_reference(t)
-    e = rooted_exprs(t)[0]
+    e = rooted_exprs(t)[t.code[0]]
     for _ in range(9):
         assert isinstance(e, Wreath) and e.n == 2
         e = e.base
@@ -214,15 +245,18 @@ def test_rooted_exprs_build_each_shape_once(monkeypatch):
     monkeypatch.setattr(
         trees, "direct_product", lambda fs: builds.append(fs) or real(fs)
     )
+    # per shape, and a shape with one child shares that child's expression
     star = make_graph(5001, [(0, i) for i in range(1, 5001)])
-    rooted_exprs(RootedTree(peel_core(star, 0)))
-    assert len(builds) == 3  # a leaf, the centre, the virtual root above it
+    t = RootedTree(peel_core(star, 0))
+    ex = rooted_exprs(t)
+    assert len(builds) == 2  # a leaf and the centre; the root above it has one child
+    assert ex[t.code[t.root]] is ex[t.code[0]] == Sym(5000)
     t = decompose(_decorated_theta(random.Random(4), 2000)).tree
     builds.clear()
     ex = rooted_exprs(t)
-    assert len(builds) == len(set(t.code))
-    first = {}
-    assert all(first.setdefault(t.code[v], ex[v]) is ex[v] for v in t.order)
+    assert len(ex) == len(t.shapes) == len(set(t.code))
+    assert len(builds) == sum(len(kids) != 1 for kids in t.shapes)
+    assert all(ex[i] is ex[kids[0]] for i, kids in enumerate(t.shapes) if len(kids) == 1)
 
 
 def test_rooted_expr_equals_pinned_oracle_count():
@@ -435,8 +469,8 @@ def test_sibling_runs_match_the_grouped_walk():
 
 
 def _reference_forest(g):
-    """Parents, child lists (ascending) and codes of the peel's forest, from
-    graphs.peel_core's parents alone (tests/test_graphs.py checks them
+    """Parents, child lists (ascending) and byte codes of the peel's forest,
+    from graphs.peel_core's parents alone (tests/test_graphs.py checks them
     against a peel on an adjacency list): every vertex left hangs below
     g.n, and the codes are the node_code fold."""
     n = g.n
@@ -474,9 +508,9 @@ def test_peel_forest_matches_the_parents_reference():
         parent, kids, code = _reference_forest(g)
         assert t.root == g.n and t.parent == parent, g.edges
         assert [sorted(c) for c in t.children] == kids, g.edges
-        assert t.code == code, g.edges
+        _assert_ids_match_the_fold(t, code)
         for c in t.children:
-            assert list(c) == sorted(c, key=lambda w: (code[w], w)), g.edges
+            assert list(c) == sorted(c, key=lambda w: (t.code[w], w)), g.edges
         per_root = [m for v in roots for m in rooted_aut_generators(t, v)]
         assert rooted_aut_generators(t, *roots) == per_root, g.edges
         leaf_swaps += sum(

@@ -1,10 +1,13 @@
-"""CPU time and max RSS of `bicaut aut` on a random tree and a random
-bicyclic graph of N vertices, the numbers ROADMAP item 12 asks for.
+"""CPU time and max RSS of `bicaut aut` on four graphs of N vertices: a
+random tree and a random bicyclic graph, the numbers ROADMAP item 12 asks
+for, and two deep ones, a path and C4 with a pendant path.
 
     python3 tools/scale_probe.py [N]        (N defaults to 10^6)
 
-Both graphs come from bicaut.generate with Random(1): random_tree and
-random_bicyclic.  Their edge lists go to a temporary directory, and
+The random graphs come from bicaut.generate with Random(1): random_tree and
+random_bicyclic.  The path and the C4 are as deep as a graph of N vertices
+gets, so a rooted-tree step whose cost grows with the depth runs past its
+time or memory on them.  Their edge lists go to a temporary directory, and
 `bicaut aut` runs on each in a child process of its own, using the source
 tree next to this file.  A line per graph gives the child's exit code, its
 CPU seconds (user plus system) and its max RSS in MB, read from the
@@ -47,14 +50,23 @@ def main(argv: list[str]) -> int:
     n = int(argv[0]) if argv else 10**6
     sys.path.insert(0, str(SRC))
     from bicaut.generate import random_bicyclic, random_tree
-    from bicaut.graphs import to_edgelist
+    from bicaut.graphs import make_graph, to_edgelist
 
+    graphs = (
+        ("tree", lambda: random_tree(random.Random(1), n)),
+        ("bicyclic", lambda: random_bicyclic(random.Random(1), n)),
+        ("path", lambda: make_graph(n, [(i, i + 1) for i in range(n - 1)])),
+        # C4 on 0..3 and the path 3 - 4 - ... - n-1 hung from it
+        ("c4_path", lambda: make_graph(
+            n, [(0, 1), (1, 2), (0, 3), (2, 3)] + [(i, i + 1) for i in range(3, n - 1)]
+        )),
+    )
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name, make in (("tree", random_tree), ("bicyclic", random_bicyclic)):
+        for name, make in graphs:
             path = os.path.join(tmp, name + ".txt")
             with open(path, "w", encoding="ascii") as fh:
-                fh.write(to_edgelist(make(random.Random(1), n)))
+                fh.write(to_edgelist(make()))
             code, cpu_s, rss_mb = measure(path)
             failed += code != 0
             print("%s n=%d exit=%d cpu_s=%.2f max_rss_mb=%.1f" % (name, n, code, cpu_s, rss_mb))
