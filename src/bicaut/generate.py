@@ -6,11 +6,13 @@ Rooted tree shapes are nested tuples, one per child; rooted_shapes lists
 them canonically, with children in non-increasing order, and shape_code and
 shape_to_graph take any order.  Free trees come from deduplicating rooted
 shapes by their centered code (free_tree_shapes).  Unicyclic and bicyclic
-graphs enumerate as a bare core (skeleton_core, laid out by
-graphs.PATH_ENDS) plus one rooted shape per core vertex, deduplicated by the
-minimum of the shape-code tuple over the bare core's symmetries, so each
-isomorphism class appears exactly once.  Every generated graph is one bare
-core with all of its trees hung by one graphs.splice call.
+graphs are generated orderly: a bare core (skeleton_core, laid out by
+graphs.PATH_ENDS) plus one rooted shape per core vertex, kept only when its
+tuple of shapes is the least over the bare core's symmetries, so each
+isomorphism class appears exactly once and nothing is remembered between
+classes.  all_unicyclic and all_bicyclic stream their graphs.  Every
+generated graph is one bare core with all of its trees hung by one
+graphs.splice call.
 """
 from __future__ import annotations
 
@@ -115,22 +117,20 @@ def decorate(core: Graph, slots: list[int], shapes) -> Graph:
     return splice(core, parts)[0]
 
 
-def _decorated(kind: str, lengths: tuple[int, ...], n: int) -> list[Graph]:
+def _decorated(kind: str, lengths: tuple[int, ...], n: int):
+    """Yield every decoration of the bare core up to its symmetries, by
+    orderly generation (Read, "Every one a winner", 1978): a tuple of
+    rooted shapes, one per slot, is kept only when no symmetry of the core
+    maps it to a smaller tuple.  rooted_shapes are canonical, equal exactly
+    when isomorphic, so each orbit has one least tuple and nothing met
+    earlier needs to be remembered."""
     core, slots = skeleton_core(kind, lengths)
-    extra = n - core.n
     perms = skeleton_perms(kind, lengths)
-    seen: set[tuple[bytes, ...]] = set()
-    out: list[Graph] = []
-    for comp in _compositions(extra, len(slots)):
+    for comp in _compositions(n - core.n, len(slots)):
         pools = [rooted_shapes(c + 1) for c in comp]
         for combo in product(*pools):
-            codes = tuple(map(shape_code, combo))
-            key = min(tuple(map(codes.__getitem__, p)) for p in perms)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(decorate(core, slots, combo))
-    return out
+            if not any(tuple(map(combo.__getitem__, p)) < combo for p in perms):
+                yield decorate(core, slots, combo)
 
 
 def bicyclic_skeletons(n: int):
@@ -151,22 +151,18 @@ def bicyclic_skeletons(n: int):
                     yield "dumbbell", (m1, m2, b)
 
 
-def all_bicyclic(n: int) -> list[Graph]:
-    """All connected bicyclic graphs with exactly n vertices, one per
+def all_bicyclic(n: int):
+    """Yield every connected bicyclic graph with exactly n vertices, one per
     isomorphism class."""
-    out: list[Graph] = []
     for kind, lengths in bicyclic_skeletons(n):
-        out.extend(_decorated(kind, lengths, n))
-    return out
+        yield from _decorated(kind, lengths, n)
 
 
-def all_unicyclic(n: int) -> list[Graph]:
-    """All connected unicyclic graphs with exactly n vertices, one per
-    isomorphism class."""
-    out: list[Graph] = []
+def all_unicyclic(n: int):
+    """Yield every connected unicyclic graph with exactly n vertices, one
+    per isomorphism class."""
     for k in range(3, n + 1):
-        out.extend(_decorated("cycle", (k,), n))
-    return out
+        yield from _decorated("cycle", (k,), n)
 
 
 def random_tree(rng: random.Random, n: int) -> Graph:
@@ -184,12 +180,16 @@ def _random_decorate(rng: random.Random, core: Graph, slots: list[int], extra: i
 
 
 def random_unicyclic(rng: random.Random, n: int) -> Graph:
+    if n < 3:
+        raise ValueError("a unicyclic graph needs n >= 3, got %d" % n)
     k = rng.randint(3, n)
     core, slots = skeleton_core("cycle", (k,))
     return _random_decorate(rng, core, slots, n - k)
 
 
 def random_bicyclic(rng: random.Random, n: int) -> Graph:
+    if n < 4:
+        raise ValueError("a bicyclic graph needs n >= 4, got %d" % n)
     while True:
         kind = rng.choice(("theta", "shared", "dumbbell"))
         if kind == "theta":

@@ -71,24 +71,17 @@ class Graph:
 
 
 def make_graph(n: int, edges) -> Graph:
-    """Build a Graph from any iterable of pairs.  A list or tuple of
-    ordered pairs, themselves tuples, in strictly increasing order (the
-    order Graph holds and to_edgelist writes) becomes the graph's edges as
-    it stands, the pairs shared with the caller.  Any other input is
-    normalized: each pair ordered, repeats dropped, the pairs sorted."""
-    if isinstance(edges, (list, tuple)):
-        # a plain loop: all(map(operator.lt, ...)) and the like were
-        # slower, and it stops at the first pair out of order
-        prev = ()
-        for e in edges:
-            if type(e) is not tuple:
-                break
-            u, v = e
-            if not u < v or e <= prev:
-                break
-            prev = e
-        else:
-            return Graph(n, tuple(edges))
+    """Build a Graph from any iterable of pairs.  Ordered pairs, themselves
+    tuples, in strictly increasing order (the order Graph holds and
+    to_edgelist writes) become the graph's edges as they stand, the pairs
+    shared with the caller.  Any other input is normalized: each pair
+    ordered, repeats dropped, the pairs sorted.  Graph is the one
+    validator: the edges are checked once, and again only if normalized."""
+    edges = tuple(edges)
+    try:
+        return Graph(n, edges)
+    except (ValueError, TypeError):  # TypeError: a pair that is a list
+        pass
     # duplicates dropped in first-seen order, so edges that come nearly
     # sorted sort in linear time
     norm = sorted(dict.fromkeys((u, v) if u < v else (v, u) for u, v in edges))

@@ -1,6 +1,9 @@
 """Exhaustive and random graph generators."""
 import random
+import tracemalloc
 from itertools import combinations
+
+import pytest
 
 import bicaut.generate
 import bicaut.graphs
@@ -8,6 +11,7 @@ from bicaut.generate import (
     CASE_LABELS,
     all_bicyclic,
     all_unicyclic,
+    bicyclic_skeletons,
     case_instance,
     decorate,
     free_trees,
@@ -21,7 +25,7 @@ from bicaut.generate import (
     skeleton_core,
 )
 from bicaut.bicyclic import analyze
-from bicaut.graphs import adjacency, is_connected, make_graph, peel_core
+from bicaut.graphs import adjacency, is_connected, make_graph, peel_core, skeleton_perms
 from bicaut.oracle import are_isomorphic
 from bicaut.trees import RootedTree, shape_bytes
 
@@ -30,6 +34,7 @@ def test_rooted_shape_counts():
     # classical counts of rooted trees by size
     want = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
     assert [len(rooted_shapes(n)) for n in range(1, 13)] == want
+    assert _rooted_counts(12)[1:] == want
 
 
 def test_free_tree_counts():
@@ -75,24 +80,84 @@ def _labeled_class_count(n: int, extra_edges: int) -> int:
 
 def test_bicyclic_enumeration_matches_labeled_brute_force():
     for n in range(4, 7):
-        assert len(all_bicyclic(n)) == _labeled_class_count(n, 2)
+        assert len(list(all_bicyclic(n))) == _labeled_class_count(n, 2)
 
 
 def test_unicyclic_enumeration_matches_labeled_brute_force():
     for n in range(3, 7):
-        assert len(all_unicyclic(n)) == _labeled_class_count(n, 1)
+        assert len(list(all_unicyclic(n))) == _labeled_class_count(n, 1)
 
 
 def test_enumerated_graphs_are_pairwise_distinct():
-    gs = all_bicyclic(7)
+    gs = list(all_bicyclic(7))
     assert len(gs) == 67
     for a, b in combinations(gs, 2):
         assert not are_isomorphic(a, b)
 
 
+def _rooted_counts(m: int) -> list[int]:
+    """[0, r_1, ..., r_m]: rooted trees by number of vertices, by the
+    Cayley-Otter recurrence r_{t+1} = (1/t) sum_k (sum_{d|k} d r_d) r_{t-k+1}."""
+    r = [0, 1]
+    for t in range(1, m):
+        s = sum(
+            sum(d * r[d] for d in range(1, k + 1) if k % d == 0) * r[t - k + 1]
+            for k in range(1, t + 1)
+        )
+        r.append(s // t)
+    return r
+
+
+def _burnside_count(kind: str, lengths: tuple[int, ...], n: int, r: list[int]) -> int:
+    """Decorations of the bare core with n vertices in all, up to its
+    symmetries, by Burnside's lemma: the mean over the symmetries p of
+    [x^(n - s)] prod over the cycles C of p of R(x^|C|), where s is the
+    core's size and R(x) = sum_t r_t x^(t - 1)."""
+    perms = skeleton_perms(kind, lengths)
+    extra = n - len(perms[0])
+    total = 0
+    for p in perms:
+        poly = [1] + [0] * extra  # coefficients of x^0..x^extra
+        done = set()
+        for i in range(len(p)):
+            size = 0
+            while i not in done:  # walk the cycle of p through i
+                done.add(i)
+                i = p[i]
+                size += 1
+            if size:
+                poly = [
+                    sum(poly[a - size * (t - 1)] * r[t] for t in range(1, a // size + 2))
+                    for a in range(extra + 1)
+                ]
+        total += poly[extra]
+    assert total % len(perms) == 0
+    return total // len(perms)
+
+
+def _streamed_counts(n: int) -> tuple[int, int]:
+    return sum(1 for _ in all_unicyclic(n)), sum(1 for _ in all_bicyclic(n))
+
+
 def test_enumeration_counts_frozen():
-    assert [len(all_bicyclic(n)) for n in range(4, 10)] == [1, 5, 19, 67, 236, 797]
-    assert [len(all_unicyclic(n)) for n in range(3, 10)] == [1, 2, 5, 13, 33, 89, 240]
+    # the streamed counts match the pinned ones and Burnside's lemma over
+    # every bare core; orderly generation keeps no record of the classes
+    # already produced, so the n = 11 pass stays small under tracemalloc
+    counts = {n: _streamed_counts(n) for n in range(3, 11)}
+    tracemalloc.start()
+    try:
+        counts[11] = _streamed_counts(11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert [counts[n][1] for n in range(4, 12)] == [1, 5, 19, 67, 236, 797, 2678, 8833]
+    assert [counts[n][0] for n in range(3, 12)] == [1, 2, 5, 13, 33, 89, 240, 657, 1806]
+    r = _rooted_counts(11)
+    for n, got in counts.items():
+        uni = sum(_burnside_count("cycle", (k,), n, r) for k in range(3, n + 1))
+        bi = sum(_burnside_count(kind, lengths, n, r) for kind, lengths in bicyclic_skeletons(n))
+        assert got == (uni, bi), n
 
 
 def test_enumerated_families_are_right():
@@ -112,6 +177,22 @@ def test_random_generators():
         assert g.n == n and analyze(g).family == "unicyclic"
         t = random_tree(rng, n)
         assert t.n == n and analyze(t).family == "tree"
+
+
+def test_random_generators_reject_too_few_vertices():
+    # no bicyclic graph has fewer than 4 vertices, no unicyclic one fewer
+    # than 3: both refuse before any draw
+    rng = random.Random(5)
+    for n in (1, 2, 3):
+        with pytest.raises(ValueError, match="n >= 4"):
+            random_bicyclic(rng, n)
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="n >= 3"):
+            random_unicyclic(rng, n)
+    k4_minus_edge = make_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    for _ in range(10):
+        assert are_isomorphic(random_bicyclic(rng, 4), k4_minus_edge)
+        assert random_unicyclic(rng, 3).edges == ((0, 1), (0, 2), (1, 2))
 
 
 def test_case_instance_families():

@@ -217,7 +217,7 @@ def test_generators_may_be_any_sequence():
     # the engines' support-only permutations, tuples and lists mix freely,
     # and a generator given twice, once in each form, counts once
     graphs = [skeleton_core("theta", (3, 3, 3))[0], STAR]
-    graphs += all_bicyclic(7)[:40]
+    graphs += list(all_bicyclic(7))[:40]
     for g in graphs:
         a = analyze(g)
         gens = emit_generators(g, a)

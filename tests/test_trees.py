@@ -221,7 +221,7 @@ def test_rooted_exprs_match_the_per_vertex_build():
             for v in range(n):
                 _assert_matches_reference(RootedTree(peel_core(g, v)))
     for n in range(3, 10):
-        for g in all_unicyclic(n) + all_bicyclic(n):
+        for g in list(all_unicyclic(n)) + list(all_bicyclic(n)):
             _assert_matches_reference(decompose(g).tree)
     rng = random.Random(13)
     for _ in range(50):
@@ -458,7 +458,7 @@ def test_sibling_runs_match_the_grouped_walk():
             t = center_rooted(g)
             _assert_runs_match_the_grouped_walk(t, [t.root])
     for n in range(3, 9):
-        for g in all_unicyclic(n) + all_bicyclic(n):
+        for g in list(all_unicyclic(n)) + list(all_bicyclic(n)):
             dec = decompose(g)
             _assert_runs_match_the_grouped_walk(dec.tree, dec.layout)
     rng = random.Random(17)
@@ -492,7 +492,7 @@ def test_peel_forest_matches_the_parents_reference():
     # built afresh from its parents is the reference, and one walk of
     # rooted_aut_generators from every slot gives the per-slot maps in turn
     pool = [g for n in range(1, 11) for g in free_trees(n)]
-    pool += [g for n in range(3, 9) for g in all_unicyclic(n) + all_bicyclic(n)]
+    pool += [g for n in range(3, 9) for g in list(all_unicyclic(n)) + list(all_bicyclic(n))]
     rng = random.Random(23)
     for _ in range(50):
         make = rng.choice((random_tree, random_unicyclic, random_bicyclic))
