@@ -25,24 +25,24 @@ decomposition keeps the slots' ids and expressions as two lists in
 layout order.  The generators and lifts are support-only maps of the
 vertices they move, and emit_generators returns them so, as permutations
 of range(n) that store only their moves (trees.SparsePerm).
-Q is the group of core symmetries that keep every slot's shape id, held
-as permutations of the positions in the layout.  A bicyclic core filters
-its at most 12 bare symmetries, which depend on (kind, lengths) alone and
-are cached per pair (graphs.skeleton_perms), keeping a candidate q iff
-the ids read through q are the ids, one list comparison; a cycle's
-candidates are the symmetries of its slot-id necklace
-(graphs.necklace_perms), read off its period and reflection in O(k), so
-they already keep every id.
-Q is cyclic or dihedral, so at most two of its elements generate it, and
-_core_generators reads them off Q itself: a cycle's rotation by its period
-and first reflection; for any other core the least element of largest
-order and, unless its powers fill Q, the least element outside them.  The
-engine shares no code with the oracle that checks it.
-Assembly rewrites the extension into an explicit expression from the orbit
-structure of Q on the core: fixed slots contribute direct factors, an
-involution folds its 2-orbits into a wreath with Sym(2), a Klein four-group
-becomes the two-involution semidirect form, and the larger tops either
-split into exact products of wreaths or stay as explicit semidirect terms
+Q is the group of core symmetries that keep every slot's shape id, a
+graphs.CoreGroup: at most two generators, permutations of the positions
+in the layout, and the order, never an element list.  A cycle's Q comes
+from its slot-id necklace (graphs.necklace): the rotation by its period
+and the reflection with the least axis, read off in O(k).  A bicyclic
+core filters its at most 12 bare symmetries, which depend on (kind,
+lengths) alone and are cached per pair (graphs.skeleton_perms), keeping a
+candidate q iff the ids read through q are the ids, one list comparison;
+Q is then cyclic or dihedral, and _generators picks the least element of
+largest order and, unless its powers fill Q, the least element outside
+them, cached per Q.  The engine shares no code with the oracle that
+checks it.
+Assembly rewrites the extension into an explicit expression from the
+orbits of Q on the layout, one slot expression per orbit: fixed slots
+contribute direct factors, an involution folds its 2-orbits into a wreath
+with Sym(2), a Klein four-group becomes the two-involution semidirect
+form, D4 and S3 give nested wreaths, and the larger tops either split
+into exact products of wreaths or stay as explicit semidirect terms
 (which always preserve the order).  Every rule builds its normal form
 directly with the groups constructors (direct_product, wreath,
 klein_semidirect, semi_top) from the normalized slot expressions, so
@@ -50,16 +50,17 @@ nothing is normalized twice.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .generate import skeleton_core
 from .graphs import (
+    CoreGroup,
     Graph,
     Perm,
     UnsupportedFamilyError,
     make_graph,
-    necklace_perms,
+    necklace,
     peel_core,
     skeleton,
     skeleton_perms,
@@ -160,112 +161,40 @@ def reconstruct(dec: Decomposition) -> Graph:
 # --- core symmetry candidates ----------------------------------------------
 
 
-def candidate_symmetries(dec: Decomposition) -> Sequence[Perm]:
+def candidate_symmetries(dec: Decomposition) -> CoreGroup | tuple[Perm, ...]:
     """Core symmetries on layout positions: every symmetry of a bare
     bicyclic core (at most 12, the cached tuple of graphs.skeleton_perms),
-    and for a cycle only the symmetries of its slot-id necklace, which
-    already keep every slot's id."""
+    and for a cycle only the group of its slot-id necklace
+    (graphs.necklace), which already keeps every slot's id."""
     if dec.kind == "cycle":
-        return necklace_perms(dec.codes)
+        return necklace(dec.codes)
     return skeleton_perms(dec.kind, dec.lengths)
 
 
-def core_symmetries(dec: Decomposition) -> list[Perm]:
-    """The group Q: candidate core symmetries that preserve attached-tree
-    shapes, in the candidates' order.  A bicyclic core's candidate q is
-    kept iff the slot ids read through it are the slot ids, one C-level
-    list comparison.  Shape preservation is closed under composition, so
-    filtering the candidate group keeps a group."""
+def core_symmetries(dec: Decomposition) -> CoreGroup:
+    """The group Q of candidate core symmetries that preserve attached-tree
+    shapes.  A bicyclic core's candidate q is kept iff the slot ids read
+    through it are the slot ids, one C-level list comparison; shape
+    preservation is closed under composition, so the kept ones form a
+    group.  The identity comes first, so an order of at most 2 needs no
+    search for generators."""
     cands = candidate_symmetries(dec)
     if dec.kind == "cycle":
         return cands
     codes = dec.codes
-    return [q for q in cands if list(map(codes.__getitem__, q)) == codes]
+    Q = tuple(q for q in cands if list(map(codes.__getitem__, q)) == codes)
+    return CoreGroup(Q[1:] if len(Q) <= 2 else _generators(Q), len(Q))
 
 
-# --- assembly ----------------------------------------------------------------
-
-
-def _z2_fold(exprs: list[GroupExpr], vs: range | list[int], sigma: Perm) -> GroupExpr:
-    """Exact expression for the slot product over the positions vs extended
-    by an involution sigma of them: fixed slots stay direct factors, swapped
-    pairs (equal slots, as sigma keeps codes) fold into a wreath with
-    Sym(2)."""
-    fixed = [exprs[i] for i in vs if sigma[i] == i]
-    pairs = [exprs[i] for i in vs if sigma[i] > i]
-    return direct_product(fixed + [wreath(direct_product(pairs), 2)])
-
-
-def _klein_assemble(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
-    """Exact expression for a Klein four-group of core symmetries.
-
-    Orbits of size 4 are regular and carry the quad coordinates.  A 2-orbit
-    has an order-2 stabilizer, so exactly one involution fixes it
-    pointwise.  Only two involutions ever fix 2-orbits: the end flip and
-    the branch swap on a theta, the two flips or the central reversal on
-    two cycles, the two reflections on a cycle.  Which of them fixes a pair
-    puts it in the h or the k coordinates of the semidirect form."""
-    exprs = dec.exprs
-    nonid = sorted(Q)[1:]  # the identity sorts first
-    orbits = sorted({tuple(sorted({q[i] for q in Q})) for i in range(len(exprs))})
-    fixed: list[GroupExpr] = []
-    quads: list[GroupExpr] = []
-    pairs: dict[Perm, list[GroupExpr]] = {}
-    for orb in orbits:
-        e = exprs[orb[0]]
-        if len(orb) == 1:
-            fixed.append(e)
-        elif len(orb) == 4:
-            quads.append(e)
-        else:
-            stab = next(q for q in nonid if q[orb[0]] == orb[0])
-            pairs.setdefault(stab, []).append(e)
-    h, k = [*map(direct_product, pairs.values()), Trivial(), Trivial()][:2]
-    return direct_product(fixed + [klein_semidirect(direct_product(quads), h, k)])
-
-
-def _d4_assemble(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
-    """Exact expression for the full order-8 top on a shared-vertex or
-    dumbbell core: the swap conjugates one cycle side onto the other, so the
-    whole group is (side extended by its flip) wreathed with Sym(2), times
-    the globally fixed slots.
-
-    In the PATH_ENDS layout slot 0 is the shared vertex or anchor a and
-    slot 1 starts cycle A, so the largest element moves one of them
-    furthest and swaps the cycles.  Cycle A's side is what that swap moves
-    forward: cycle A, and for a dumbbell anchor a and the bridge half next
-    to it.  Its flip is the one element other than the identity that moves
-    nothing else."""
-    exprs = dec.exprs
-    ident = tuple(range(len(exprs)))
-    forward = [j > i for i, j in enumerate(max(Q))]
-    flip = next(
-        q for q in Q
-        if q != ident and all(forward[i] for i, j in enumerate(q) if j != i)
-    )
-    aside = [i for i in ident if forward[i]]
-    fixed_all = [exprs[i] for i in ident if all(q[i] == i for q in Q)]
-    x_side = _z2_fold(exprs, aside, flip)
-    return direct_product(fixed_all + [wreath(x_side, 2)])
-
-
-def _reflects(q: Perm) -> bool:
-    """Whether a symmetry of a cycle of length at least 3 reverses it."""
-    return (q[1] - q[0]) % len(q) != 1
-
-
-def _core_generators(dec: Decomposition, Q: Sequence[Perm]) -> list[Perm]:
-    """At most two generators of Q, read off Q alone.  A cycle's Q is
-    generated by the rotation by its necklace period (the least rotation
-    but the identity) and any one reflection.  Every other Q is a subgroup
-    of D4 or S3 x Z2, so cyclic or dihedral: the least element of largest
-    order generates it or its rotations, and then any element outside its
-    powers, a reflection, generates the rest."""
-    if dec.kind == "cycle":
-        rotations = [q for q in Q[1:] if not _reflects(q)]
-        gens = [min(rotations)] if rotations else []
-        return gens + [q for q in Q if _reflects(q)][:1]
-    ident = tuple(range(len(dec.layout)))
+@lru_cache(maxsize=1024)
+def _generators(Q: tuple[Perm, ...]) -> tuple[Perm, ...]:
+    """Two or one generators of a subgroup Q of D4 or S3 x Z2 on the
+    layout, the identity first.  Q is cyclic or dihedral: the least element
+    of largest order generates it or its rotations, and then the least
+    element outside its powers, a reflection, generates the rest.  The
+    candidates are cached per (kind, lengths), so the same Q recurs, and
+    its generators are cached per Q, the last 1024 asked for."""
+    ident = Q[0]
 
     def powers(q: Perm) -> list[Perm]:
         out, p = [ident], q
@@ -274,11 +203,55 @@ def _core_generators(dec: Decomposition, Q: Sequence[Perm]) -> list[Perm]:
             p = tuple(map(q.__getitem__, p))
         return out
 
-    cyclic = max(map(powers, sorted(Q)), key=len)  # the first of largest order
-    return cyclic[1:2] + sorted(set(Q).difference(cyclic))[:1]
+    cyclic = min(map(powers, Q[1:]), key=lambda c: (-len(c), c[1]))
+    rest = [q for q in Q if q not in cyclic]
+    return (cyclic[1], min(rest)) if rest else (cyclic[1],)
 
 
-def _top_name(dec: Decomposition, Q: list[Perm]) -> str:
+# --- assembly ----------------------------------------------------------------
+
+
+def _orbits(Q: CoreGroup, size: int) -> list[list[int]]:
+    """Q's orbits on the layout positions range(size), each starting at its
+    least position, in order of it."""
+    seen: set[int] = set()
+    out = []
+    for i in range(size):
+        if i not in seen:
+            orb = [i]
+            for x in orb:  # orb grows as the generators reach new positions
+                orb += [y for y in {q[x] for q in Q.gens} if y not in orb]
+            seen.update(orb)
+            out.append(orb)
+    return out
+
+
+def _klein_assemble(exprs: list[GroupExpr], Q: CoreGroup, orbits) -> GroupExpr:
+    """Exact expression for a Klein four-group <a, b> of core symmetries.
+
+    Orbits of size 4 are regular and carry the quad coordinates.  A 2-orbit
+    has an order-2 stabilizer, so exactly one of a, b and ab fixes it
+    pointwise.  Only two involutions ever fix 2-orbits: the end flip and
+    the branch swap on a theta, the two flips or the central reversal on
+    two cycles, the two reflections on a cycle.  Which of them fixes a pair
+    puts it in the h or the k coordinates of the semidirect form."""
+    a, b = Q.gens
+    fixed: list[GroupExpr] = []
+    quads: list[GroupExpr] = []
+    pairs: dict[int, list[GroupExpr]] = {}
+    for orb in orbits:
+        i = orb[0]
+        if len(orb) == 1:
+            fixed.append(exprs[i])
+        elif len(orb) == 4:
+            quads.append(exprs[i])
+        else:  # keyed by whichever of a, b and ab fixes it
+            pairs.setdefault(0 if a[i] == i else 1 if b[i] == i else 2, []).append(exprs[i])
+    h, k = [*map(direct_product, pairs.values()), Trivial(), Trivial()][:2]
+    return direct_product(fixed + [klein_semidirect(direct_product(quads), h, k)])
+
+
+def _top_name(dec: Decomposition, Q: CoreGroup) -> str:
     """The name of a top that no exact rule splits.  A cycle's Q is the
     rotations by multiples of its necklace period, plus as many reflections
     if there are any: dih(r) or Zr.  The only bicyclic top that gets here
@@ -289,27 +262,18 @@ def _top_name(dec: Decomposition, Q: list[Perm]) -> str:
     larger."""
     if dec.kind != "cycle":
         return "S3xZ2"
-    if any(map(_reflects, Q)):
+    if any((q[1] - q[0]) % len(q) != 1 for q in Q.gens):  # one reflects
         return "dih(%d)" % (len(Q) // 2)
     return "Z%d" % len(Q)
 
 
-def _honest_semi(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
+def _honest_semi(dec: Decomposition, Q: CoreGroup) -> GroupExpr:
     """Order-preserving fallback: the slot product with a named top of the
     right size."""
     return semi_top(direct_product(dec.exprs), _top_name(dec, Q))
 
 
-def _theta_s3_fold(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
-    """Three pointwise-isomorphic branches permuted without the end swap:
-    the branches wreathe with Sym(3), the two branch vertices (positions 0
-    and 1) stay fixed.  The first branch's interior follows them."""
-    exprs = dec.exprs
-    block = direct_product(exprs[2 : 1 + dec.lengths[0]])
-    return direct_product([exprs[0], exprs[1], wreath(block, 3)])
-
-
-def _theta_full_fold(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
+def _theta_full_fold(dec: Decomposition, Q: CoreGroup) -> GroupExpr:
     """Full order-12 theta top.  The flip part acts only on the branch
     vertices and the S3 part only on the branch midpoints whenever every
     off-center branch slot is trivial; then the two wreaths split off
@@ -323,7 +287,7 @@ def _theta_full_fold(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
     return direct_product([wreath(exprs[0], 2), wreath(mid, 3)])
 
 
-def _case_label(dec: Decomposition, Q: list[Perm]) -> str:
+def _case_label(dec: Decomposition, Q: CoreGroup) -> str:
     """Label matching the published case analysis for bicyclic graphs;
     'generic' when no named case applies, '-' for a cycle."""
     k = len(Q)
@@ -339,40 +303,55 @@ def _case_label(dec: Decomposition, Q: list[Perm]) -> str:
         if k == 2:
             # does the involution send cycle A (from position 1) into cycle
             # B, whose slots start at position lengths[0]?
-            return "M4" if max(Q)[1] >= dec.lengths[0] else "M8"
+            return "M4" if Q.gens[0][1] >= dec.lengths[0] else "M8"
         return "M5"
     if dec.kind == "dumbbell":
         if k == 8:
             return "N1"
         if k == 4:
             return "N2"
-        if k == 2 and max(Q)[0] == 1:  # the involution swaps the anchors
+        if k == 2 and Q.gens[0][0] == 1:  # the involution swaps the anchors
             return "N3"
         return "generic"
     return "-"
 
 
-def _assemble(dec: Decomposition, Q: list[Perm]) -> GroupExpr:
-    k = len(Q)
+def _assemble(dec: Decomposition, Q: CoreGroup) -> GroupExpr:
+    """The slot product extended by Q.  An exact rule takes one slot
+    expression per orbit of Q on the layout, Fs for the orbits of size s
+    (Q keeps slot ids, so an orbit's slots share one expression):
+    - an involution s: F1 x wr(F2, 2), read off s with no orbit pass;
+    - a Klein four-group: _klein_assemble;
+    - D4 on a shared or dumbbell core, or on C4: F1 x wr(F2 x wr(F4, 2), 2),
+      the swap of the two cycles over one cycle's side and its flip;
+    - S3 on a theta, its branch vertices fixed, or on C3: F1 x wr(F3, 3).
+    The full theta top has its own fold, and any other Q a named top."""
+    exprs, k = dec.exprs, len(Q)
     if k == 1:
-        return direct_product(dec.exprs)
-    if k == 2:  # the identity sorts first, so max(Q) is the involution
-        return _z2_fold(dec.exprs, range(len(dec.layout)), max(Q))
-    if k == 4 and len(_core_generators(dec, Q)) == 2:
-        return _klein_assemble(dec, Q)
-    if dec.kind in ("shared", "dumbbell") and k == 8:
-        return _d4_assemble(dec, Q)
-    if dec.kind == "theta" and k == 6 and all(q[0] == 0 for q in Q):
-        return _theta_s3_fold(dec, Q)
-    if dec.kind == "theta" and k == 12:
-        return _theta_full_fold(dec, Q)
-    if dec.kind == "cycle" and k == 2 * len(dec.layout):
-        rep = dec.exprs[0]
-        if len(dec.layout) == 3:
-            return wreath(rep, 3)
-        if len(dec.layout) == 4:
-            return wreath(wreath(rep, 2), 2)
-    return _honest_semi(dec, Q)
+        return direct_product(exprs)
+    if k == 2:
+        (s,) = Q.gens
+        fixed = [e for i, e in enumerate(exprs) if s[i] == i]
+        pairs = [e for i, e in enumerate(exprs) if s[i] > i]
+        return direct_product(fixed + [wreath(direct_product(pairs), 2)])
+    cycle = dec.kind == "cycle"
+    klein = k == 4 and len(Q.gens) == 2
+    d4 = k == 8 and (not cycle or len(exprs) == 4)
+    s3 = k == 6 and (len(exprs) == 3 if cycle else all(q[0] == 0 for q in Q.gens))
+    if not (klein or d4 or s3):
+        if dec.kind == "theta" and k == 12:
+            return _theta_full_fold(dec, Q)
+        return _honest_semi(dec, Q)
+    orbits = _orbits(Q, len(exprs))
+    if klein:
+        return _klein_assemble(exprs, Q, orbits)
+    F: dict[int, list[GroupExpr]] = {1: [], 2: [], 3: [], 4: []}
+    for orb in orbits:
+        F[len(orb)].append(exprs[orb[0]])
+    if d4:
+        side = direct_product(F[2] + [wreath(direct_product(F[4]), 2)])
+        return direct_product(F[1] + [wreath(side, 2)])
+    return direct_product(F[1] + [wreath(direct_product(F[3]), 3)])
 
 
 # --- entry points ------------------------------------------------------------
@@ -388,7 +367,7 @@ class Analysis:
     case: str
     expr: GroupExpr
     dec: Decomposition | None
-    symmetries: tuple[Perm, ...]  # Q, on the positions of dec.layout
+    symmetries: CoreGroup | tuple[()]  # Q on dec.layout's positions; () for a tree
     tree: RootedTree | None = None  # a tree's center_rooted tree
 
 
@@ -410,7 +389,7 @@ def analyze(g: Graph) -> Analysis:
     expr = _assemble(dec, Q)
     family = "unicyclic" if c == 1 else "bicyclic"
     case = _case_label(dec, Q)
-    return Analysis(family, dec.kind, dec.lengths, case, expr, dec, tuple(Q))
+    return Analysis(family, dec.kind, dec.lengths, case, expr, dec, Q)
 
 
 def emit_generators(g: Graph, analysis: Analysis | None = None) -> list[SparsePerm]:
@@ -423,7 +402,7 @@ def emit_generators(g: Graph, analysis: Analysis | None = None) -> list[SparsePe
     dec = a.dec
     t = dec.tree
     moves = rooted_aut_generators(t, *dec.layout)
-    for q in _core_generators(dec, a.symmetries):
+    for q in a.symmetries.gens:
         lift: dict[int, int] = {}
         for i, v in enumerate(dec.layout):
             if q[i] != i:

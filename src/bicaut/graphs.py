@@ -19,8 +19,9 @@ list at all.
 
 Every core is a few anchors joined by paths, and PATH_ENDS is the one slot
 layout of all of them, the cycle included: skeleton lays a peeled core out
-in it, generate.skeleton_core builds a bare core from it, and
-skeleton_perms and the D4 fold in bicyclic permute its slots.
+in it, generate.skeleton_core builds a bare core from it,
+skeleton_perms lists every symmetry of a bare core on its slots, and
+necklace gives a labelled cycle's group by its generators (CoreGroup).
 
 Graphs are immutable: a strictly increasing tuple of sorted edge pairs
 plus the vertex count, which Graph checks.  make_graph keeps an edge list
@@ -374,20 +375,31 @@ def skeleton(g: Graph, peeled: Peel) -> tuple[str, tuple[int, ...], tuple[int, .
     return kind, layout, tuple(len(p) + 1 for p in paths)
 
 
-def necklace_perms(labels) -> list[Perm]:
-    """Every symmetry of a cycle that keeps its labels (hashable, one per
+@dataclass(frozen=True)
+class CoreGroup:
+    """A cyclic or dihedral group Q of core symmetries: at most two
+    generators, permutations of layout positions, and the order, len(Q)."""
+
+    gens: tuple[Perm, ...]
+    order: int
+
+    def __len__(self) -> int:
+        return self.order
+
+
+def necklace(labels) -> CoreGroup:
+    """The symmetries of a cycle that keep its labels (hashable, one per
     vertex in cyclic order), as permutations p of positions with
     labels[p[i]] == labels[i].
 
     These are the rotations by multiples of the smallest period and, if the
     reversed labels are a rotation of the labels, as many reflections
-    i -> j - i, one for each j in a single residue class mod the period.
-    Two str.find searches over the labels, interned one character each (so
-    at most 0x110000 distinct labels), find the period and the first
-    reflection, so the cost is O(k) plus the output.  The order is that of
-    the 2k symmetries (rotation by j, then reflection through j, for j = 0
-    .. k-1) with those moving a label left out; all of them slice one
-    shared identity tuple.
+    i -> c - i, one for each c in a single residue class mod the period.
+    The generators are the rotation by the period, unless that is the
+    identity, and the reflection with the least c.  Two str.find searches
+    over the labels, interned one character each (so at most 0x110000
+    distinct labels), find the period and that reflection, so the cost is
+    O(k).
     """
     ids: dict = {}
     s = "".join([chr(ids.setdefault(x, len(ids))) for x in labels])
@@ -396,15 +408,11 @@ def necklace_perms(labels) -> list[Perm]:
     # the reversed labels at offset o of the doubled labels
     # <=> labels[(o - 1 - i) % k] == labels[i] for every i; -1 for none
     o = (s + s[:-1]).find(s[::-1])
-    base = tuple(range(k))
-    back = base[::-1]
-    out = []
-    for j in range(0, k, period):
-        out.append(base[j:] + base[:j])
-        if o >= 0:
-            m = k - 1 - (j + (o - 1) % period)
-            out.append(back[m:] + back[:m])
-    return out
+    gens = [] if period == k else [tuple(range(period, k)) + tuple(range(period))]
+    if o >= 0:
+        c = (o - 1) % period
+        gens.append(tuple(range(c, -1, -1)) + tuple(range(k - 1, c, -1)))
+    return CoreGroup(tuple(gens), k // period * (2 if o >= 0 else 1))
 
 
 # Per bicyclic kind, every (anchor map, path map, reversals) that sends each
@@ -431,14 +439,19 @@ def skeleton_perms(kind: str, lengths: tuple[int, ...]) -> tuple[Perm, ...]:
     PATH_ENDS slots sending slot i to slot p[i].
 
     Bare cores are determined by (kind, lengths), so this is the whole
-    symmetry group: D_k for a k-cycle, and for a bicyclic core the maps in
-    _END_MAPS that send each path onto one of equal length, at most S3 x Z2
-    for a theta and D4 for two cycles.  It is cached per (kind, lengths),
-    the last 1024 asked for, as a tuple so that no caller can change it.
+    symmetry group: D_k for a k-cycle (the rotation i -> i + j, then the
+    reflection i -> j - i, for j = 0 .. k-1), and for a bicyclic core the
+    maps in _END_MAPS that send each path onto one of equal length, at
+    most S3 x Z2 for a theta and D4 for two cycles.  It is cached per
+    (kind, lengths), the last 1024 asked for, as a tuple so that no caller
+    can change it.
     """
     if kind == "cycle":
         (k,) = lengths
-        return tuple(necklace_perms([0] * k))
+        base = tuple(range(k))
+        return tuple(
+            q for j in base for q in (base[j:] + base[:j], tuple((j - i) % k for i in base))
+        )
     nxt = PATH_ENDS[kind][0]
     interiors = []
     for x in lengths:
@@ -562,7 +575,9 @@ def from_graph6(text: str) -> Graph:
         raise ValueError("invalid graph6 character")
     if data[0] < 63:
         n, body = data[0], data[1:]
-    elif len(data) >= 4 and data[1] < 63:
+    elif len(data) < 4:
+        raise ValueError("graph6 size header is truncated")
+    elif data[1] < 63:
         n, body = data[1] << 12 | data[2] << 6 | data[3], data[4:]
     else:
         raise ValueError("graph6 reader here only handles n <= 258047")

@@ -246,7 +246,8 @@ def test_analyze_handles_trees():
 
 
 def test_candidate_group_sizes():
-    # on a bare core the candidates are the whole automorphism group
+    # on a bare core the candidates, and so Q, are the whole automorphism
+    # group; Q's generators close to |Q| symmetries of the core
     cores = [("cycle", (k,)) for k in range(3, 13)] + list(bicyclic_skeletons(12))
     assert len(cores) == 136
     for kind, lengths in cores:
@@ -254,9 +255,13 @@ def test_candidate_group_sizes():
         dec = decompose(g)
         # skeleton, PATH_ENDS and skeleton_core agree on the slot layout
         assert dec.layout == tuple(range(g.n)), (kind, lengths)
-        cands = candidate_symmetries(dec)
-        assert len(set(cands)) == len(cands) == automorphism_count(g), (kind, lengths)
-        for q in cands:
+        Q = core_symmetries(dec)
+        elements = close_generators(len(dec.layout), Q.gens, len(Q))
+        count = automorphism_count(g)
+        assert len(candidate_symmetries(dec)) == len(Q) == len(elements) == count
+        if kind != "cycle":
+            assert sorted(set(candidate_symmetries(dec))) == elements, (kind, lengths)
+        for q in elements:
             lift = list(range(g.n))
             for i, v in enumerate(dec.layout):
                 lift[v] = dec.layout[q[i]]
@@ -264,16 +269,37 @@ def test_candidate_group_sizes():
 
 
 def test_filtered_symmetries_form_a_group():
+    # the candidates that keep every slot id are closed under composition,
+    # and Q's generators close to exactly them
     rng = random.Random(5)
     for _ in range(40):
         g = random_bicyclic(rng, rng.randint(6, 12))
         dec = decompose(g)
-        Q = core_symmetries(dec)
-        members = set(Q)
-        for a in Q:
-            for b in Q:
+        codes = dec.codes
+        kept = [q for q in candidate_symmetries(dec) if [codes[j] for j in q] == codes]
+        members = set(kept)
+        for a in kept:
+            for b in kept:
                 assert compose(a, b) in members
+        Q = core_symmetries(dec)
+        assert close_generators(len(dec.layout), Q.gens, len(Q)) == sorted(kept), g.edges
         assert len(candidate_symmetries(dec)) % len(Q) == 0
+
+
+def reference_elements(dec):
+    """Q by its definition: the bare core's symmetries that keep every slot
+    code, as node_code's bytes, from a fresh candidate list (a cycle's
+    from reference_q)."""
+    if dec.kind == "cycle":
+        return reference_q(dec)
+    fresh = skeleton_perms.__wrapped__(dec.kind, dec.lengths)
+    codes = [dec.slots[v].code for v in dec.layout]
+    return [q for q in fresh if all(codes[j] == c for j, c in zip(q, codes))]
+
+
+def q_elements(dec, Q):
+    """Every element of Q, sorted, as its generators close to."""
+    return close_generators(len(dec.layout), Q.gens, len(Q))
 
 
 def test_cached_core_symmetries_match_the_uncached_filter():
@@ -288,9 +314,9 @@ def test_cached_core_symmetries_match_the_uncached_filter():
     for g in pool:
         dec = decompose(g)
         fresh = skeleton_perms.__wrapped__(dec.kind, dec.lengths)
-        codes = [dec.slots[v].code for v in dec.layout]
-        want = [q for q in fresh if all(codes[j] == c for j, c in zip(q, codes))]
-        assert core_symmetries(dec) == want, g.edges
+        want = reference_elements(dec)
+        Q = core_symmetries(dec)
+        assert (len(Q), q_elements(dec, Q)) == (len(want), sorted(want)), g.edges
         cached = skeleton_perms(dec.kind, dec.lengths)
         assert type(cached) is tuple and cached == fresh
         assert all(type(q) is tuple for q in cached)
@@ -331,13 +357,25 @@ def necklace_cycles(count, seed):
         yield decorate(core, slots, combo)
 
 
+def _reflects(q):
+    return (q[1] - q[0]) % len(q) != 1
+
+
 def test_cycle_q_matches_its_definition():
+    # Q's generators close to the reference; they are the least rotation
+    # but the identity, if Q has one, and the first reflection in
+    # reference_q's order, if any
     bare = [skeleton_core("cycle", (k,))[0] for k in range(3, 65)]
     necklaces = list(necklace_cycles(2000, 7))
     tops = Counter()
     for g in [g for n in range(3, 11) for g in all_unicyclic(n)] + bare + necklaces:
         a = analyze(g)
-        assert a.symmetries == tuple(reference_q(a.dec)), g.edges
+        want = reference_q(a.dec)
+        Q = a.symmetries
+        assert (len(Q), q_elements(a.dec, Q)) == (len(want), sorted(want)), g.edges
+        rotations = [q for q in want[1:] if not _reflects(q)]
+        reflections = [q for q in want if _reflects(q)]
+        assert Q.gens == tuple(sorted(rotations)[:1] + reflections[:1]), g.edges
         if isinstance(a.expr, SemiTop):
             tops[a.expr.top.name] += 1
     assert tops["Z3"] and tops["Z4"] and tops["dih(3)"], tops  # chiral tops too
@@ -506,9 +544,9 @@ def test_core_generators_match_the_closure_greedy():
     sizes = Counter()
     for g in graphs:
         a = analyze(g)
-        Q = list(a.symmetries)
-        assert bicyclic._core_generators(a.dec, Q) == reference_generators(Q), g.edges
-        sizes[len(Q)] += 1
+        want = reference_elements(a.dec)
+        assert list(a.symmetries.gens) == reference_generators(want), g.edges
+        sizes[len(want)] += 1
     assert {2, 4, 6, 8, 12} <= set(sizes), sizes
 
 
@@ -519,9 +557,9 @@ def test_core_generators_generate_q():
     for g in graphs:
         a = analyze(g)
         Q = a.symmetries
-        gens = bicyclic._core_generators(a.dec, Q)
-        assert len(gens) <= 2, g.edges
-        assert close_generators(len(a.dec.layout), gens, len(Q)) == sorted(Q), g.edges
+        want = reference_elements(a.dec)
+        assert len(Q.gens) <= 2, g.edges
+        assert (len(Q), q_elements(a.dec, Q)) == (len(want), sorted(want)), g.edges
 
 
 def test_bare_cycle_999():
@@ -537,6 +575,35 @@ def test_bare_cycle_999():
     while v != 0:
         v, steps = rotation[v], steps + 1
     assert steps == 999
+
+
+def test_cycle_q_at_1e4_slots_keeps_no_element_list():
+    # Q is held by its generators and order: every element as a dense
+    # tuple would take 1.6 GB on a bare C_10^4.  The necklace repeats
+    # (bare, pendant, pendant) 3 334 times, so Q is dih(3334); its copy
+    # under random labels must get the same answer
+    bare = skeleton_core("cycle", (10_000,))[0]
+    core, slots = skeleton_core("cycle", (10_002,))
+    necklace = decorate(core, slots, [(), ((),), ((),)] * 3334)
+    relabelled = _relabelled(necklace, random.Random(37))
+    answers = []
+    for g in (bare, necklace, relabelled):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            a = analyze(g)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 10 * 2**20, kept
+        gens = emit_generators(g, a)
+        assert len(gens) == 2
+        for p in gens:
+            assert all(x != y for x, y in p.moves.items())
+            assert is_automorphism(g, p)
+        answers.append((a.kind, a.case, print_expr(a.expr), len(a.symmetries)))
+    assert answers[0] == ("cycle", "-", "dih(10000)", 20_000)
+    assert answers[1] == answers[2] == ("cycle", "-", "dih(3334)", 6668)
 
 
 def test_d4_top_takes_two_core_generators():

@@ -1,15 +1,17 @@
-"""CPU time and max RSS of `bicaut aut` on four graphs of N vertices: a
+"""CPU time and max RSS of `bicaut aut` on five graphs of N vertices: a
 random tree and a random bicyclic graph, the numbers ROADMAP item 12 asks
-for, and two deep ones, a path and C4 with a pendant path.
+for, two deep ones, a path and C4 with a pendant path, and a bare cycle,
+whose core group D_N has 2N elements.
 
     python3 tools/scale_probe.py [N]        (N defaults to 10^6)
 
 The random graphs come from bicaut.generate with Random(1): random_tree and
 random_bicyclic.  The path and the C4 are as deep as a graph of N vertices
 gets, so a rooted-tree step whose cost grows with the depth runs past its
-time or memory on them.  Their edge lists go to a temporary directory, and
-`bicaut aut` runs on each in a child process of its own, using the source
-tree next to this file.  A line per graph gives the child's exit code, its
+time or memory on them, and a step that lists the cycle's core group
+element by element runs past its memory.  The edge lists go to a
+temporary directory, and `bicaut aut` runs on each in a child process of
+its own, using the source tree next to this file.  A line per graph gives the child's exit code, its
 CPU seconds (user plus system) and its max RSS in MB, read from the
 resource usage os.wait4 returns for that one child: the record
 getrusage(RUSAGE_CHILDREN) would sum over every child waited for, keeping
@@ -60,6 +62,7 @@ def main(argv: list[str]) -> int:
         ("c4_path", lambda: make_graph(
             n, [(0, 1), (1, 2), (0, 3), (2, 3)] + [(i, i + 1) for i in range(3, n - 1)]
         )),
+        ("cycle", lambda: make_graph(n, [(0, n - 1)] + [(i, i + 1) for i in range(n - 1)])),
     )
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
