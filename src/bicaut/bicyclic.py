@@ -137,7 +137,7 @@ def decompose(g: Graph) -> Decomposition:
     is reported as such whatever its cycles.  A graph with fewer than
     n - 1 edges cannot be connected, so it is rejected before anything of
     size n is built."""
-    if len(g.edges) < g.n - 1:
+    if len(g.ends) // 2 < g.n - 1:
         raise UnsupportedFamilyError("graph is not connected")
     peeled = peel_core(g)
     kind, layout, lengths = skeleton(g, peeled)
@@ -377,7 +377,7 @@ def analyze(g: Graph) -> Analysis:
     once, from the peel (graphs.peel_core): a graph with n - 1 edges is a tree
     iff it peels to at most two centres, and decompose walks every other
     graph's core."""
-    c = len(g.edges) - g.n + 1
+    c = len(g.ends) // 2 - g.n + 1
     if c == 0:
         try:
             t = center_rooted(g)

@@ -28,7 +28,7 @@ from .generate import (
     random_bicyclic,
     random_unicyclic,
 )
-from .graphs import Graph, from_edgelist, from_graph6, to_edgelist, to_graph6
+from .graphs import Graph, from_graph6, read_edgelist, to_edgelist, to_graph6
 from .groups import ExprSyntaxError, classify, order, parse_expr, print_expr
 from .oracle import automorphism_count, group_order, oracle_bound
 from .realize import RealizeError, SizeBudgetError, realize
@@ -42,12 +42,16 @@ EX_BUDGET = 6
 
 
 def _read_graph(path: str, fmt: str) -> Graph:
+    """The graph in a file, or on standard input for '-'.  An edge list is
+    read in pieces (graphs.read_edgelist), never as one text."""
+
+    def read(fh) -> Graph:
+        return from_graph6(fh.read()) if fmt == "graph6" else read_edgelist(fh)
+
     if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    return from_graph6(text) if fmt == "graph6" else from_edgelist(text)
+        return read(sys.stdin)
+    with open(path, "r", encoding="ascii") as fh:
+        return read(fh)
 
 
 def _write_graph(g: Graph, fmt: str) -> str:
@@ -95,6 +99,9 @@ def _report(g: Graph, cap: int) -> tuple[list[str], int]:
     ]
     status = EX_OK
     gens = emit_generators(g, a)
+    # the analysis holds its rooted forest, entries per vertex, which the
+    # closure check does not read
+    del a
     pairs.append(("generators", str(len(gens))))
     if n <= cap:
         ok = group_order(g.n, gens) == n

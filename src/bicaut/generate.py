@@ -71,7 +71,9 @@ def shape_to_graph(sh: Shape) -> Graph:
             build(child, counter[0])
 
     build(sh, 0)
-    return make_graph(counter[0] + 1, edges)
+    # each pair is (parent, child), parent < child, so sorting them puts
+    # them in Graph's order and make_graph takes them as they stand
+    return make_graph(counter[0] + 1, sorted(edges))
 
 
 @lru_cache(maxsize=None)
@@ -168,7 +170,7 @@ def all_unicyclic(n: int):
 def random_tree(rng: random.Random, n: int) -> Graph:
     """A random tree rooted at 0, grown by random parent attachment."""
     edges = [(rng.randrange(i), i) for i in range(1, n)]
-    return make_graph(n, edges)
+    return make_graph(n, sorted(edges))
 
 
 def _random_decorate(rng: random.Random, core: Graph, slots: list[int], extra: int) -> Graph:

@@ -23,16 +23,22 @@ in it, generate.skeleton_core builds a bare core from it,
 skeleton_perms lists every symmetry of a bare core on its slots, and
 necklace gives a labelled cycle's group by its generators (CoreGroup).
 
-Graphs are immutable: a strictly increasing tuple of sorted edge pairs
-plus the vertex count, which Graph checks.  make_graph keeps an edge list
-that is in that form already.  Formats: a plain edge-list text form and
-graph6.
+Graphs are immutable: the vertex count and one flat array of the edges'
+endpoints, u0, v0, u1, v1, ..., each pair sorted and the pairs strictly
+increasing, which Graph checks in one pass.  Everything here reads that
+array; the edges as pairs are built only when read (Graph.edges), for the
+oracle, the formats and the tests.  make_graph stores an edge list that is
+in that form already and sorts any other.  Formats: a plain edge-list text
+form, read in pieces straight into the array (read_edgelist), and graph6.
 """
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, permutations, product
+from itertools import chain, permutations, product
+from struct import pack
 from typing import NamedTuple
 
 # a permutation of range(len(p)), i -> p[i]
@@ -44,41 +50,103 @@ class UnsupportedFamilyError(ValueError):
     independent cycles."""
 
 
-@dataclass(frozen=True)
-class Graph:
-    n: int
-    edges: tuple[tuple[int, int], ...]
+# Graph keeps its labels as C ints while n <= 2^31 (labels up to 2^31 - 1),
+# as 64-bit ints while n <= 2^63, and past that in a tuple
+def _typecode(n: int) -> str | None:
+    return "i" if n <= 1 << 31 else "q" if n <= 1 << 63 else None
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("graph needs at least one vertex")
-        # one pass: each pair in range and sorted, the tuple strictly
-        # increasing, so no edge repeats
-        n = self.n
-        prev = (-1, -1)
-        for e in self.edges:
-            u, v = e
-            if not 0 <= u < v < n:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ValueError("edge %r out of range for n=%d" % (e, n))
-                if u == v:
-                    raise ValueError("loop at vertex %d" % u)
+
+def _check(n: int, pairs) -> None:
+    """Raise ValueError unless n >= 1 and the pairs are edges in Graph's
+    order: each (u, v) with 0 <= u < v < n, strictly increasing, so that no
+    edge repeats.  One pass, and it stops at the first bad pair."""
+    if n < 1:
+        raise ValueError("graph needs at least one vertex")
+    pu = pv = -1  # the previous pair
+    for u, v in pairs:
+        if u <= pu and (u < pu or v <= pv) or not 0 <= u < v < n:
+            e, prev = (u, v), (pu, pv)
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError("edge %r out of range for n=%d" % (e, n))
+            if u == v:
+                raise ValueError("loop at vertex %d" % u)
+            if u > v:
                 raise ValueError("edge %r must be sorted" % (e,))
-            if e <= prev:
-                if e == prev:
-                    raise ValueError("duplicate edge %r" % (e,))
-                raise ValueError("edge %r comes after %r" % (e, prev))
-            prev = e
+            if e == prev:
+                raise ValueError("duplicate edge %r" % (e,))
+            raise ValueError("edge %r comes after %r" % (e, prev))
+        pu, pv = u, v
+
+
+# Graph packs its pairs into the array this many at a time, so that it
+# builds no tuple of every end
+_FLAT_CHUNK = 1 << 12
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class Graph:
+    """A simple graph on the vertices 0..n-1: n, and ends, one flat
+    read-only array of the edges' endpoints u0, v0, u1, v1, ..., two C ints
+    an edge (64-bit past n = 2^31, a tuple past n = 2^63).  Each edge has
+    u < v, and the edges are strictly increasing as pairs, so no edge
+    repeats.
+
+    Graph(n, edges) takes the edges as pairs already in that order and
+    checks them in one pass; Graph.from_ends takes them flat.  edges, the
+    pairs, is built on every read and never kept: it costs about 110 bytes
+    an edge, ends 8.  Graphs compare and hash by n and ends.
+    """
+
+    n: int
+    ends: Sequence[int]
+
+    def __init__(self, n: int, edges) -> None:
+        if not isinstance(edges, (list, tuple)):
+            edges = tuple(edges)
+        _check(n, edges)
+        code = _typecode(n)
+        if code is None:
+            ends = tuple(chain.from_iterable(edges))
+        else:
+            ends = array(code)
+            for i in range(0, len(edges), _FLAT_CHUNK):
+                part = edges[i : i + _FLAT_CHUNK]
+                ends.frombytes(pack("%d%s" % (2 * len(part), code), *chain.from_iterable(part)))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ends", ends)
+
+    @classmethod
+    def from_ends(cls, n: int, ends: Sequence[int]) -> Graph:
+        """The graph of endpoints u0, v0, u1, v1, ... in Graph's order,
+        copied into a new array."""
+        if len(ends) % 2:
+            raise ValueError("odd number of edge ends: %d" % len(ends))
+        it = iter(ends)
+        _check(n, zip(it, it))
+        g = object.__new__(cls)
+        code = _typecode(n)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "ends", tuple(ends) if code is None else array(code, ends))
+        return g
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as pairs (u, v), in order, built on this read."""
+        it = iter(self.ends)
+        return tuple(zip(it, it))
+
+    def __hash__(self) -> int:
+        return hash((self.n, tuple(self.ends)))
 
 
 def make_graph(n: int, edges) -> Graph:
-    """Build a Graph from any iterable of pairs.  Ordered pairs, themselves
-    tuples, in strictly increasing order (the order Graph holds and
-    to_edgelist writes) become the graph's edges as they stand, the pairs
-    shared with the caller.  Any other input is normalized: each pair
-    ordered, repeats dropped, the pairs sorted.  Graph is the one
+    """Build a Graph from any iterable of pairs.  Ordered pairs in strictly
+    increasing order (the order Graph holds and to_edgelist writes) are
+    checked and stored as they stand.  Any other input is normalized: each
+    pair ordered, repeats dropped, the pairs sorted.  Graph is the one
     validator: the edges are checked once, and again only if normalized."""
-    edges = tuple(edges)
+    if not isinstance(edges, (list, tuple)):
+        edges = list(edges)
     try:
         return Graph(n, edges)
     except (ValueError, TypeError):  # TypeError: a pair that is a list
@@ -86,12 +154,13 @@ def make_graph(n: int, edges) -> Graph:
     # duplicates dropped in first-seen order, so edges that come nearly
     # sorted sort in linear time
     norm = sorted(dict.fromkeys((u, v) if u < v else (v, u) for u, v in edges))
-    return Graph(n, tuple(norm))
+    return Graph(n, norm)
 
 
 def adjacency(g: Graph) -> list[list[int]]:
     adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
+    it = iter(g.ends)
+    for u, v in zip(it, it):
         adj[u].append(v)
         adj[v].append(u)
     for row in adj:
@@ -116,9 +185,8 @@ def is_connected(adj: list[list[int]]) -> bool:
 def induced_subgraph(g: Graph, vertices: list[int]) -> tuple[Graph, dict[int, int]]:
     """Subgraph on the given vertices; returns it with the old-to-new map."""
     index = {v: i for i, v in enumerate(vertices)}
-    edges = [
-        (index[u], index[v]) for u, v in g.edges if u in index and v in index
-    ]
+    it = iter(g.ends)
+    edges = [(index[u], index[v]) for u, v in zip(it, it) if u in index and v in index]
     return make_graph(len(vertices), edges), index
 
 
@@ -186,7 +254,8 @@ def peel_core(g: Graph, root: int | None = None) -> Peel:
     n = g.n
     deg = [0] * n
     nbr = [0] * n  # the sum of the neighbours not deleted yet
-    for u, v in g.edges:
+    it = iter(g.ends)
+    for u, v in zip(it, it):
         deg[u] += 1
         deg[v] += 1
         nbr[u] += v
@@ -324,7 +393,8 @@ def skeleton(g: Graph, peeled: Peel) -> tuple[str, tuple[int, ...], tuple[int, .
     core = peeled.children[n]
     anchors = [v for v in core if deg[v] != 2] or core[:1]
     rows: dict[int, list[int]] = {a: [] for a in anchors}
-    for u, v in g.edges:  # sorted, so each row comes out ascending
+    it = iter(g.ends)
+    for u, v in zip(it, it):  # sorted, so each row comes out ascending
         if u in rows and parent[v] == n:
             rows[u].append(v)
         if v in rows and parent[u] == n:
@@ -348,7 +418,7 @@ def skeleton(g: Graph, peeled: Peel) -> tuple[str, tuple[int, ...], tuple[int, .
                 reached.append(cur)
     if len(reached) + sum(len(p) for _, p, _ in found) != len(core):
         raise UnsupportedFamilyError("graph is not connected")
-    c = len(g.edges) - g.n + 1
+    c = len(g.ends) // 2 - g.n + 1
     if c not in (1, 2):
         raise UnsupportedFamilyError(
             "graph has cyclomatic number %d, need 1 or 2" % c
@@ -478,15 +548,18 @@ def splice(g: Graph, parts: list[tuple[int, Graph]]) -> tuple[Graph, list[list[i
     vertex.  g keeps its indices; each tree's other vertices follow, part
     by part, in their own order.
     """
-    edges = list(g.edges)
+    ends = list(g.ends)
     remaps = []
     nxt = g.n
     for v, t in parts:
         remap = [v, *range(nxt, nxt + t.n - 1)]
         nxt += t.n - 1
-        edges += [(remap[x], remap[y]) for x, y in t.edges]
+        ends += map(remap.__getitem__, t.ends)
         remaps.append(remap)
-    return make_graph(nxt, edges), remaps
+    # remap keeps each pair's order (remap[0] is a vertex of g), and no
+    # pair repeats, so sorted pairs are in Graph's order
+    it = iter(ends)
+    return make_graph(nxt, sorted(zip(it, it))), remaps
 
 
 def link(g1: Graph, v1: int, g2: Graph, w1: int) -> tuple[Graph, list[int]]:
@@ -495,9 +568,9 @@ def link(g1: Graph, v1: int, g2: Graph, w1: int) -> tuple[Graph, list[int]]:
     Returns the merged graph and the new index of each g2 vertex.
     """
     remap = [g1.n + w for w in range(g2.n)]
-    edges = list(g1.edges) + [(remap[x], remap[y]) for x, y in g2.edges]
-    edges.append((v1, remap[w1]))
-    return make_graph(g1.n + g2.n, edges), remap
+    ends = [*g1.ends, *(g1.n + x for x in g2.ends), v1, remap[w1]]
+    it = iter(ends)
+    return make_graph(g1.n + g2.n, zip(it, it)), remap
 
 
 # --- formats ---------------------------------------------------------------
@@ -505,37 +578,125 @@ def link(g1: Graph, v1: int, g2: Graph, w1: int) -> tuple[Graph, list[int]]:
 
 def to_edgelist(g: Graph) -> str:
     """First line 'n m', then one 'u v' line per edge."""
-    lines = ["%d %d" % (g.n, len(g.edges))]
-    lines.extend("%d %d" % e for e in g.edges)
+    it = iter(g.ends)
+    lines = ["%d %d" % (g.n, len(g.ends) // 2)]
+    lines += map("%d %d".__mod__, zip(it, it))
     return "\n".join(lines) + "\n"
+
+
+# characters from_edgelist and read_edgelist take at a time
+EDGELIST_CHUNK = 1 << 14
 
 
 def from_edgelist(text: str) -> Graph:
     """Read to_edgelist's form: a header line 'n m', then m lines 'u v'.
 
-    Text exactly as to_edgelist writes it, with the edge count its header
-    says, is read in one flat pass over its words.  Any other text (blank
-    lines, more spaces, other line breaks, a line without two words) is
-    read line by line, which also words the error."""
-    words = text.split()
-    w = iter(words)
-    if words and text == "\n".join(map(" ".join, zip(w, w))) + "\n":
-        n, m = int(words[0]), int(words[1])
-        if len(words) == 2 * m + 2:
-            it = map(int, islice(words, 2, None))
-            return make_graph(n, list(zip(it, it)))
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    if not rows or len(rows[0]) != 2:
+    The text is read line by line, in pieces of EDGELIST_CHUNK characters,
+    straight into the graph's array, as read_edgelist reads a stream.
+    Blank lines are skipped, and the words of a line may be apart by any
+    whitespace.  Bad text raises ValueError for the first of: no header
+    line 'n m'; a header word that is not an integer; an edge count other
+    than the header's; the first edge line that has not two words, or has
+    a word that is not an integer; else what Graph raises for the edges
+    with each pair ordered and the pairs sorted: n < 1, or the first edge
+    out of range, a loop or a repeat.  make_graph merges repeated edges; a
+    reader does not."""
+    size = EDGELIST_CHUNK
+    return _read_edgelist(text[i : i + size] for i in range(0, len(text), size))
+
+
+def read_edgelist(stream) -> Graph:
+    """from_edgelist of what a text stream holds, read from it
+    EDGELIST_CHUNK characters at a time."""
+    size = EDGELIST_CHUNK
+    return _read_edgelist(iter(lambda: stream.read(size), ""))
+
+
+def _blocks(pieces):
+    """The text of pieces in blocks of whole lines: each block but the last
+    ends at a '\n', and the last holds whatever follows the last '\n'.  A
+    line, or a word, cut between two pieces is carried into the next
+    block.  No line break is cut: a '\r\n' ends at its '\n'."""
+    held: list[str] = []
+    for piece in pieces:
+        cut = piece.rfind("\n") + 1
+        if cut:
+            held.append(piece[:cut])
+            yield "".join(held)
+            held = [piece[cut:]]
+        else:
+            held.append(piece)
+    yield "".join(held)
+
+
+def _read_edgelist(pieces) -> Graph:
+    """from_edgelist over the text given as pieces.
+
+    A block of lines that to_edgelist could have written (every line two
+    words one space apart, no blank line) is checked by one join over its
+    words; any other block is split into lines.  The labels go into an
+    array of the graph's type code (Graph), or into a list once one does
+    not fit, which is then out of range for n and kept for the error.
+    Once an edge line is bad, the lines after it are only counted."""
+    head = None  # (n, m), from the first line that is not blank
+    ends: array | list = []
+    rows = 0  # edge lines
+    error = None  # the first bad edge line's error
+    for block in _blocks(pieces):
+        words = block.split()
+        w = iter(words)
+        bad, after = None, 0  # the first bad line, the lines after it
+        if block != "\n".join(map(" ".join, zip(w, w))) + "\n":
+            words = []
+            for line in block.splitlines():
+                row = line.split()
+                if bad is not None:
+                    after += bool(row)
+                elif len(row) == 2:
+                    words += row
+                elif row:
+                    bad = row
+        if head is None:
+            if not words:
+                if bad is None:
+                    continue
+                raise ValueError("edge list must start with a 'n m' header line")
+            head = int(words[0]), int(words[1])
+            del words[:2]
+            code = _typecode(head[0])
+            ends = array(code) if code else []
+        rows += len(words) // 2 + (bad is not None) + after
+        if error is not None:
+            continue
+        try:
+            ints = list(map(int, words))
+        except ValueError as exc:
+            error = exc
+            continue
+        if isinstance(ends, list):
+            ends += ints
+        else:
+            try:
+                ends.fromlist(ints)
+            except OverflowError:
+                ends = ends.tolist() + ints
+        if bad is not None:
+            error = ValueError("bad edge line %r" % " ".join(bad))
+    if head is None:
         raise ValueError("edge list must start with a 'n m' header line")
-    n, m = int(rows[0][0]), int(rows[0][1])
-    if len(rows) - 1 != m:
-        raise ValueError("header says %d edges, found %d" % (m, len(rows) - 1))
-    edges = []
-    for row in rows[1:]:
-        if len(row) != 2:
-            raise ValueError("bad edge line %r" % " ".join(row))
-        edges.append((int(row[0]), int(row[1])))
-    return make_graph(n, edges)
+    n, m = head
+    if rows != m:
+        raise ValueError("header says %d edges, found %d" % (m, rows))
+    if error is not None:
+        raise error
+    try:
+        return Graph.from_ends(n, ends)
+    except ValueError:
+        pass
+    # the text's order or orientation differs from Graph's, or an edge is
+    # bad: sorted with repeats kept, so Graph names the first bad edge
+    it = iter(ends)
+    return Graph(n, sorted((u, v) if u < v else (v, u) for u, v in zip(it, it)))
 
 
 def to_graph6(g: Graph) -> str:

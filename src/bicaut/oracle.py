@@ -206,7 +206,7 @@ class _Search:
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
+    if g1.n != g2.n or len(g1.ends) != len(g2.ends):
         return False
     search = _Search(g1, g2)
     cell_of, cells = [0] * g2.n, {0: list(range(g2.n))}
@@ -444,7 +444,7 @@ def is_automorphism(g: Graph, p: Sequence[int]) -> bool:
     if sorted(img) != list(range(g.n)):
         return False
     edges = set(g.edges)
-    for u, v in g.edges:
+    for u, v in edges:
         a, b = img[u], img[v]
         if (min(a, b), max(a, b)) not in edges:
             return False

@@ -157,7 +157,7 @@ def _peel_tree(g: Graph, root: int | None = None) -> Peel:
     g is a tree (and, as peel_core does, for a root outside range(g.n)):
     with n - 1 edges a graph that is not one has a cycle, whose three or
     more vertices the peel leaves, root or no root."""
-    if len(g.edges) != g.n - 1:
+    if len(g.ends) // 2 != g.n - 1:
         raise ValueError("graph is not a tree")
     p = peel_core(g, root)
     if len(p.children[g.n]) > 2:

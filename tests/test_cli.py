@@ -171,6 +171,35 @@ def test_aut_bad_file_and_bad_text(tmp_path, capsys):
         assert capsys.readouterr().err == "error: %s\n" % msg, text
 
 
+def test_aut_huge_labels_and_repeated_edges(tmp_path, capsys):
+    # labels at and past 2^31 and 2^63 and a header of 10^20 vertices read
+    # as any others: too few edges to connect the graph, or a label out of
+    # range, never a traceback; a repeated edge, in either orientation, is
+    # bad input, named in sorted order
+    bad = tmp_path / "g.txt"
+    for text, code, msg in (
+        ("3000000000 1\n0 2999999999\n", EX_FAMILY, "unsupported graph: graph is not connected"),
+        ("2147483648 1\n2147483646 2147483647\n", EX_FAMILY, "unsupported graph: graph is not connected"),
+        ("100000000000000000000 0\n", EX_FAMILY, "unsupported graph: graph is not connected"),
+        (
+            "100000000000000000000 1\n0 99999999999999999999\n",
+            EX_FAMILY,
+            "unsupported graph: graph is not connected",
+        ),
+        ("3 1\n0 2147483648\n", EX_INPUT, "error: edge (0, 2147483648) out of range for n=3"),
+        (
+            "3 2\n1 2\n-9223372036854775809 1\n",
+            EX_INPUT,
+            "error: edge (-9223372036854775809, 1) out of range for n=3",
+        ),
+        ("3 2\n0 1\n1 0\n", EX_INPUT, "error: duplicate edge (0, 1)"),
+        ("4 3\n2 3\n1 2\n3 2\n", EX_INPUT, "error: duplicate edge (2, 3)"),
+    ):
+        bad.write_text(text, encoding="ascii")
+        assert run(["aut", str(bad)]) == code, text
+        assert capsys.readouterr().err == msg + "\n", text
+
+
 def test_verify_ok_and_corrupt(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, DIAMOND)
     assert run(["verify", path]) == EX_OK
@@ -309,7 +338,7 @@ def test_scale_probe_smoke():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert [line.split()[0] for line in lines] == [
-        "tree", "bicyclic", "path", "c4_path", "cycle"
+        "tree", "bicyclic", "path", "c4_path", "cycle", "star"
     ]
     for line in lines:
         m = re.fullmatch(r"\w+ n=2000 exit=0 cpu_s=(\d+\.\d\d) max_rss_mb=(\d+\.\d)", line)

@@ -1,4 +1,5 @@
 """Graph container, decompositions, formats."""
+import io
 import random
 import re
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bicaut.graphs
 from bicaut.bicyclic import UnsupportedFamilyError, analyze, decompose
 from bicaut.generate import (
     all_bicyclic,
@@ -29,6 +31,7 @@ from bicaut.graphs import (
     link,
     make_graph,
     peel_core,
+    read_edgelist,
     skeleton,
     splice,
     to_edgelist,
@@ -287,8 +290,9 @@ def test_edgelist_round_trip():
 
 
 def _read_lines(text: str) -> Graph:
-    """The edge list read line by line: the reference from_edgelist's flat
-    read is checked against."""
+    """The edge list read line by line: the reference from_edgelist's
+    chunked read is checked against.  Its edges are sorted with repeats
+    kept, so a repeated edge is bad input, as in the reader."""
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows or len(rows[0]) != 2:
         raise ValueError("edge list must start with a 'n m' header line")
@@ -300,7 +304,7 @@ def _read_lines(text: str) -> Graph:
         if len(row) != 2:
             raise ValueError("bad edge line %r" % " ".join(row))
         edges.append((int(row[0]), int(row[1])))
-    return make_graph(n, edges)
+    return Graph(n, sorted((u, v) if u < v else (v, u) for u, v in edges))
 
 
 def _outcome(read, text: str):
@@ -310,10 +314,9 @@ def _outcome(read, text: str):
         return str(exc)
 
 
-def test_edgelist_reads_as_line_by_line():
-    # to_edgelist's text, then with one word or line break changed: the
-    # same graph or the same error either way
-    rng = random.Random(12)
+def _edited_edgelists(rng: random.Random, count: int):
+    """count texts: to_edgelist's text of a random graph on at most six
+    vertices, four in five of them with one word or line break changed."""
     edits = [
         lambda w, i: w.__setitem__(i, str(int(w[i]) + rng.choice((-1, 1)))),
         lambda w, i: w.__setitem__(i, "x"),
@@ -321,7 +324,7 @@ def test_edgelist_reads_as_line_by_line():
         lambda w, i: w.__setitem__(i, w[i].rstrip()),
         lambda w, i: w.insert(i, rng.choice(("7 ", "\n", "  "))),
     ]
-    for _ in range(3000):
+    for _ in range(count):
         n = rng.randint(1, 6)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         text = to_edgelist(make_graph(n, rng.sample(pairs, rng.randint(0, len(pairs)))))
@@ -329,7 +332,63 @@ def test_edgelist_reads_as_line_by_line():
             w = re.findall(r"\S+\s*", text)  # each word with the space after it
             rng.choice(edits)(w, rng.randrange(len(w)))
             text = "".join(w)
+        yield text
+
+
+def test_edgelist_reads_as_line_by_line():
+    # to_edgelist's text, then with one word or line break changed: the
+    # same graph or the same error either way
+    for text in _edited_edgelists(random.Random(12), 3000):
         assert _outcome(from_edgelist, text) == _outcome(_read_lines, text), repr(text)
+
+
+# edge lists the other tests give the reader, and more with blank lines,
+# other spaces and line breaks, labels past 2^31 and a repeated edge
+ODD_EDGELISTS = (
+    "",
+    "\n \n",
+    "not an edge list\n",
+    "2 1\n0 1 2\n",
+    "2 1\n0 5\n",
+    "2 2\n0 1\n",
+    "3 0\n",
+    "0 0\n",
+    "1e3 0\n",
+    "3000000 0\n",
+    "3 2\n0 1\n1 2",
+    "3 2\r\n0 1\r\n1 2\r\n",
+    "3 2\r0 1\r1 2\r",
+    "\n3   2\n\n\t0 1 \n1\x0b2\n\n",
+    "3 2\n0 1\nx 2\n1\n",
+    "4 3\n0 1\n1 2 3\n0 x\n",
+    "3 2\n0 1\n1 0\n",
+    "3 2\n0 1\n0 1\n",
+    "4 3\n2 3\n0 1\n1 2\n",
+    "3 1\n0 3000000000\n",
+    "3 2\n0 1\n-5000000000 99999999999999999999\n",
+    "3000000000 1\n0 2999999999\n",
+    "100000000000000000000 1\n0 99999999999999999999\n",
+)
+
+
+def test_edgelist_chunk_boundaries(monkeypatch):
+    # every text read in pieces of 1 to 7 characters, from a str or from a
+    # stream, gives the graph or the error of a read in one piece: a word,
+    # a line or a line break cut between two pieces is read whole
+    rng = random.Random(26)
+    texts = list(ODD_EDGELISTS) + list(_edited_edgelists(rng, 200))
+    for _ in range(30):
+        g = rng.choice((random_tree, random_unicyclic, random_bicyclic))(rng, rng.randint(5, 30))
+        texts.append(to_edgelist(g))
+        assert from_edgelist(texts[-1]) == g
+    for text in texts:
+        monkeypatch.setattr(bicaut.graphs, "EDGELIST_CHUNK", len(text) + 1)
+        want = _outcome(from_edgelist, text)
+        for size in range(1, 8):
+            monkeypatch.setattr(bicaut.graphs, "EDGELIST_CHUNK", size)
+            assert _outcome(from_edgelist, text) == want, (size, text)
+            got = _outcome(lambda t: read_edgelist(io.StringIO(t)), text)
+            assert got == want, (size, text)
 
 
 def test_graph6_known_values():
@@ -373,16 +432,25 @@ def _peak(fn, *args):
 
 
 def test_make_graph_keeps_sorted_pairs():
-    # edges already in Graph's order become the graph's edges as they
-    # stand: no pair is rebuilt, and only the tuple of them is new
+    # edges already in Graph's order are checked and stored flat, with no
+    # list of all their ends on the way, and once the caller's pairs are
+    # gone the graph keeps at most 9 bytes an edge: what deleting it frees,
+    # as the interpreter keeps some freed pairs for reuse
     edges = [(i, i + 1) for i in range(10**5)]
     g, peak = _peak(make_graph, 10**5 + 1, edges)
-    assert len(g.edges) == len(edges)
-    assert all(a is b for a, b in zip(g.edges, edges))
     assert peak < 1.5 * 2**20
-    t = tuple(edges)
-    assert make_graph(10**5 + 1, t).edges is t
-    # pairs that are not tuples are rebuilt as tuples
+    assert g.edges == tuple(edges)
+    del g, edges
+    tracemalloc.start()
+    try:
+        g = make_graph(10**5 + 1, [(i, i + 1) for i in range(10**5)])
+        kept = tracemalloc.get_traced_memory()[0]
+        del g
+        kept -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 8 * 10**5 <= kept <= 9 * 10**5
+    # pairs that are not tuples are read as pairs
     assert make_graph(3, [[0, 1], [1, 2]]).edges == ((0, 1), (1, 2))
 
 
@@ -402,12 +470,13 @@ def test_make_graph_any_order_same_graph():
 
 
 def test_edgelist_read_memory():
-    # to_edgelist's text of a 10^5-edge tree is read with no int list, no
-    # slices and no sort of its pairs
+    # to_edgelist's text of a 10^5-edge tree is read in pieces straight
+    # into the graph's array, with no list of its words, no pairs and no
+    # sort: the reader's peak was 1.53 MB, bounded here at twice that
     g = random_tree(random.Random(1), 10**5 + 1)
     h, peak = _peak(from_edgelist, to_edgelist(g))
     assert h == g
-    assert peak < 26 * 2**20
+    assert peak < 3.1 * 2**20
 
 
 @settings(max_examples=200, deadline=None)
