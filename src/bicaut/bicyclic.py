@@ -20,7 +20,7 @@ two slots' child lists as they stand, and the rooted generators, read in
 one walk from every slot (trees.rooted_aut_generators), swap adjacent
 siblings of equal shape id.  A slot's code is its tree's integer shape id,
 which compares slots of one graph; the slot expressions come from
-trees.rooted_exprs, one per id and normalized already, and the
+trees.rooted_exprs, built for the slots' ids alone and normalized, and the
 decomposition keeps the slots' ids and expressions as two lists in
 layout order.  The generators and lifts are support-only maps of the
 vertices they move, and emit_generators returns them so, as permutations
@@ -144,7 +144,7 @@ def decompose(g: Graph) -> Decomposition:
     tree = RootedTree(peeled)
     del peeled  # its degrees and sums: n entries each, no longer read
     codes = list(map(tree.code.__getitem__, layout))
-    slot_exprs = list(map(rooted_exprs(tree).__getitem__, codes))
+    slot_exprs = rooted_exprs(tree, codes)
     return Decomposition(g.n, kind, layout, lengths, codes, slot_exprs, tree)
 
 

@@ -33,11 +33,14 @@ form, read in pieces straight into the array (read_edgelist), and graph6.
 """
 from __future__ import annotations
 
+import re
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, permutations, product
+from itertools import chain, compress, permutations, product, repeat
+from math import isqrt
+from operator import add, floordiv, lt, mod, mul
 from struct import pack
 from typing import NamedTuple
 
@@ -586,6 +589,7 @@ def to_edgelist(g: Graph) -> str:
 
 # characters from_edgelist and read_edgelist take at a time
 EDGELIST_CHUNK = 1 << 14
+_NOT = b"\1\0".ljust(256, b"\0")  # bytes.translate's table: 0 <-> 1
 
 
 def from_edgelist(text: str) -> Graph:
@@ -694,52 +698,75 @@ def _read_edgelist(pieces) -> Graph:
     except ValueError:
         pass
     # the text's order or orientation differs from Graph's, or an edge is
-    # bad: sorted with repeats kept, so Graph names the first bad edge
+    # bad: sorted with repeats kept, so Graph names the first bad edge.
+    # With every label in range(n) the pairs sort as integer keys
+    # min*n + max, about 40 bytes an edge where a pair tuple takes 110:
+    # u*n + v for the pairs with u < v and v*n + u for the rest, picked out
+    # at C level.  A label out of range keeps the pairs, for its message.
+    if ends and 0 <= min(ends) and max(ends) < n:
+        us, vs = ends[0::2], ends[1::2]
+        fwd = bytes(map(lt, us, vs))
+        rev = fwd.translate(_NOT)
+        keys = list(map(add, map(mul, compress(us, fwd), repeat(n)), compress(vs, fwd)))
+        keys += map(add, map(mul, compress(vs, rev), repeat(n)), compress(us, rev))
+        del us, vs, fwd, rev
+        keys.sort()
+        lo, hi = map(floordiv, keys, repeat(n)), map(mod, keys, repeat(n))
+        code = _typecode(n)
+        if code is None:
+            return Graph.from_ends(n, tuple(chain.from_iterable(zip(lo, hi))))
+        ends = array(code, bytes(2 * len(keys) * ends.itemsize))
+        ends[0::2], ends[1::2] = array(code, lo), array(code, hi)
+        return Graph.from_ends(n, ends)
     it = iter(ends)
     return Graph(n, sorted((u, v) if u < v else (v, u) for u, v in zip(it, it)))
+
+
+# graph6 writes the six-bit values 0..63 as the characters 63..126
+_G6_CHARS = bytes(range(63, 127))
+_G6_WRITE = _G6_CHARS + bytes(192)  # bytes.translate's table: x -> x + 63
 
 
 def to_graph6(g: Graph) -> str:
     """graph6 text of g: the size (one character, or '~' and three for
     63 <= n <= 258047), then the upper triangle column by column, six bits a
-    character."""
-    if g.n <= 62:
-        head = [g.n]
-    elif g.n <= 258047:
-        head = [63, g.n >> 12, (g.n >> 6) & 63, g.n & 63]
+    character.  Edge (u, v), u < v, is bit v(v - 1)/2 + u of the triangle,
+    which is set in a bytearray of six-bit groups, one edge at a time."""
+    n = g.n
+    if n <= 62:
+        head = [n]
+    elif n <= 258047:
+        head = [63, n >> 12, (n >> 6) & 63, n & 63]
     else:
         raise ValueError("graph6 writer here only handles n <= 258047")
-    bits = []
-    present = set(g.edges)
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(1 if (u, v) in present else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(x + 63) for x in head]
-    for i in range(0, len(bits), 6):
-        value = 0
-        for b in bits[i : i + 6]:
-            value = value * 2 + b
-        chars.append(chr(value + 63))
-    return "".join(chars)
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    it = iter(g.ends)
+    for u, v in zip(it, it):
+        i = v * (v - 1) // 2 + u
+        body[i // 6] |= 32 >> i % 6
+    return (bytes(head) + body).translate(_G6_WRITE).decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:
+    """The graph of graph6 text (to_graph6's form, an optional '>>graph6<<'
+    header and surrounding whitespace allowed).  Only the characters other
+    than '?', which holds no edge, are decoded, found by one regular
+    expression scan; bits past the triangle, which pad its last character,
+    are ignored."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
     if not s:
         raise ValueError("empty graph6 string")
-    data = [ord(c) - 63 for c in s]
-    if any(d < 0 or d > 63 for d in data):
+    if not s.isascii() or s.encode().translate(None, _G6_CHARS):
         raise ValueError("invalid graph6 character")
-    if data[0] < 63:
-        n, body = data[0], data[1:]
+    data = s.encode()
+    if data[0] < 126:
+        n, body = data[0] - 63, data[1:]
     elif len(data) < 4:
         raise ValueError("graph6 size header is truncated")
-    elif data[1] < 63:
-        n, body = data[1] << 12 | data[2] << 6 | data[3], data[4:]
+    elif data[1] < 126:
+        n, body = (data[1] - 63) << 12 | (data[2] - 63) << 6 | data[3] - 63, data[4:]
     else:
         raise ValueError("graph6 reader here only handles n <= 258047")
     if n < 1:
@@ -750,15 +777,13 @@ def from_graph6(text: str) -> Graph:
             "graph6 length mismatch: n=%d needs %d data characters, got %d"
             % (n, need, len(body))
         )
-    bits = []
-    for d in body:
-        for shift in range(5, -1, -1):
-            bits.append((d >> shift) & 1)
+    triangle = n * (n - 1) // 2
     edges = []
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                edges.append((u, v))
-            i += 1
+    for m in re.finditer(rb"[^?]", body):
+        j = m.start()
+        d = body[j] - 63
+        for i in range(6 * j, 6 * j + 6):
+            if d & 32 >> i % 6 and i < triangle:
+                v = (1 + isqrt(8 * i + 1)) // 2  # v(v - 1)/2 <= i < v(v + 1)/2
+                edges.append((i - v * (v - 1) // 2, v))
     return make_graph(n, edges)

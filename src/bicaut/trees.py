@@ -16,8 +16,12 @@ the child codes sorted and concatenated, so distinct shapes never share a
 prefix), which compare across trees: tree_code and bicyclic's slot codes
 are those bytes.  The automorphism group of a rooted tree is the iterated
 wreath product over the classes of isomorphic children, so it depends on
-the shape alone: rooted_exprs builds one normalized expression per id,
-from its children's runs with groups.wreath and groups.direct_product.
+the shape alone.  rooted_exprs builds a normalized expression only for
+the ids something reads: those asked for (a slot, the tree's root) and
+the base of each run of two or more equal children below them, each once,
+with its printed form as its sort key.  Every other shape only hands the
+factors of its runs up to the read shape above it, so a spine costs
+linear time and memory, not a product per spine vertex.
 
 Every RootedTree is the forest graphs.peel_core builds as it deletes
 leaves: whatever the peel leaves hangs below the virtual root g.n, which
@@ -33,9 +37,11 @@ same runs: fixed_vertices keeps, walking down from the root, each vertex
 alone in its run.
 
 The walks take a RootedTree, and the vertices to start from, and work in
-the tree's own labels: rooted_exprs and shape_bytes run along the table
-in id order, rooted_aut_generators (one walk from any number of roots) and
-aligned_iso keep an explicit stack, so a deep tree needs no recursion.
+the tree's own labels: shape_bytes runs along the table in id order;
+rooted_exprs (a walk down from each id it reads), rooted_aut_generators
+(one walk from any number of roots) and aligned_iso keep an explicit
+stack, so a deep tree needs no recursion: rooted_exprs recurses only into
+run bases, each at most half the size of the vertex above it.
 
 Generators stay support-only throughout: aligned_iso and
 rooted_aut_generators return dicts of just the vertices they move, so their
@@ -48,12 +54,13 @@ and the SparsePerm keeps it as it is, with no copy.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from itertools import islice
-from operator import ne
+from operator import itemgetter, ne
 
 from .graphs import Graph, Peel, make_graph, peel_core
-from .groups import GroupExpr, direct_product, wreath
+from .groups import GroupExpr, Product, Trivial, wreath
 
 
 def node_code(kid_codes) -> bytes:
@@ -117,28 +124,72 @@ def shape_bytes(t: RootedTree, ids: Sequence[int]) -> list[bytes]:
     return list(map(out.__getitem__, ids))
 
 
-def rooted_exprs(t: RootedTree) -> list[GroupExpr]:
-    """Normalized automorphism group of every rooted shape of t, indexed by
-    shape id: vertex v's subtree, rooted at v, has exprs[t.code[v]].  One
-    pass along t.shapes in id order builds each from its children's, which
-    come before it; a shape with one child shares that child's object.
-    Each run of k equal child ids gives that child's expression (k = 1) or
-    groups.wreath of it with Sym(k); groups.direct_product joins the
-    classes.  Both take normalized parts, and the children's expressions
-    are, so the result is normalized."""
-    ex: list[GroupExpr] = []
-    for kids in t.shapes:
-        if len(kids) == 1:  # a lone child's group
-            ex.append(ex[kids[0]])
+def rooted_exprs(t: RootedTree, ids: Iterable[int]) -> list[GroupExpr]:
+    """Normalized automorphism group of each rooted shape id in ids, in
+    order: vertex v's subtree, rooted at v, has the group of id t.code[v].
+
+    Only the shapes something reads get an expression of their own: the
+    ids asked for, and the base of each run of two or more equal children
+    met on the way, which groups.wreath takes whole.  Each is built once
+    (_read_shape) and kept with its printed form, print_expr's string.
+    Every other shape is walked through: its runs of one child hand their
+    factors up, so no shape copies its children's factor lists and a
+    caterpillar costs linear time and memory.  The walks of the ids asked
+    for cover their subtrees, and each run base's walk stops at the runs
+    below it; a base has at most half its parent's vertices, so the walks
+    total O(n) and the builds nest O(log n) deep."""
+    read: dict[int, tuple[str, GroupExpr]] = {0: ("1", Trivial())}
+    wreaths: dict[tuple[int, int], tuple[str, GroupExpr]] = {}
+    out = []
+    for i in ids:
+        if i not in read:
+            _read_shape(t.shapes, i, read, wreaths)
+        out.append(read[i][1])
+    return out
+
+
+def _read_shape(shapes, s, read, wreaths) -> None:
+    """Set read[s] to shape id s's (printed form, normalized expression).
+
+    A walk from s down every run of one child gathers the factors: each run
+    of k >= 2 children of id c gives one, wreath(group of c, Sym(k)), made
+    once per (c, k) in wreaths with its printed form built from c's (c is
+    read first), and a leaf gives none.  The factors are sorted by printed
+    form, as groups.direct_product sorts them, with no form printed again:
+    the result is the normal form, and its printed form is the forms
+    joined by '*'."""
+    factors = []
+    stack = [s]
+    while stack:
+        kids = shapes[stack.pop()]
+        if len(kids) == 1:  # a lone child hands its factors up
+            if kids[0]:
+                stack.append(kids[0])
             continue
-        factors, k = [], 0
-        for i, c in enumerate(kids, 1):
-            k += 1
-            if i == len(kids) or kids[i] != c:  # c ends a run
-                factors.append(ex[c] if k == 1 else wreath(ex[c], k))
-                k = 0
-        ex.append(direct_product(factors))
-    return ex
+        i = 0
+        while i < len(kids):
+            c = kids[i]
+            j = bisect_right(kids, c, i + 1)  # c's run is kids[i:j]
+            if j - i == 1:
+                if c:
+                    stack.append(c)
+            else:
+                w = wreaths.get((c, j - i))
+                if w is None:
+                    if c not in read:
+                        _read_shape(shapes, c, read, wreaths)
+                    key, base = read[c]
+                    # print_expr of wreath(base, j - i), from base's form
+                    key = "S%d" % (j - i) if key == "1" else "wr(%s,S%d)" % (key, j - i)
+                    w = wreaths[c, j - i] = key, wreath(base, j - i)
+                factors.append(w)
+            i = j
+    if len(factors) > 1:
+        factors.sort(key=itemgetter(0))
+        keys, exprs = zip(*factors)
+        read[s] = "*".join(keys), Product(exprs)
+    else:
+        read[s] = factors[0] if factors else read[0]
 
 
 def rooted_aut_expr(g: Graph, root: int) -> GroupExpr:
@@ -148,7 +199,7 @@ def rooted_aut_expr(g: Graph, root: int) -> GroupExpr:
     free tree, since fixing a vertex of a tree fixes distances from it.
     """
     t = RootedTree(_peel_tree(g, root))
-    return rooted_exprs(t)[t.code[root]]
+    return rooted_exprs(t, [t.code[root]])[0]
 
 
 def _peel_tree(g: Graph, root: int | None = None) -> Peel:
@@ -192,7 +243,7 @@ def tree_aut_expr(g: Graph, t: RootedTree | None = None) -> GroupExpr:
     the tree's center_rooted tree, rooted afresh when not given."""
     if t is None:
         t = center_rooted(g)
-    return rooted_exprs(t)[t.code[t.root]]
+    return rooted_exprs(t, [t.code[t.root]])[0]
 
 
 def fixed_vertices(g: Graph) -> list[int]:

@@ -338,7 +338,7 @@ def test_scale_probe_smoke():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert [line.split()[0] for line in lines] == [
-        "tree", "bicyclic", "path", "c4_path", "cycle", "star"
+        "tree", "bicyclic", "path", "c4_path", "cycle", "star", "caterpillar"
     ]
     for line in lines:
         m = re.fullmatch(r"\w+ n=2000 exit=0 cpu_s=(\d+\.\d\d) max_rss_mb=(\d+\.\d)", line)

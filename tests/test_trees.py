@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from bicaut import trees
-from bicaut.bicyclic import decompose
+from bicaut.bicyclic import analyze, decompose
 from bicaut.generate import (
     all_bicyclic,
     all_unicyclic,
@@ -17,7 +17,7 @@ from bicaut.generate import (
     skeleton_core,
 )
 from bicaut.graphs import make_graph, peel_core
-from bicaut.groups import Product, Sym, Trivial, Wreath, normalize, order
+from bicaut.groups import Product, Sym, Trivial, Wreath, normalize, order, print_expr
 from bicaut.oracle import (
     automorphism_count,
     close_generators,
@@ -202,8 +202,8 @@ def _reference_exprs(t):
 
 
 def _assert_matches_reference(t):
-    got, ref = rooted_exprs(t), _reference_exprs(t)
-    assert len(got) == len(t.shapes)
+    got = rooted_exprs(t, range(len(t.shapes)))
+    ref = _reference_exprs(t)
     for v in t.order:
         assert got[t.code[v]] == normalize(ref[v]), v
 
@@ -231,7 +231,7 @@ def test_rooted_exprs_match_the_per_vertex_build():
     binary = make_graph(2047, [((v - 1) // 2, v) for v in range(1, 2047)])
     t = RootedTree(peel_core(binary, 0))
     _assert_matches_reference(t)
-    e = rooted_exprs(t)[t.code[0]]
+    e, = rooted_exprs(t, [t.code[0]])
     for _ in range(9):
         assert isinstance(e, Wreath) and e.n == 2
         e = e.base
@@ -239,24 +239,76 @@ def test_rooted_exprs_match_the_per_vertex_build():
 
 
 def test_rooted_exprs_build_each_shape_once(monkeypatch):
-    # rooted_exprs joins one shape's classes with one direct_product call
+    # rooted_exprs builds an expression only for a shape it reads: an id
+    # asked for, or the base of a run of two or more equal children; every
+    # other shape is walked through, and no read shape is built twice
     builds = []
-    real = trees.direct_product
+    real = trees._read_shape
     monkeypatch.setattr(
-        trees, "direct_product", lambda fs: builds.append(fs) or real(fs)
+        trees, "_read_shape", lambda shapes, s, *a: builds.append(s) or real(shapes, s, *a)
     )
-    # per shape, and a shape with one child shares that child's expression
+    # the root, above the centre, walks down to the centre's one run of
+    # 5000 leaves; the centre is built when asked for, and the leaf never
     star = make_graph(5001, [(0, i) for i in range(1, 5001)])
     t = RootedTree(peel_core(star, 0))
-    ex = rooted_exprs(t)
-    assert len(builds) == 2  # a leaf and the centre; the root above it has one child
-    assert ex[t.code[t.root]] is ex[t.code[0]] == Sym(5000)
-    t = decompose(_decorated_theta(random.Random(4), 2000)).tree
-    builds.clear()
-    ex = rooted_exprs(t)
-    assert len(ex) == len(t.shapes) == len(set(t.code))
-    assert len(builds) == sum(len(kids) != 1 for kids in t.shapes)
-    assert all(ex[i] is ex[kids[0]] for i, kids in enumerate(t.shapes) if len(kids) == 1)
+    ex = rooted_exprs(t, [t.code[t.root], t.code[0], t.code[0], t.code[1]])
+    assert builds == [t.code[t.root], t.code[0]]
+    assert ex[0] is ex[1] is ex[2] and ex[0] == Sym(5000) and ex[3] == Trivial()
+    # a decorated theta's slots, and a random tree's root: each read id is
+    # built once, and each is one asked for or a run base
+    theta = decompose(_decorated_theta(random.Random(4), 2000)).tree
+    tree = center_rooted(random_tree(random.Random(1), 5000))
+    for t, roots in ((theta, theta.children[theta.root]), (tree, [tree.root])):
+        ids = [t.code[v] for v in roots]
+        bases = {c for kids in t.shapes for c in kids if kids.count(c) > 1}
+        builds.clear()
+        ex = rooted_exprs(t, ids)
+        assert len(builds) == len(set(builds))
+        assert set(ids) - {0} <= set(builds) <= set(ids) | bases
+        ref = _reference_exprs(t)
+        assert ex == [normalize(ref[v]) for v in roots]
+    # the tree's root reads a few run bases of its hundreds of shapes
+    several = sum(len(kids) > 1 for kids in tree.shapes)
+    assert several > 500 and 20 * len(builds) < several
+
+
+def _caterpillar(spine, start=0):
+    """Edges of a spine start, start + 1, ..., start + spine - 1 with two
+    leaves on each spine vertex, the leaves numbered after the spine."""
+    edges = [(u, u + 1) for u in range(start, start + spine - 1)]
+    leaf = start + spine
+    for u in range(start, start + spine):
+        edges += [(u, leaf), (u, leaf + 1)]
+        leaf += 2
+    return edges
+
+
+def test_deep_spines_take_linear_memory():
+    # every spine vertex of a caterpillar has its own shape, and the old
+    # build gave each one a product of every factor below it, sorted by
+    # printed form: a tracemalloc peak of 100.8 MB in analyze on this
+    # caterpillar and 15.3 MB on this broom of six caterpillars of distinct
+    # lengths; building only the read shapes took 4.7 and 4.5 MB
+    n = 30_000
+    cat = make_graph(n, _caterpillar(n // 3))
+    edges, start = [], 1
+    for spine in range(1670, 1664, -1):  # six arms hung from vertex 0
+        edges += [(0, start)] + _caterpillar(spine, start)
+        start += 3 * spine
+    broom = make_graph(start, edges)
+    assert 29_000 < broom.n < 31_000
+    for g in (cat, broom):
+        tracemalloc.start()
+        try:
+            a = analyze(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+        t = center_rooted(g)
+        assert print_expr(a.expr) == print_expr(normalize(_reference_exprs(t)[t.root]))
+    # the spine's two halves swap, each with a pair of leaves per vertex
+    assert print_expr(analyze(cat).expr) == "wr(%s,S2)" % "*".join(["S2"] * (n // 6))
 
 
 def test_rooted_expr_equals_pinned_oracle_count():

@@ -1,8 +1,10 @@
-"""CPU time and max RSS of `bicaut aut` on six graphs of N vertices: a
+"""CPU time and max RSS of `bicaut aut` on seven graphs of N vertices: a
 random tree and a random bicyclic graph, the numbers ROADMAP item 12 asks
 for, two deep ones, a path and C4 with a pendant path, a bare cycle,
-whose core group D_N has 2N elements, and a star, whose group S_{N-1} has
-an order of about N log10 N digits.
+whose core group D_N has 2N elements, a star, whose group S_{N-1} has
+an order of about N log10 N digits, and a caterpillar, a spine of N/3
+vertices with two leaves on each, whose spine vertices all have shapes
+of their own.
 
     python3 tools/scale_probe.py [N]        (N defaults to 10^6)
 
@@ -10,8 +12,10 @@ The random graphs come from bicaut.generate with Random(1): random_tree and
 random_bicyclic.  The path and the C4 are as deep as a graph of N vertices
 gets, so a rooted-tree step whose cost grows with the depth runs past its
 time or memory on them, a step that lists the cycle's core group
-element by element runs past its memory, and the star's order is the
-one answer whose digits cost more than the analysis.  Each edge list is
+element by element runs past its memory, the star's order is the
+one answer whose digits cost more than the analysis, and a step that
+gives each spine vertex of the caterpillar the factors of all those below
+it grows as N^2.  Each edge list is
 built and written to a temporary directory by a process of its own, and
 `bicaut aut` runs on each in a child process of its own, using the source
 tree next to this file.  A line per graph gives the child's exit code, its
@@ -54,7 +58,7 @@ def measure(path: str) -> tuple[int, float, float]:
     return child.returncode, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024
 
 
-GRAPHS = ("tree", "bicyclic", "path", "c4_path", "cycle", "star")
+GRAPHS = ("tree", "bicyclic", "path", "c4_path", "cycle", "star", "caterpillar")
 
 
 def write_graph(name: str, n: int, path: str) -> None:
@@ -75,6 +79,10 @@ def write_graph(name: str, n: int, path: str) -> None:
         g = make_graph(n, [(0, n - 1)] + edges)
     elif name == "star":
         g = make_graph(n, [(0, i) for i in range(1, n)])
+    elif name == "caterpillar":  # spine 0..s-1, leaves s.., then a path on from the last
+        s = n // 3
+        leaves = [(i // 2, s + i) for i in range(2 * s)]
+        g = make_graph(n, edges[: s - 1] + leaves + [(v - 1, v) for v in range(3 * s, n)])
     else:
         g = make_graph(n, edges)
     with open(path, "w", encoding="ascii") as fh:
