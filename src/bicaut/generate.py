@@ -5,14 +5,16 @@ realize builds trees from.
 Rooted tree shapes are nested tuples, one per child; rooted_shapes lists
 them canonically, with children in non-increasing order, and shape_code and
 shape_to_graph take any order.  Free trees come from deduplicating rooted
-shapes by their centered code (free_tree_shapes).  Unicyclic and bicyclic
-graphs are generated orderly: a bare core (skeleton_core, laid out by
-graphs.PATH_ENDS) plus one rooted shape per core vertex, kept only when its
-tuple of shapes is the least over the bare core's symmetries, so each
-isomorphism class appears exactly once and nothing is remembered between
-classes.  all_unicyclic and all_bicyclic stream their graphs.  Every
-generated graph is one bare core with all of its trees hung by one
-graphs.splice call.
+shapes by their centred code (free_tree_shapes), which free_code reads off
+the nested shape, walking to the centres by the cached shape heights, with
+no graph built.  Unicyclic and bicyclic graphs are generated orderly: a
+bare core (skeleton_core, laid out by graphs.PATH_ENDS) plus one rooted
+shape per core vertex, kept only when its tuple of shapes is the least over
+the bare core's symmetries, so each isomorphism class appears exactly once
+and nothing is remembered between classes.  all_unicyclic and all_bicyclic
+stream their graphs.  Every generated graph is one bare core with all of
+its trees hung by one graphs.splice call; decorate builds each shape's tree
+once and reuses it in every decoration that draws the shape.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from functools import lru_cache
 from itertools import product
 
 from .graphs import PATH_ENDS, Graph, make_graph, skeleton_perms, splice
-from .trees import node_code, tree_code
+from .trees import node_code
 
 Shape = tuple
 
@@ -77,11 +79,49 @@ def shape_to_graph(sh: Shape) -> Graph:
 
 
 @lru_cache(maxsize=None)
+def shape_height(sh: Shape) -> int:
+    """Edges on the longest path down from the root."""
+    return 1 + max(map(shape_height, sh)) if sh else 0
+
+
+def free_code(sh: Shape) -> bytes:
+    """The same bytes as trees.tree_code(shape_to_graph(sh)), read off the
+    shape.  A walk goes down from the root toward the tallest child,
+    carrying the part of the tree above as its code and height, while the
+    tallest branch at the vertex (always a child) is two or more edges
+    longer than the next (a child or the part above): each step then lowers
+    the vertex's eccentricity.  Where it stops, the vertex is the one
+    centre if the two tallest branches are equal, else it and its tallest
+    child are the two, and the code is node_code over the centred halves,
+    as tree_code roots them below a virtual root."""
+    if not sh:
+        return node_code([node_code(())])
+    above: list[bytes] = []  # the code of the part above, if any
+    up = -1  # its height; -1 when there is none
+    while True:
+        hs = [*map(shape_height, sh)]
+        a = max(hs)
+        i = hs.index(a)
+        hs[i] = up
+        b = max(hs)  # the next branch's height
+        codes = [*map(shape_code, sh)]
+        top = codes.pop(i)
+        codes += above
+        if a - b < 2:
+            if a == b:
+                codes.append(top)
+                return node_code([node_code(codes)])
+            return node_code([node_code(codes), top])
+        above, up, sh = [node_code(codes)], b + 1, sh[i]
+
+
+@lru_cache(maxsize=None)
 def free_tree_shapes(n: int) -> tuple[Shape, ...]:
-    """One rooted shape per free tree with n vertices, by centered code."""
+    """One rooted shape per free tree with n vertices, the first in
+    rooted_shapes(n) with its free_code, in the order of the codes."""
     seen: dict[bytes, Shape] = {}
     for sh in rooted_shapes(n):
-        seen.setdefault(tree_code(shape_to_graph(sh)), sh)
+        seen.setdefault(free_code(sh), sh)
     return tuple(seen[k] for k in sorted(seen))
 
 
@@ -113,9 +153,16 @@ def _compositions(total: int, parts: int):
             yield (first, *rest)
 
 
+@lru_cache(maxsize=None)
+def _slot_tree(sh: Shape) -> Graph:
+    """shape_to_graph(sh), built once per shape a decoration draws."""
+    return shape_to_graph(sh)
+
+
 def decorate(core: Graph, slots: list[int], shapes) -> Graph:
-    """Splice one rooted shape onto each slot (a bare slot is `()`)."""
-    parts = [(v, shape_to_graph(sh)) for v, sh in zip(slots, shapes) if sh != ()]
+    """Splice one rooted shape onto each slot (a bare slot is `()`), each
+    shape's tree built once and reused by every decoration."""
+    parts = [(v, _slot_tree(sh)) for v, sh in zip(slots, shapes) if sh != ()]
     return splice(core, parts)[0]
 
 

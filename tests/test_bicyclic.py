@@ -146,6 +146,23 @@ def test_relabelling_keeps_the_answer():
         ), g.edges
 
 
+def test_relabelling_keeps_the_answer_at_scale():
+    # one seeded tree, unicyclic and bicyclic graph of 10^5 vertices, each
+    # against a seeded relabelling of itself
+    rng = random.Random(31)
+    for make in (random_tree, random_unicyclic, random_bicyclic):
+        g = make(rng, 10**5)
+        h = _relabelled(g, rng)
+        a, b = analyze(g), analyze(h)
+        assert (
+            b.family, b.kind, b.lengths, b.case, print_expr(b.expr),
+            len(b.symmetries), len(emit_generators(h, b)),
+        ) == (
+            a.family, a.kind, a.lengths, a.case, print_expr(a.expr),
+            len(a.symmetries), len(emit_generators(g, a)),
+        ), make.__name__
+
+
 def test_sparse_graph_rejected_before_adjacency():
     # fewer than n - 1 edges: rejected before the peel builds its 3-million
     # entry arrays

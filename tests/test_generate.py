@@ -7,6 +7,7 @@ import pytest
 
 import bicaut.generate
 import bicaut.graphs
+import bicaut.trees
 from bicaut.generate import (
     CASE_LABELS,
     all_bicyclic,
@@ -14,6 +15,8 @@ from bicaut.generate import (
     bicyclic_skeletons,
     case_instance,
     decorate,
+    free_code,
+    free_tree_shapes,
     free_trees,
     random_bicyclic,
     random_tree,
@@ -27,7 +30,7 @@ from bicaut.generate import (
 from bicaut.bicyclic import analyze
 from bicaut.graphs import adjacency, is_connected, make_graph, peel_core, skeleton_perms
 from bicaut.oracle import are_isomorphic
-from bicaut.trees import RootedTree, shape_bytes
+from bicaut.trees import RootedTree, shape_bytes, tree_code
 
 
 def test_rooted_shape_counts():
@@ -38,9 +41,46 @@ def test_rooted_shape_counts():
 
 
 def test_free_tree_counts():
-    # classical counts of free trees by size
-    want = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
-    assert [len(free_trees(n)) for n in range(1, 13)] == want
+    # classical counts of free trees by size, and Otter's formula
+    # t_n = r_n - (sum_{i+j=n} r_i r_j - [n even] r_{n/2}) / 2 over the
+    # Cayley-Otter counts of rooted trees
+    want = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
+    assert [len(free_trees(n)) for n in range(1, 15)] == want
+    r = _rooted_counts(14)
+    for n in range(1, 15):
+        pairs = sum(r[i] * r[n - i] for i in range(1, n)) - (r[n // 2] if n % 2 == 0 else 0)
+        assert r[n] - pairs // 2 == want[n - 1], n
+
+
+def test_free_code_matches_tree_code():
+    # the free-tree code read off a nested shape is tree_code's, which
+    # peels the realized graph to its centres
+    checked = 0
+    for n in range(1, 13):
+        for sh in rooted_shapes(n):
+            assert free_code(sh) == tree_code(shape_to_graph(sh)), sh
+            checked += 1
+    assert checked == 7813
+
+
+def test_free_tree_shapes_match_the_graph_dedup():
+    # the reference: deduplicate the rooted shapes by tree_code of their
+    # realized graphs, keeping the first shape per code, in code order
+    for n in range(1, 12):
+        seen = {}
+        for sh in rooted_shapes(n):
+            seen.setdefault(tree_code(shape_to_graph(sh)), sh)
+        assert free_tree_shapes(n) == tuple(seen[k] for k in sorted(seen)), n
+
+
+def test_free_tree_shapes_build_no_graph(monkeypatch):
+    built = _counted(monkeypatch, bicaut.generate, "make_graph")
+    built += _counted(monkeypatch, bicaut.graphs, "make_graph")
+    peeled = _counted(monkeypatch, bicaut.trees, "peel_core")
+    peeled += _counted(monkeypatch, bicaut.graphs, "peel_core")
+    free_tree_shapes.cache_clear()
+    assert [len(free_tree_shapes(n)) for n in range(1, 11)] == [1, 1, 1, 2, 3, 6, 11, 23, 47, 106]
+    assert built == [] and peeled == []
 
 
 def test_shape_code_matches_realized_rooted_code():
@@ -222,6 +262,27 @@ def test_decorate_builds_once(monkeypatch):
     g = decorate(core, slots, shapes)
     assert len(built) == 1
     assert g.n == 7 + 1 + 2 and len(g.edges) == 8 + 1 + 2
+
+
+def test_decorations_build_each_tree_once(monkeypatch):
+    # a whole stream builds one tree per distinct shape it draws, however
+    # many decorations reuse it
+    drawn = set()
+    real = decorate
+
+    def recorded(core, slots, shapes):
+        drawn.update(sh for sh in shapes if sh != ())
+        return real(core, slots, shapes)
+
+    monkeypatch.setattr(bicaut.generate, "decorate", recorded)
+    built = _counted(monkeypatch, bicaut.generate, "shape_to_graph")
+    bicaut.generate._slot_tree.cache_clear()
+    assert sum(1 for _ in all_bicyclic(9)) == 797
+    # every rooted shape of 2 to 6 vertices: the least core, a theta on
+    # four, leaves five vertices to one slot
+    assert len(drawn) == sum(len(rooted_shapes(k)) for k in range(2, 7)) == 36
+    assert len(built) <= len(drawn)
+    assert sorted(a for a, in built) == sorted(drawn)
 
 
 def test_random_bicyclic_builds_one_core_per_graph(monkeypatch):
