@@ -105,10 +105,10 @@ def _read_top(name: str) -> tuple[int, bool] | None:
     """(k, dihedral) of a top group name, None for an unknown one."""
     if name in _DIHEDRAL_TOPS:
         return _DIHEDRAL_TOPS[name], True
-    m = re.fullmatch(r"Z(\d+)", name)
+    m = re.fullmatch(r"Z([0-9]+)", name)
     if m and int(m.group(1)) >= 2:
         return int(m.group(1)), False
-    m = re.fullmatch(r"dih\((\d+)\)", name)
+    m = re.fullmatch(r"dih\(([0-9]+)\)", name)
     if m:
         return int(m.group(1)), True
     return None
@@ -124,24 +124,13 @@ def top_size(name: str) -> int:
 
 
 @dataclass(frozen=True)
-class TopGroup:
-    """A small named group on top of a SemiTop.  Only the name is kept, not
-    an action on the base factors, so a SemiTop pins down the order of the
-    group and nothing finer."""
-
-    name: str
-
-    @property
-    def size(self) -> int:
-        return top_size(self.name)
-
-
-@dataclass(frozen=True)
 class SemiTop:
-    """base extended by a small named top group (generic semidirect product)."""
+    """base extended by a small top group known by its name (generic
+    semidirect product).  No action on the base factors is kept, so a
+    SemiTop pins down the order of the group and nothing finer."""
 
     base: "GroupExpr"
-    top: TopGroup
+    top: str
 
 
 GroupExpr = (
@@ -176,7 +165,7 @@ def order(e: GroupExpr) -> int:
     if isinstance(e, Dihedral):
         return 2 * e.n
     if isinstance(e, SemiTop):
-        return order(e.base) * e.top.size
+        return order(e.base) * top_size(e.top)
     raise TypeError("not a group expression: %r" % (e,))
 
 
@@ -243,7 +232,7 @@ def semi_top(base: GroupExpr, name: str) -> GroupExpr:
     top = _read_top(name)
     if isinstance(base, Trivial) and top is not None and top[1]:
         return dihedral(top[0])
-    return SemiTop(base, TopGroup(name))
+    return SemiTop(base, name)
 
 
 def normalize(e: GroupExpr) -> GroupExpr:
@@ -277,7 +266,7 @@ def normalize(e: GroupExpr) -> GroupExpr:
     if isinstance(e, Dihedral):
         return dihedral(e.n)
     if isinstance(e, SemiTop):
-        return semi_top(normalize(e.base), e.top.name)
+        return semi_top(normalize(e.base), e.top)
     raise TypeError("not a group expression: %r" % (e,))
 
 
@@ -315,14 +304,15 @@ def classify(e: GroupExpr) -> str:
 
 # --- DSL -----------------------------------------------------------------
 #
-# expr := "1" | "S" INT | expr "*" expr | "wr(" expr "," "S" INT ")"
-#       | "wrK4(" expr ")" | "b2(" expr "," expr "," expr ")"
-#       | "semi(" expr "," top ")" | "dih(" INT ")"
-# top  := "Z2" | "Z2xZ2" | "Z2wrZ2" | "S3" | "S3xZ2" | "Z6" | "Z" INT
-#       | "dih(" INT ")"
+# expr := "1" | "S" INT | expr "*" expr | form
+# form := "wr(" expr "," "S" INT ")" | "wrK4(" expr ")" | "dih(" INT ")"
+#       | "b2(" expr "," expr "," expr ")" | "semi(" expr "," top ")"
+# top  := "Z2" | "Z2xZ2" | "Z2wrZ2" | "S3" | "S3xZ2" | "Z" INT | "dih(" INT ")"
+# INT  := [0-9]+ with no more digits than the interpreter converts to an int
 #
-# "*" is left associative, whitespace is insignificant.  Positions in error
-# messages are 1-based byte offsets.  The parser recurses once per nested
+# Each form is one row of _FORMS.  "*" is left associative, whitespace (any
+# Unicode space) is insignificant.  Positions in error messages are 1-based
+# byte offsets into the UTF-8 text.  The parser recurses once per nested
 # expr, so nesting past MAX_DEPTH is a syntax error and not a RecursionError;
 # within the realization budget a wreath nests fewer than 8 deep.
 
@@ -335,158 +325,131 @@ class ExprSyntaxError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([(),*]))")
+# keyword -> (node class, what each argument is: an expr, the arity of an
+# "S" INT, a top name, or dih's integer parameter)
+_FORMS = {
+    "wr": (Wreath, ("expr", "arity")),
+    "wrK4": (KleinWreath, ("expr",)),
+    "b2": (KleinSemidirect, ("expr", "expr", "expr")),
+    "semi": (SemiTop, ("expr", "top")),
+    "dih": (Dihedral, ("param",)),
+}
+
+# the last alternative is any character that starts no token
+_TOKEN_RE = re.compile(
+    r"(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<punct>[(),*])|(?P<bad>\S)"
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, byte position) of each token, then an "eof" token."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = len(text) - len(text[pos:].lstrip())
-            if stripped == len(text):
-                break
-            raise ExprSyntaxError(stripped + 1, "unexpected character %r" % text[stripped])
-        if m.group(1):
-            tokens.append(("int", m.group(1), m.start(1) + 1))
-        elif m.group(2):
-            tokens.append(("name", m.group(2), m.start(2) + 1))
-        else:
-            tokens.append(("punct", m.group(3), m.start(3) + 1))
-        pos = m.end()
-    tokens.append(("eof", "", len(text) + 1))
+    start = nbytes = 0  # a character index and the UTF-8 length of text[:start]
+    for m in _TOKEN_RE.finditer(text):
+        nbytes += len(text[start : m.start()].encode())
+        start = m.start()
+        if m.lastgroup == "bad":
+            raise ExprSyntaxError(nbytes + 1, "unexpected character %r" % m.group())
+        tokens.append((m.lastgroup, m.group(), nbytes + 1))
+    tokens.append(("eof", "", nbytes + len(text[start:].encode()) + 1))
     return tokens
+
+
+def _int(digits: str, pos: int) -> int:
+    """The digits at byte pos as an int."""
+    try:
+        return int(digits)
+    except ValueError as exc:  # past the interpreter's str-to-int limit
+        raise ExprSyntaxError(pos, "integer too long: %s" % exc) from None
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.depth = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
+        self.tokens, self.i, self.depth = _tokenize(text), 0, 0
 
     def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
     def expect(self, value: str) -> None:
-        kind, val, pos = self.peek()
-        if kind == "punct" and val == value:
-            self.i += 1
-            return
-        raise ExprSyntaxError(pos, "expected %r" % value)
-
-    def parse(self) -> GroupExpr:
-        e = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "eof":
-            raise ExprSyntaxError(pos, "expected '*' or end of input")
-        return e
+        _, val, pos = self.take()
+        if val != value:
+            raise ExprSyntaxError(pos, "expected %r" % value)
 
     def expr(self) -> GroupExpr:
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise ExprSyntaxError(
-                self.peek()[2], "expression nested deeper than %d levels" % MAX_DEPTH
+                self.tokens[self.i][2], "expression nested deeper than %d levels" % MAX_DEPTH
             )
         factors = [self.atom()]
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "punct" and val == "*":
-                self.i += 1
-                factors.append(self.atom())
-            else:
-                break
+        while self.tokens[self.i][1] == "*":
+            self.i += 1
+            factors.append(self.atom())
         self.depth -= 1
-        if len(factors) == 1:
-            return factors[0]
-        return Product(tuple(factors))
+        return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
-    def sym(self) -> Sym:
-        kind, val, pos = self.take()
-        m = re.fullmatch(r"S(\d+)", val) if kind == "name" else None
+    def atom(self) -> GroupExpr:
+        kind, val, pos = self.tokens[self.i]
+        if val == "1":
+            self.i += 1
+            return Trivial()
+        if val in _FORMS:
+            self.i += 1
+            return self.form(val, pos)
+        if kind == "name":
+            return Sym(self.arity())
+        raise ExprSyntaxError(pos, "expected an expression")
+
+    def form(self, keyword: str, pos: int) -> GroupExpr:
+        """The form whose keyword, at byte pos, was just taken."""
+        node, kinds = _FORMS[keyword]
+        args = []
+        for i, kind in enumerate(kinds):
+            self.expect("," if i else "(")
+            args.append(getattr(self, kind)())
+        self.expect(")")
+        if node is Dihedral and args[0] < 1:
+            raise ExprSyntaxError(pos, "dihedral parameter must be >= 1")
+        return node(*args)
+
+    def arity(self) -> int:
+        _, val, pos = self.take()
+        m = re.fullmatch(r"S([0-9]+)", val)
         if m is None:
             raise ExprSyntaxError(pos, "expected a symmetric group like 'S2'")
-        n = int(m.group(1))
+        n = _int(m.group(1), pos + 1)
         if n < 2:
             raise ExprSyntaxError(pos, "symmetric group arity must be >= 2, got S%d" % n)
-        return Sym(n)
+        return n
 
-    def top(self) -> TopGroup:
+    def top(self) -> str:
         kind, val, pos = self.take()
         if kind != "name":
             raise ExprSyntaxError(pos, "expected a top group name")
         if val == "dih":
-            return TopGroup("dih(%d)" % self.dih_param(pos))
-        try:
-            top_size(val)
-        except ValueError:
-            raise ExprSyntaxError(pos, "unknown top group %r" % val) from None
-        return TopGroup(val)
+            return "dih(%d)" % self.form(val, pos).n
+        if re.fullmatch(r"Z[0-9]+", val):
+            _int(val[1:], pos + 1)  # too many digits is an error at them
+        if _read_top(val) is None:
+            raise ExprSyntaxError(pos, "unknown top group %r" % val)
+        return val
 
-    def dih_param(self, pos: int) -> int:
-        """The k of "dih(k)" whose name, at pos, was just taken."""
-        self.expect("(")
-        kind, val, at = self.take()
+    def param(self) -> int:
+        kind, val, pos = self.take()
         if kind != "int":
-            raise ExprSyntaxError(at, "expected an integer")
-        self.expect(")")
-        if int(val) < 1:
-            raise ExprSyntaxError(pos, "dihedral parameter must be >= 1")
-        return int(val)
-
-    def atom(self) -> GroupExpr:
-        kind, val, pos = self.peek()
-        if kind == "int" and val == "1":
-            self.take()
-            return Trivial()
-        if kind == "name":
-            if val == "wr":
-                self.take()
-                self.expect("(")
-                base = self.expr()
-                self.expect(",")
-                s = self.sym()
-                self.expect(")")
-                return Wreath(base, s.n)
-            if val == "wrK4":
-                self.take()
-                self.expect("(")
-                base = self.expr()
-                self.expect(")")
-                return KleinWreath(base)
-            if val == "b2":
-                self.take()
-                self.expect("(")
-                quad = self.expr()
-                self.expect(",")
-                h = self.expr()
-                self.expect(",")
-                k = self.expr()
-                self.expect(")")
-                return KleinSemidirect(quad, h, k)
-            if val == "semi":
-                self.take()
-                self.expect("(")
-                base = self.expr()
-                self.expect(",")
-                top = self.top()
-                self.expect(")")
-                return SemiTop(base, top)
-            if val == "dih":
-                self.take()
-                return Dihedral(self.dih_param(pos))
-            return self.sym()
-        raise ExprSyntaxError(pos, "expected an expression")
+            raise ExprSyntaxError(pos, "expected an integer")
+        return _int(val, pos)
 
 
 def parse_expr(text: str) -> GroupExpr:
     """Parse the DSL; raises ExprSyntaxError with a 1-based byte position."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    e = parser.expr()
+    kind, _, pos = parser.tokens[parser.i]
+    if kind != "eof":
+        raise ExprSyntaxError(pos, "expected '*' or end of input")
+    return e
 
 
 def print_expr(e: GroupExpr) -> str:
@@ -511,5 +474,5 @@ def print_expr(e: GroupExpr) -> str:
     if isinstance(e, Dihedral):
         return "dih(%d)" % e.n
     if isinstance(e, SemiTop):
-        return "semi(%s,%s)" % (print_expr(e.base), e.top.name)
+        return "semi(%s,%s)" % (print_expr(e.base), e.top)
     raise TypeError("not a group expression: %r" % (e,))

@@ -25,7 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .generate import Shape, free_tree_shapes, shape_code, shape_to_graph, skeleton_core
+from .generate import (
+    Shape,
+    free_tree_shapes,
+    shape_code,
+    shape_height,
+    shape_to_graph,
+    skeleton_core,
+)
 from .graphs import Graph, splice
 from .groups import (
     GroupExpr,
@@ -84,10 +91,6 @@ def _chain(p: int) -> Shape:
     return sh
 
 
-def _depth(sh: Shape) -> int:
-    return 1 + max(map(_depth, sh)) if sh else 0
-
-
 def _separate(children: list[Shape]) -> list[Shape]:
     """Make the children pairwise non-isomorphic (distinct shape codes) by
     hanging a chain from a repeated one's root.  The chain is the shortest
@@ -129,7 +132,7 @@ def realize_tree(e: GroupExpr) -> tuple[Graph, int]:
     sh = _shape(e)
     g = shape_to_graph(sh)
     if 0 not in fixed_vertices(g):
-        g = shape_to_graph(sh + (_chain(_depth(sh) + 2),))
+        g = shape_to_graph(sh + (_chain(shape_height(sh) + 2),))
     return g, 0
 
 
@@ -155,18 +158,14 @@ _Parts = list[tuple[str, Shape, tuple[int, ...]]]
 def _tree_parts(e: GroupExpr) -> _Parts:
     """(term, shape, slots) of each part a tree-class expression hangs on
     the shared (4,5) core: anchor 0, 4-cycle 1,2,3, then the 5-cycle."""
-    payload = _shape(e)
-    pcode = shape_code(payload)
-    # each asymmetric tree hangs by an edge from its slot
-    decorations = [(t,) for t in _asymmetric_shapes(3)]
-    # The decoration on the 4-cycle must not mirror the payload across the
-    # flip axis, or the flip would survive.
-    lam1 = next(d for d in decorations if shape_code(d) != pcode)
-    lam2 = next(d for d in decorations if d != lam1)
+    # each asymmetric tree (8+ vertices, trivial rooted group) hangs by an
+    # edge from its slot, so the one on the 4-cycle never mirrors the payload
+    # (rooted group e, one vertex if e is trivial) and lets the flip survive
+    lam1, lam2 = [(t,) for t in _asymmetric_shapes(2)]
     return [
         ("decoration", lam1, (1,)),
         ("decoration", lam2, (4,)),
-        ("payload %s" % print_expr(e), payload, (3,)),
+        ("payload %s" % print_expr(e), _shape(e), (3,)),
     ]
 
 

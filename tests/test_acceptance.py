@@ -26,7 +26,6 @@ from bicaut.groups import (
     Product,
     SemiTop,
     Sym,
-    TopGroup,
     Trivial,
     Wreath,
     classify,
@@ -285,7 +284,7 @@ def _random_expr(rng: random.Random, depth: int):
         )
     if roll < 0.85:
         return Dihedral(rng.randint(1, 9))
-    return SemiTop(_random_expr(rng, depth - 1), TopGroup(rng.choice(_TOP_NAMES)))
+    return SemiTop(_random_expr(rng, depth - 1), rng.choice(_TOP_NAMES))
 
 
 def _random_graph(rng: random.Random):

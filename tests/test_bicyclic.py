@@ -394,7 +394,7 @@ def test_cycle_q_matches_its_definition():
         reflections = [q for q in want if _reflects(q)]
         assert Q.gens == tuple(sorted(rotations)[:1] + reflections[:1]), g.edges
         if isinstance(a.expr, SemiTop):
-            tops[a.expr.top.name] += 1
+            tops[a.expr.top] += 1
     assert tops["Z3"] and tops["Z4"] and tops["dih(3)"], tops  # chiral tops too
     # the orders: unicyclic graphs up to n = 10 are checked against the
     # oracle in test_unicyclic_orders_exhaustive

@@ -56,8 +56,25 @@ def test_graph_validation():
         Graph(3, ((1, 2), (0, 1)))
     with pytest.raises(ValueError):
         make_graph(0, [])
+    with pytest.raises(ValueError, match="^odd number of edge ends: 3$"):
+        Graph.from_ends(3, [0, 1, 2])
     # make_graph normalizes orientation and drops duplicates
     assert make_graph(2, [(1, 0), (0, 1)]).edges == ((0, 1),)
+
+
+def test_graph_holds_any_pairs_at_any_size():
+    # Graph takes any iterable of pairs in its order, a generator too
+    assert Graph(4, (e for e in P4.edges)) == P4
+    # past n = 2^63 the ends are a tuple, read and built the same way
+    big = 1 << 64
+    g = Graph(big, ((0, big - 1), (1, 2)))
+    assert g.ends == (0, big - 1, 1, 2)
+    assert Graph.from_ends(big, [0, big - 1, 1, 2]) == g
+    # the edge-list reader sorts an unsorted text past 2^63 too
+    assert from_edgelist("%d 2\n1 2\n%d 0\n" % (big, big - 1)) == g
+    # equal graphs hash equal
+    assert hash(Graph.from_ends(4, P4.ends)) == hash(P4)
+    assert len({P4, make_graph(4, [(2, 3), (1, 0), (1, 2)]), C3}) == 2
 
 
 def test_basic_views():
@@ -411,6 +428,8 @@ def test_graph6_known_values():
             from_graph6(bad)
     with pytest.raises(ValueError, match="only handles n <= 258047"):
         from_graph6("~~??????")
+    with pytest.raises(ValueError, match="only handles n <= 258047"):
+        to_graph6(make_graph(258048, []))
 
 
 def _graph6_per_bit(g: Graph) -> str:

@@ -1,5 +1,6 @@
 """Expression tree: orders, normalization, classification, DSL."""
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from bicaut.groups import (
     Product,
     SemiTop,
     Sym,
-    TopGroup,
     Trivial,
     Wreath,
     classify,
@@ -23,6 +23,7 @@ from bicaut.groups import (
     order,
     parse_expr,
     print_expr,
+    top_size,
 )
 
 S2 = Sym(2)
@@ -38,8 +39,8 @@ def test_orders():
     assert order(KleinSemidirect(S2, S2, S3)) == 2**4 * 4 * 36 * 4
     assert order(Dihedral(5)) == 10
     assert order(Dihedral(1)) == 2
-    assert order(SemiTop(Product((S2, S2)), TopGroup("Z2"))) == 8
-    assert order(SemiTop(Trivial(), TopGroup("S3xZ2"))) == 12
+    assert order(SemiTop(Product((S2, S2)), "Z2")) == 8
+    assert order(SemiTop(Trivial(), "S3xZ2")) == 12
 
 
 def test_constructor_validation():
@@ -50,7 +51,7 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         Dihedral(0)
     with pytest.raises(ValueError):
-        TopGroup("Q8").size
+        top_size("Q8")
 
 
 def test_normalize_products_flatten_and_sort():
@@ -129,9 +130,9 @@ def test_normalize_named_top_over_trivial_base():
         ("S3", S3),
         ("S3xZ2", Product((S2, S3))),
     ):
-        assert normalize(SemiTop(Trivial(), TopGroup(name))) == want
+        assert normalize(SemiTop(Trivial(), name)) == want
     # no product rewrite for cyclic tops of prime order > 3
-    e = normalize(SemiTop(Trivial(), TopGroup("Z6")))
+    e = normalize(SemiTop(Trivial(), "Z6"))
     assert order(e) == 6
 
 
@@ -139,7 +140,7 @@ def test_normalize_idempotent_on_examples():
     cases = [
         Product((S3, Product((S2, Trivial())), S2)),
         KleinSemidirect(S2, S3, S2),
-        SemiTop(Product((S3, S3)), TopGroup("Z2")),
+        SemiTop(Product((S3, S3)), "Z2"),
         Wreath(Product((S2, Trivial())), 2),
         Dihedral(6),
     ]
@@ -158,7 +159,7 @@ def test_classify():
         (normalize(KleinSemidirect(S2, S2, S3)), "B2"),
         (Product((S2, KleinSemidirect(S2, S2, S2))), "B2"),
         (Dihedral(5), "OutsideS"),
-        (SemiTop(S2, TopGroup("Z6")), "OutsideS"),
+        (SemiTop(S2, "Z6"), "OutsideS"),
         # two special factors leave the realizable classes
         (Product((KleinWreath(S2), KleinWreath(S2))), "OutsideS"),
         # a special factor with a non-tree part does too
@@ -177,7 +178,7 @@ def test_parse_basics():
     assert parse_expr("wrK4(S2*S2)") == KleinWreath(Product((S2, S2)))
     assert parse_expr("b2(S2,1,S3)") == KleinSemidirect(S2, Trivial(), S3)
     assert parse_expr("dih(7)") == Dihedral(7)
-    assert parse_expr("semi(S2,Z6)") == SemiTop(S2, TopGroup("Z6"))
+    assert parse_expr("semi(S2,Z6)") == SemiTop(S2, "Z6")
     # products chain into one flat factor list
     assert parse_expr("S2*S3*S4") == Product((S2, S3, Sym(4)))
 
@@ -211,11 +212,92 @@ def test_parse_errors_report_byte_positions():
         parse_expr("wr(" + deep + ",S2)")
 
 
+def test_parse_error_messages_pinned():
+    """Each syntax error message once, with its exact byte position."""
+    cases = [
+        ("S2 $", "byte 4: unexpected character '$'"),
+        ("wr(S2 S3)", "byte 7: expected ','"),
+        ("S2 S3", "byte 4: expected '*' or end of input"),
+        ("wr(" * MAX_DEPTH + "S2", "byte 301: expression nested deeper than 100 levels"),
+        ("wr(S2,4)", "byte 7: expected a symmetric group like 'S2'"),
+        ("S1", "byte 1: symmetric group arity must be >= 2, got S1"),
+        ("semi(S2,*)", "byte 9: expected a top group name"),
+        ("semi(S2,Q8)", "byte 9: unknown top group 'Q8'"),
+        ("dih(x)", "byte 5: expected an integer"),
+        ("dih(0)", "byte 1: dihedral parameter must be >= 1"),
+        ("S2*", "byte 4: expected an expression"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr(text)
+        assert str(info.value) == message, text
+
+
+def test_parse_integers_are_ascii_digits():
+    # a Unicode digit is a bad character, in dih(k) as in Sk
+    with pytest.raises(ExprSyntaxError, match="^byte 5: unexpected character '\u0663'$"):
+        parse_expr("dih(\u0663)")
+    with pytest.raises(ExprSyntaxError, match="^byte 2: unexpected character '\u0663'$"):
+        parse_expr("S\u0663")
+    with pytest.raises(ValueError):
+        top_size("Z\u0663")
+
+
+def test_parse_positions_are_utf8_bytes():
+    # U+3000, a space of three bytes, is skipped like any space
+    with pytest.raises(ExprSyntaxError, match="^byte 7: expected '\\*' or end of input$"):
+        parse_expr("\u3000S2 S3")
+    # U+00D7, two bytes, after the three of U+3000
+    with pytest.raises(ExprSyntaxError, match="^byte 4: unexpected character '\u00d7'$"):
+        parse_expr("\u3000\u00d7")
+    with pytest.raises(ExprSyntaxError, match="^byte 10: unexpected character '\\$'$"):
+        parse_expr("S2*\u3000S3 $")
+    # the end of input is past the last byte
+    with pytest.raises(ExprSyntaxError, match="^byte 7: expected an expression$"):
+        parse_expr("S2*\u3000")
+
+
+def test_parse_rejects_integers_past_the_int_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    digits = "9" * (limit + 1)
+    for text, at in (
+        ("S" + digits, 2),
+        ("wr(S2,S%s)" % digits, 8),
+        ("dih(%s)" % digits, 5),
+        ("semi(S2,Z%s)" % digits, 10),
+        ("semi(S2,dih(%s))" % digits, 13),
+    ):
+        with pytest.raises(ExprSyntaxError, match="^byte %d: integer too long" % at):
+            parse_expr(text)
+
+
+# the DSL's tokens, a few spaces and bad characters, and integers longer
+# than the default str-to-int limit where the grammar reads an integer
+_LONG = "9" * 5000
+_PIECES = [
+    "1", "2", "07", "S", "Z", "x", "K4", "wr", "b2", "semi", "dih", "(", ")", ",", "*",
+    " ", "\u3000", "\u00d7", "\u0663", "S" + _LONG, "Z" + _LONG, "(" + _LONG,
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(_PIECES), max_size=14).map("".join), st.text()))
+def test_parse_any_text_parses_or_is_a_syntax_error(text):
+    try:
+        e = parse_expr(text)
+    except ExprSyntaxError as exc:
+        assert 1 <= exc.position <= len(text.encode("utf-8", "surrogatepass")) + 1
+        return
+    assert parse_expr(print_expr(e)) == e
+
+
 def test_print_examples():
     assert print_expr(Trivial()) == "1"
     assert print_expr(Product((S2, Wreath(S2, 2)))) == "S2*wr(S2,S2)"
     assert print_expr(KleinSemidirect(S2, Trivial(), S3)) == "b2(S2,1,S3)"
-    assert print_expr(SemiTop(S2, TopGroup("Z6"))) == "semi(S2,Z6)"
+    assert print_expr(SemiTop(S2, "Z6")) == "semi(S2,Z6)"
     assert print_expr(Dihedral(9)) == "dih(9)"
     assert print_expr(KleinWreath(S3)) == "wrK4(S3)"
 
@@ -226,11 +308,11 @@ def _exprs(depth):
         st.builds(Sym, st.integers(2, 5)),
         st.builds(Dihedral, st.integers(1, 8)),
     )
-    top = st.builds(TopGroup, st.one_of(
+    top = st.one_of(
         st.sampled_from(["Z2", "Z2xZ2", "Z2wrZ2", "S3", "S3xZ2", "Z6"]),
         st.builds("Z{}".format, st.integers(2, 8)),
         st.builds("dih({})".format, st.integers(1, 8)),
-    ))
+    )
     return st.recursive(
         atom,
         lambda kids: st.one_of(

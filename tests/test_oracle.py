@@ -75,6 +75,8 @@ def test_all_automorphisms():
     for p in auts:
         assert is_automorphism(C5, p)
         assert compose(p, invert(p)) == identity_perm(5)
+    with pytest.raises(ValueError, match="has 24 elements, above the cap of 23"):
+        all_automorphisms(K4, cap=23)
 
 
 def test_is_automorphism_rejects():

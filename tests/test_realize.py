@@ -15,7 +15,6 @@ from bicaut.groups import (
     KleinWreath,
     SemiTop,
     Sym,
-    TopGroup,
     Trivial,
     classify,
     normalize,
@@ -192,7 +191,7 @@ def test_realize_round_trips():
 def test_realize_rejects_outside_class():
     for e in (
         Dihedral(5),
-        SemiTop(Sym(2), TopGroup("Z6")),
+        SemiTop(Sym(2), "Z6"),
         KleinSemidirect(Dihedral(5), Trivial(), Trivial()),
     ):
         with pytest.raises(RealizeError):
