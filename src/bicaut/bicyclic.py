@@ -53,13 +53,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .generate import skeleton_core
 from .graphs import (
     CoreGroup,
     Graph,
     Perm,
     UnsupportedFamilyError,
-    make_graph,
     necklace,
     peel_core,
     skeleton,
@@ -146,16 +144,6 @@ def decompose(g: Graph) -> Decomposition:
     codes = list(map(tree.code.__getitem__, layout))
     slot_exprs = rooted_exprs(tree, codes)
     return Decomposition(g.n, kind, layout, lengths, codes, slot_exprs, tree)
-
-
-def reconstruct(dec: Decomposition) -> Graph:
-    """Rebuild the original graph from a decomposition (exact round-trip):
-    the core by chaining PATH_ENDS over the layout (generate.skeleton_core
-    with its slots renamed), the pendant edges from the tree's parents."""
-    core, _ = skeleton_core(dec.kind, dec.lengths)
-    edges = [(dec.layout[a], dec.layout[b]) for a, b in core.edges]
-    edges += [(v, p) for v, p in enumerate(dec.tree.parent[: dec.n]) if p != dec.n]
-    return make_graph(dec.n, edges)
 
 
 # --- core symmetry candidates ----------------------------------------------

@@ -163,10 +163,10 @@ def _cmd_realize(args) -> int:
             print("check=skipped (%d vertices)" % r.graph.n, file=sys.stderr)
         else:
             want, got = order(r.expr), automorphism_count(r.graph)
+            verdict = "OK" if want == got else "MISMATCH"
+            print("check: formula=%d oracle=%d %s" % (want, got, verdict), file=sys.stderr)
             if want != got:
-                print("check: formula=%d oracle=%d MISMATCH" % (want, got))
                 return EX_MISMATCH
-            print("check: formula=%d oracle=%d OK" % (want, got), file=sys.stderr)
     return EX_OK
 
 

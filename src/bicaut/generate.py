@@ -3,18 +3,21 @@ graphs, used by the tests and the fuzz command, and the rooted shapes
 realize builds trees from.
 
 Rooted tree shapes are nested tuples, one per child; rooted_shapes lists
-them canonically, with children in non-increasing order, and shape_code and
-shape_to_graph take any order.  Free trees come from deduplicating rooted
-shapes by their centred code (free_tree_shapes), which free_code reads off
-the nested shape, walking to the centres by the cached shape heights, with
-no graph built.  Unicyclic and bicyclic graphs are generated orderly: a
-bare core (skeleton_core, laid out by graphs.PATH_ENDS) plus one rooted
-shape per core vertex, kept only when its tuple of shapes is the least over
-the bare core's symmetries, so each isomorphism class appears exactly once
-and nothing is remembered between classes.  all_unicyclic and all_bicyclic
-stream their graphs.  Every generated graph is one bare core with all of
-its trees hung by one graphs.splice call; decorate builds each shape's tree
-once and reuses it in every decoration that draws the shape.
+each rooted tree once, with its children in non-increasing (size, tuple)
+order, and shape_to_graph takes any order.  Free trees are the rooted
+shapes already at a centre, as Jordan reads a tree's group off its centre
+(free_tree_shapes, after Wright, Richmond, Odlyzko & McKay): the two
+tallest branches at the root differ by at most one edge, and of an
+edge-centred tree's two centred rootings the one whose tallest child is the
+smaller half is kept.  The test reads the cached shape heights, so no graph
+is built and no code compared.  Unicyclic and bicyclic graphs are generated
+orderly: a bare core (skeleton_core, laid out by graphs.PATH_ENDS) plus one
+rooted shape per core vertex, kept only when its tuple of shapes is the
+least over the bare core's symmetries, so each isomorphism class appears
+exactly once and nothing is remembered between classes.  all_unicyclic and
+all_bicyclic stream their graphs.  Every generated graph is one bare core
+with all of its trees hung by one graphs.splice call; decorate builds each
+shape's tree once and reuses it in every decoration that draws the shape.
 """
 from __future__ import annotations
 
@@ -23,7 +26,6 @@ from functools import lru_cache
 from itertools import product
 
 from .graphs import PATH_ENDS, Graph, make_graph, skeleton_perms, splice
-from .trees import node_code
 
 Shape = tuple
 
@@ -51,16 +53,6 @@ def rooted_shapes(n: int) -> tuple[Shape, ...]:
     return tuple(out)
 
 
-def shape_size(sh: Shape) -> int:
-    return 1 + sum(shape_size(c) for c in sh)
-
-
-@lru_cache(maxsize=None)
-def shape_code(sh: Shape) -> bytes:
-    """Same bytes as the rooted code of the realized shape."""
-    return node_code(shape_code(c) for c in sh)
-
-
 def shape_to_graph(sh: Shape) -> Graph:
     """Realize a shape as a tree rooted at 0, parents before children."""
     edges: list[tuple[int, int]] = []
@@ -84,45 +76,27 @@ def shape_height(sh: Shape) -> int:
     return 1 + max(map(shape_height, sh)) if sh else 0
 
 
-def free_code(sh: Shape) -> bytes:
-    """The same bytes as trees.tree_code(shape_to_graph(sh)), read off the
-    shape.  A walk goes down from the root toward the tallest child,
-    carrying the part of the tree above as its code and height, while the
-    tallest branch at the vertex (always a child) is two or more edges
-    longer than the next (a child or the part above): each step then lowers
-    the vertex's eccentricity.  Where it stops, the vertex is the one
-    centre if the two tallest branches are equal, else it and its tallest
-    child are the two, and the code is node_code over the centred halves,
-    as tree_code roots them below a virtual root."""
+def _centred(sh: Shape) -> bool:
+    """Whether the shape is rooted at a centre of its free tree: its two
+    tallest branches (a missing one has 0 edges) differ by at most one
+    edge.  When they differ, the root and its tallest child are the two
+    centres, and the shape is kept only if that child is <= the rest, the
+    root's half of the tree, in tuple order: one of the two rootings."""
     if not sh:
-        return node_code([node_code(())])
-    above: list[bytes] = []  # the code of the part above, if any
-    up = -1  # its height; -1 when there is none
-    while True:
-        hs = [*map(shape_height, sh)]
-        a = max(hs)
-        i = hs.index(a)
-        hs[i] = up
-        b = max(hs)  # the next branch's height
-        codes = [*map(shape_code, sh)]
-        top = codes.pop(i)
-        codes += above
-        if a - b < 2:
-            if a == b:
-                codes.append(top)
-                return node_code([node_code(codes)])
-            return node_code([node_code(codes), top])
-        above, up, sh = [node_code(codes)], b + 1, sh[i]
+        return True
+    hs = [*map(shape_height, sh)]
+    i = hs.index(max(hs))
+    rest = sh[:i] + sh[i + 1:]
+    b = max(map(shape_height, rest), default=-1)
+    return hs[i] == b or (hs[i] == b + 1 and sh[i] <= rest)
 
 
 @lru_cache(maxsize=None)
 def free_tree_shapes(n: int) -> tuple[Shape, ...]:
-    """One rooted shape per free tree with n vertices, the first in
-    rooted_shapes(n) with its free_code, in the order of the codes."""
-    seen: dict[bytes, Shape] = {}
-    for sh in rooted_shapes(n):
-        seen.setdefault(free_code(sh), sh)
-    return tuple(seen[k] for k in sorted(seen))
+    """One rooted shape per free tree with n vertices, rooted at a centre
+    (Wright, Richmond, Odlyzko & McKay, "Constant time generation of free
+    trees", 1986), in rooted_shapes(n) order."""
+    return tuple(filter(_centred, rooted_shapes(n)))
 
 
 @lru_cache(maxsize=None)

@@ -102,13 +102,14 @@ _DIHEDRAL_TOPS = {"Z2": 1, "Z2xZ2": 2, "S3": 3, "Z2wrZ2": 4, "S3xZ2": 6}
 
 
 def _read_top(name: str) -> tuple[int, bool] | None:
-    """(k, dihedral) of a top group name, None for an unknown one."""
+    """(k, dihedral) of a top group name, None for an unknown one.  Each
+    top has one spelling: k is written with no leading zero."""
     if name in _DIHEDRAL_TOPS:
         return _DIHEDRAL_TOPS[name], True
-    m = re.fullmatch(r"Z([0-9]+)", name)
+    m = re.fullmatch(r"Z([1-9][0-9]*)", name)
     if m and int(m.group(1)) >= 2:
         return int(m.group(1)), False
-    m = re.fullmatch(r"dih\(([0-9]+)\)", name)
+    m = re.fullmatch(r"dih\(([1-9][0-9]*)\)", name)
     if m:
         return int(m.group(1)), True
     return None
@@ -117,7 +118,7 @@ def _read_top(name: str) -> tuple[int, bool] | None:
 def top_size(name: str) -> int:
     """Order of a named top group; supports Zk and dih(k) beyond the fixed set."""
     top = _read_top(name)
-    if top is None or top[0] < 1:
+    if top is None:
         raise ValueError("unknown top group name %r" % name)
     k, dihedral = top
     return 2 * k if dihedral else k
@@ -429,11 +430,13 @@ class _Parser:
             raise ExprSyntaxError(pos, "expected a top group name")
         if val == "dih":
             return "dih(%d)" % self.form(val, pos).n
+        name = val
         if re.fullmatch(r"Z[0-9]+", val):
-            _int(val[1:], pos + 1)  # too many digits is an error at them
-        if _read_top(val) is None:
+            # one spelling per top: too many digits is an error at them
+            name = "Z%d" % _int(val[1:], pos + 1)
+        if _read_top(name) is None:
             raise ExprSyntaxError(pos, "unknown top group %r" % val)
-        return val
+        return name
 
     def param(self) -> int:
         kind, val, pos = self.take()

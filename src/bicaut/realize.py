@@ -4,16 +4,18 @@ given expression.
 Tree-class expressions realize as a rooted shape in generate's nested-tuple
 model (symmetric groups become stars, wreaths hang equal copies under a
 fresh root, products hang their factors' shapes, a repeated one padded by a
-chain so that siblings stay apart).  realize_tree pins the root by a longer
-chain when the free tree could move it.  Every expression in the realizable
-classes then embeds in a rigid bicyclic host: one builder splices each
-part's shape onto its slots of a bare core (generate.skeleton_core) in one
-graphs.splice call and writes the manifest.  A slot's group is the rooted
-stabilizer of its tree, so the hosts hang the plain rooted shapes, unpinned.
+chain so that siblings stay apart; shapes compare as themselves, with every
+child list sorted).  realize_tree pins the root by a longer chain when the
+free tree could move it.  Every expression in the realizable classes then
+embeds in a rigid bicyclic host: one builder splices each part's shape onto
+its slots of a bare core (generate.skeleton_core) in one graphs.splice call
+and writes the manifest.  A slot's group is the rooted stabilizer of its
+tree, so the hosts hang the plain rooted shapes, unpinned.
 
 * the tree class rides a shared-vertex core with cycle lengths 4 and 5 whose
-  flips are killed by two asymmetric decorations, leaving exactly the
-  payload's stabilizer;
+  flips are killed by two asymmetric decorations, free trees hung by an
+  edge from a centre (as generate.free_tree_shapes roots them), leaving
+  exactly the payload's stabilizer;
 * the Klein classes ride a theta core with branch lengths 2, 4, 4 whose
   shape symmetries form exactly the Klein four-group: the four off-center
   slots of the long branches carry a regular orbit (quad payload), the two
@@ -28,7 +30,6 @@ from functools import lru_cache
 from .generate import (
     Shape,
     free_tree_shapes,
-    shape_code,
     shape_height,
     shape_to_graph,
     skeleton_core,
@@ -91,21 +92,27 @@ def _chain(p: int) -> Shape:
     return sh
 
 
+@lru_cache(maxsize=None)
+def _key(sh: Shape) -> Shape:
+    """The shape with every child list sorted: equal iff isomorphic."""
+    return tuple(sorted(map(_key, sh)))
+
+
 def _separate(children: list[Shape]) -> list[Shape]:
-    """Make the children pairwise non-isomorphic (distinct shape codes) by
+    """Make the children pairwise non-isomorphic (distinct keys) by
     hanging a chain from a repeated one's root.  The chain is the shortest
     that is a fresh child class at that root (keeping the rooted
     stabilizer) and makes the padded shape fresh among the siblings."""
-    used: set[bytes] = set()
+    used: set[Shape] = set()
     out = []
     for child in children:
-        kids = {shape_code(c) for c in child}
+        kids = set(map(_key, child))
         padded, p = child, 0
-        while shape_code(padded) in used:
+        while _key(padded) in used:
             p += 1
-            if shape_code(_chain(p)) not in kids:
+            if _key(_chain(p)) not in kids:
                 padded = child + (_chain(p),)
-        used.add(shape_code(padded))
+        used.add(_key(padded))
         out.append(padded)
     return out
 

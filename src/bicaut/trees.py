@@ -14,14 +14,16 @@ The table takes O(n) memory whatever the depth.  Ids are local to their
 tree; shape_bytes turns them into node_code's bytes (the child count, then
 the child codes sorted and concatenated, so distinct shapes never share a
 prefix), which compare across trees: tree_code and bicyclic's slot codes
-are those bytes.  The automorphism group of a rooted tree is the iterated
-wreath product over the classes of isomorphic children, so it depends on
-the shape alone.  rooted_exprs builds a normalized expression only for
-the ids something reads: those asked for (a slot, the tree's root) and
-the base of each run of two or more equal children below them, each once,
-with its printed form as its sort key.  Every other shape only hands the
-factors of its runs up to the read shape above it, so a spine costs
-linear time and memory, not a product per spine vertex.
+are those bytes, and node_code, which shape_bytes calls per id, is the one
+place in the package that writes them.  The automorphism group of a rooted
+tree is the iterated wreath product over the classes of isomorphic
+children, so it depends on the shape alone.  rooted_exprs builds a
+normalized expression only for the ids something reads: those asked for (a
+slot, the tree's root) and the base of each run of two or more equal
+children below them, each once, with its printed form as its sort key.
+Every other shape only hands the factors of its runs up to the read shape
+above it, so a spine costs linear time and memory, not a product per spine
+vertex.
 
 Every RootedTree is the forest graphs.peel_core builds as it deletes
 leaves: whatever the peel leaves hangs below the virtual root g.n, which
@@ -115,12 +117,7 @@ def shape_bytes(t: RootedTree, ids: Sequence[int]) -> list[bytes]:
     its children's, which come before it."""
     out = [b"\0\0\0\0"]  # the leaf, id 0
     for kids in islice(t.shapes, 1, max(ids, default=0) + 1):
-        # node_code inline: a lone child's code needs no sort
-        if len(kids) == 1:
-            out.append(b"\0\0\0\1" + out[kids[0]])
-        else:
-            b = sorted(map(out.__getitem__, kids))
-            out.append(len(b).to_bytes(4, "big") + b"".join(b))
+        out.append(node_code(map(out.__getitem__, kids)))
     return list(map(out.__getitem__, ids))
 
 

@@ -14,7 +14,6 @@ from bicaut.bicyclic import (
     core_symmetries,
     decompose,
     emit_generators,
-    reconstruct,
 )
 from bicaut.generate import (
     CASE_LABELS,
@@ -68,6 +67,16 @@ C5 = skeleton_core("cycle", (5,))[0]
 C6 = skeleton_core("cycle", (6,))[0]
 # cyclomatic number 3, but disconnected
 TWO_THETAS = make_graph(8, list(DIAMOND.edges) + [(u + 4, v + 4) for u, v in DIAMOND.edges])
+
+
+def reconstruct(dec) -> Graph:
+    """Rebuild the original graph from a decomposition (exact round-trip):
+    the core by chaining PATH_ENDS over the layout (skeleton_core with its
+    slots renamed), the pendant edges from the tree's parents."""
+    core, _ = skeleton_core(dec.kind, dec.lengths)
+    edges = [(dec.layout[a], dec.layout[b]) for a, b in core.edges]
+    edges += [(v, p) for v, p in enumerate(dec.tree.parent[: dec.n]) if p != dec.n]
+    return make_graph(dec.n, edges)
 
 
 def test_decompose_round_trip():

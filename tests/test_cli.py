@@ -306,7 +306,10 @@ def test_realize_check_mismatch_and_skip(capsys, monkeypatch):
 
     monkeypatch.setattr(bicaut.cli, "automorphism_count", lambda g: 7)
     assert run(["realize", "S3", "--check"]) == EX_MISMATCH
-    assert "check: formula=6 oracle=7 MISMATCH" in capsys.readouterr().out
+    # the verdict goes to stderr, so stdout is the graph alone
+    captured = capsys.readouterr()
+    assert "check: formula=6 oracle=7 MISMATCH" in captured.err
+    assert from_edgelist(captured.out).n == 26
     # past the oracle bound the check is skipped, and the oracle never runs
     monkeypatch.setattr(bicaut.cli, "automorphism_count", None)
     monkeypatch.setenv("BICAUT_ORACLE_BOUND", "3")

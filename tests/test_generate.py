@@ -15,22 +15,19 @@ from bicaut.generate import (
     bicyclic_skeletons,
     case_instance,
     decorate,
-    free_code,
     free_tree_shapes,
     free_trees,
     random_bicyclic,
     random_tree,
     random_unicyclic,
     rooted_shapes,
-    shape_code,
-    shape_size,
     shape_to_graph,
     skeleton_core,
 )
 from bicaut.bicyclic import analyze
 from bicaut.graphs import adjacency, is_connected, make_graph, peel_core, skeleton_perms
 from bicaut.oracle import are_isomorphic
-from bicaut.trees import RootedTree, shape_bytes, tree_code
+from bicaut.trees import RootedTree, centers, shape_bytes, tree_code
 
 
 def test_rooted_shape_counts():
@@ -44,33 +41,24 @@ def test_free_tree_counts():
     # classical counts of free trees by size, and Otter's formula
     # t_n = r_n - (sum_{i+j=n} r_i r_j - [n even] r_{n/2}) / 2 over the
     # Cayley-Otter counts of rooted trees
-    want = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
-    assert [len(free_trees(n)) for n in range(1, 15)] == want
-    r = _rooted_counts(14)
-    for n in range(1, 15):
+    want = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741]
+    assert [len(free_trees(n)) for n in range(1, 16)] == want
+    r = _rooted_counts(15)
+    for n in range(1, 16):
         pairs = sum(r[i] * r[n - i] for i in range(1, n)) - (r[n // 2] if n % 2 == 0 else 0)
         assert r[n] - pairs // 2 == want[n - 1], n
 
 
-def test_free_code_matches_tree_code():
-    # the free-tree code read off a nested shape is tree_code's, which
-    # peels the realized graph to its centres
-    checked = 0
-    for n in range(1, 13):
-        for sh in rooted_shapes(n):
-            assert free_code(sh) == tree_code(shape_to_graph(sh)), sh
-            checked += 1
-    assert checked == 7813
-
-
 def test_free_tree_shapes_match_the_graph_dedup():
-    # the reference: deduplicate the rooted shapes by tree_code of their
-    # realized graphs, keeping the first shape per code, in code order
-    for n in range(1, 12):
-        seen = {}
-        for sh in rooted_shapes(n):
-            seen.setdefault(tree_code(shape_to_graph(sh)), sh)
-        assert free_tree_shapes(n) == tuple(seen[k] for k in sorted(seen)), n
+    # the engine's reference: the kept shapes' tree_codes (which peel the
+    # realized graph to its centres) are distinct and cover every rooted
+    # shape's, and each kept shape's root, vertex 0, is a centre
+    for n in range(1, 13):
+        kept = free_tree_shapes(n)
+        codes = [tree_code(shape_to_graph(sh)) for sh in kept]
+        assert len(set(codes)) == len(codes), n
+        assert set(codes) == {tree_code(shape_to_graph(sh)) for sh in rooted_shapes(n)}, n
+        assert all(0 in centers(shape_to_graph(sh)) for sh in kept), n
 
 
 def test_free_tree_shapes_build_no_graph(monkeypatch):
@@ -83,13 +71,17 @@ def test_free_tree_shapes_build_no_graph(monkeypatch):
     assert built == [] and peeled == []
 
 
-def test_shape_code_matches_realized_rooted_code():
-    for n in range(1, 8):
+def test_rooted_shapes_are_distinct_and_realize_at_their_size():
+    # rooted_shapes lists each rooted tree once: the engine's rooted codes
+    # of the realized shapes are pairwise distinct
+    for n in range(1, 9):
+        codes = set()
         for sh in rooted_shapes(n):
             g = shape_to_graph(sh)
-            assert shape_size(sh) == g.n == n
+            assert g.n == n
             t = RootedTree(peel_core(g, 0))
-            assert shape_code(sh) == shape_bytes(t, [t.code[0]])[0]
+            codes.add(shape_bytes(t, [t.code[0]])[0])
+        assert len(codes) == len(rooted_shapes(n)), n
 
 
 def test_skeleton_cores():

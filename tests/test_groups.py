@@ -136,6 +136,28 @@ def test_normalize_named_top_over_trivial_base():
     assert order(e) == 6
 
 
+def test_each_top_has_one_spelling():
+    # a top written with leading zeros reads as its plain name, so it
+    # normalizes, classifies and prints as that name does
+    for text, plain in (
+        ("semi(1,Z02)", "semi(1,Z2)"),
+        ("semi(S2,Z006)", "semi(S2,Z6)"),
+        ("semi(S2,dih(007))", "semi(S2,dih(7))"),
+    ):
+        e = parse_expr(text)
+        assert e == parse_expr(plain) and print_expr(e) == plain
+    assert normalize(parse_expr("semi(1,Z02)")) == S2
+    assert classify(normalize(parse_expr("semi(1,Z02)"))) == "T"
+    # only the plain spelling names a top, and Z0, Z1 name none
+    assert top_size("Z6") == 6
+    for name in ("Z06", "Z002", "Z0", "Z1", "dih(07)", "dih(0)"):
+        with pytest.raises(ValueError):
+            top_size(name)
+    for text in ("semi(S2,Z00)", "semi(S2,Z01)"):
+        with pytest.raises(ExprSyntaxError, match="unknown top group 'Z0"):
+            parse_expr(text)
+
+
 def test_normalize_idempotent_on_examples():
     cases = [
         Product((S3, Product((S2, Trivial())), S2)),

@@ -417,8 +417,11 @@ def test_rooted_generators():
 
 def test_rooted_generators_are_sparse_swaps():
     # every map moves exactly the vertices it names: an involution on its
-    # keys that keeps v and the root, and an automorphism once densified
-    trees = [(g, 0) for g in free_trees(8)] + [(BIN2, 1), (SPIDER, 2), (P5, 1)]
+    # keys that keeps v and the root, and an automorphism once densified;
+    # free_trees lists each tree with a centre at 0, so root them at every
+    # vertex
+    trees = [(g, r) for g in free_trees(8) for r in range(g.n)]
+    trees += [(BIN2, 1), (SPIDER, 2), (P5, 1)]
     for g, root in trees:
         t = RootedTree(peel_core(g, root))
         for v in range(g.n):
