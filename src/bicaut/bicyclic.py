@@ -37,16 +37,18 @@ Q is then cyclic or dihedral, and _generators picks the least element of
 largest order and, unless its powers fill Q, the least element outside
 them, cached per Q.  The engine shares no code with the oracle that
 checks it.
-Assembly rewrites the extension into an explicit expression from the
-orbits of Q on the layout, one slot expression per orbit: fixed slots
-contribute direct factors, an involution folds its 2-orbits into a wreath
-with Sym(2), a Klein four-group becomes the two-involution semidirect
-form, D4 and S3 give nested wreaths, and the larger tops either split
-into exact products of wreaths or stay as explicit semidirect terms
-(which always preserve the order).  Every rule builds its normal form
-directly with the groups constructors (direct_product, wreath,
-klein_semidirect, semi_top) from the normalized slot expressions, so
-nothing is normalized twice.
+Assembly rewrites the extension into an explicit expression by a rule
+picked by |Q| alone (a bicyclic Q of order 4 is always a Klein
+four-group, and a theta's of order 6 fixes both branch ends): the slot
+product for the trivial Q and, for an involution, the fold of its
+2-orbits into a wreath with Sym(2), both with no orbit pass; the full
+theta top's own fold; a cycle's larger Q as a named top; and one pass
+over Q's orbits on the layout, one slot expression per orbit, for the
+Klein four-group's two-involution semidirect form and the nested
+wreaths of S3 and D4.  A named top (semi(...)) keeps the order and
+nothing finer.  Every rule builds its normal form directly with the
+groups constructors (direct_product, wreath, klein_semidirect, semi_top)
+from the normalized slot expressions, so nothing is normalized twice.
 """
 from __future__ import annotations
 
@@ -214,63 +216,17 @@ def _orbits(Q: CoreGroup, size: int) -> list[list[int]]:
     return out
 
 
-def _klein_assemble(exprs: list[GroupExpr], Q: CoreGroup, orbits) -> GroupExpr:
-    """Exact expression for a Klein four-group <a, b> of core symmetries.
-
-    Orbits of size 4 are regular and carry the quad coordinates.  A 2-orbit
-    has an order-2 stabilizer, so exactly one of a, b and ab fixes it
-    pointwise.  Only two involutions ever fix 2-orbits: the end flip and
-    the branch swap on a theta, the two flips or the central reversal on
-    two cycles, the two reflections on a cycle.  Which of them fixes a pair
-    puts it in the h or the k coordinates of the semidirect form."""
-    a, b = Q.gens
-    fixed: list[GroupExpr] = []
-    quads: list[GroupExpr] = []
-    pairs: dict[int, list[GroupExpr]] = {}
-    for orb in orbits:
-        i = orb[0]
-        if len(orb) == 1:
-            fixed.append(exprs[i])
-        elif len(orb) == 4:
-            quads.append(exprs[i])
-        else:  # keyed by whichever of a, b and ab fixes it
-            pairs.setdefault(0 if a[i] == i else 1 if b[i] == i else 2, []).append(exprs[i])
-    h, k = [*map(direct_product, pairs.values()), Trivial(), Trivial()][:2]
-    return direct_product(fixed + [klein_semidirect(direct_product(quads), h, k)])
-
-
-def _top_name(dec: Decomposition, Q: CoreGroup) -> str:
-    """The name of a top that no exact rule splits.  A cycle's Q is the
-    rotations by multiples of its necklace period, plus as many reflections
-    if there are any: dih(r) or Zr.  The only bicyclic top that gets here
-    is the order-12 theta top that _theta_full_fold cannot split: every
-    other code-keeping subgroup of S3 x Z2 or D4 has its own rule, since
-    one of order 3, a Z4, or one of order 6 moving the branch vertices
-    would hold a 3-cycle of branches or one cycle's flip alone, and so be
-    larger."""
-    if dec.kind != "cycle":
-        return "S3xZ2"
-    if any((q[1] - q[0]) % len(q) != 1 for q in Q.gens):  # one reflects
-        return "dih(%d)" % (len(Q) // 2)
-    return "Z%d" % len(Q)
-
-
-def _honest_semi(dec: Decomposition, Q: CoreGroup) -> GroupExpr:
-    """Order-preserving fallback: the slot product with a named top of the
-    right size."""
-    return semi_top(direct_product(dec.exprs), _top_name(dec, Q))
-
-
-def _theta_full_fold(dec: Decomposition, Q: CoreGroup) -> GroupExpr:
+def _theta_full_fold(dec: Decomposition) -> GroupExpr:
     """Full order-12 theta top.  The flip part acts only on the branch
     vertices and the S3 part only on the branch midpoints whenever every
     off-center branch slot is trivial; then the two wreaths split off
-    exactly.  Otherwise fall back to the explicit semidirect form."""
+    exactly.  Otherwise the slot product stays extended by the named top,
+    which keeps the order and nothing finer."""
     exprs = dec.exprs
     branch = exprs[2 : 1 + dec.lengths[0]]  # the first branch's interior
     half = len(branch) // 2
     if not all(isinstance(e, Trivial) for e in branch[:half]):
-        return _honest_semi(dec, Q)
+        return semi_top(direct_product(exprs), "S3xZ2")
     mid = branch[half] if len(branch) % 2 else Trivial()
     return direct_product([wreath(exprs[0], 2), wreath(mid, 3)])
 
@@ -305,15 +261,22 @@ def _case_label(dec: Decomposition, Q: CoreGroup) -> str:
 
 
 def _assemble(dec: Decomposition, Q: CoreGroup) -> GroupExpr:
-    """The slot product extended by Q.  An exact rule takes one slot
-    expression per orbit of Q on the layout, Fs for the orbits of size s
-    (Q keeps slot ids, so an orbit's slots share one expression):
-    - an involution s: F1 x wr(F2, 2), read off s with no orbit pass;
-    - a Klein four-group: _klein_assemble;
-    - D4 on a shared or dumbbell core, or on C4: F1 x wr(F2 x wr(F4, 2), 2),
-      the swap of the two cycles over one cycle's side and its flip;
-    - S3 on a theta, its branch vertices fixed, or on C3: F1 x wr(F3, 3).
-    The full theta top has its own fold, and any other Q a named top."""
+    """The slot product extended by Q, the rule picked by |Q|.  An exact
+    rule takes one slot expression per orbit of Q on the layout, Fs for the
+    orbits of size s (Q keeps slot ids, so an orbit's slots share one):
+    - 1: the slot product; 2, an involution s: F1 x wr(F2, 2), read off s;
+    - a cycle's other Q, unless a Klein four-group, D3 on C3 or D4 on C4:
+      the named top dih(r) or Zr, which keeps the order and nothing finer;
+    - 12, the full theta top: _theta_full_fold;
+    - 4, a Klein four-group <a, b>: F1 x b2(F4, h, k).  A 2-orbit has an
+      order-2 stabilizer, so exactly one of a, b and ab fixes it, and only
+      two of them ever fix 2-orbits (the end flip and the branch swap on a
+      theta, the two flips or the central reversal on two cycles, the two
+      reflections on a cycle): the pairs one fixes are h, the other's k;
+    - 6, S3 on a theta's branches or on C3: F1 x wr(F3, 3);
+    - 8, D4 on two cycles or on C4: F1 x wr(F2 x wr(F4, 2), 2), the swap
+      of the two cycles over one cycle's side and its flip.
+    The last three take one pass over Q's orbits."""
     exprs, k = dec.exprs, len(Q)
     if k == 1:
         return direct_product(exprs)
@@ -322,24 +285,31 @@ def _assemble(dec: Decomposition, Q: CoreGroup) -> GroupExpr:
         fixed = [e for i, e in enumerate(exprs) if s[i] == i]
         pairs = [e for i, e in enumerate(exprs) if s[i] > i]
         return direct_product(fixed + [wreath(direct_product(pairs), 2)])
-    cycle = dec.kind == "cycle"
-    klein = k == 4 and len(Q.gens) == 2
-    d4 = k == 8 and (not cycle or len(exprs) == 4)
-    s3 = k == 6 and (len(exprs) == 3 if cycle else all(q[0] == 0 for q in Q.gens))
-    if not (klein or d4 or s3):
-        if dec.kind == "theta" and k == 12:
-            return _theta_full_fold(dec, Q)
-        return _honest_semi(dec, Q)
-    orbits = _orbits(Q, len(exprs))
-    if klein:
-        return _klein_assemble(exprs, Q, orbits)
+    if dec.kind == "cycle" and not (k == 4 and len(Q.gens) == 2 or k == 2 * len(exprs) <= 8):
+        reflects = any((q[1] - q[0]) % len(q) != 1 for q in Q.gens)
+        return semi_top(direct_product(exprs), "dih(%d)" % (k // 2) if reflects else "Z%d" % k)
+    # |Q| alone picks a bicyclic core's rule: a Z4 in D4, or a 3-cycle of
+    # theta branches, keeps slot ids only together with the whole group, so
+    # every Q of order 4 is a Klein four-group, and of order 6 fixes both
+    # branch ends of a theta
+    if k == 12:
+        return _theta_full_fold(dec)
+    a, b = Q.gens
     F: dict[int, list[GroupExpr]] = {1: [], 2: [], 3: [], 4: []}
-    for orb in orbits:
-        F[len(orb)].append(exprs[orb[0]])
-    if d4:
-        side = direct_product(F[2] + [wreath(direct_product(F[4]), 2)])
-        return direct_product(F[1] + [wreath(side, 2)])
-    return direct_product(F[1] + [wreath(direct_product(F[3]), 3)])
+    fixed_by: dict[int, list[GroupExpr]] = {}  # a Klein pair, by a, b or ab
+    for orb in _orbits(Q, len(exprs)):
+        i = orb[0]
+        F[len(orb)].append(exprs[i])
+        if len(orb) == 2:
+            fixed_by.setdefault(0 if a[i] == i else 1 if b[i] == i else 2, []).append(exprs[i])
+    if k == 4:
+        hk = [*map(direct_product, fixed_by.values()), Trivial(), Trivial()][:2]
+        top = klein_semidirect(direct_product(F[4]), *hk)
+    elif k == 6:
+        top = wreath(direct_product(F[3]), 3)
+    else:
+        top = wreath(direct_product(F[2] + [wreath(direct_product(F[4]), 2)]), 2)
+    return direct_product(F[1] + [top])
 
 
 # --- entry points ------------------------------------------------------------

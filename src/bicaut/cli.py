@@ -9,8 +9,9 @@ Subcommands:
 * fuzz: cross-check many generated graphs against the oracle.
 
 Exit codes: 0 ok, 2 bad input, 3 unsupported graph family, 4 verification
-mismatch, 5 expression outside the realizable classes, 6 vertex budget
-exceeded.
+mismatch, 5 expression outside the realizable classes, 6 too large: vertex
+budget or memory.  Running out of memory prints the innermost function
+that failed, once that call's frames are freed.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from .bicyclic import UnsupportedFamilyError, analyze, emit_generators
 from .generate import (
     CASE_LABELS,
     all_bicyclic,
+    all_unicyclic,
     case_instance,
     random_bicyclic,
     random_unicyclic,
@@ -172,7 +174,8 @@ def _cmd_realize(args) -> int:
 
 def _fuzz_stream(args, rng: random.Random):
     if args.exhaustive:
-        for n in range(4, args.max_n + 1):
+        for n in range(3, args.max_n + 1):
+            yield from all_unicyclic(n)
             yield from all_bicyclic(n)
         return
     for i in range(args.count):
@@ -262,16 +265,28 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--exhaustive",
         action="store_true",
-        help="all bicyclic graphs with at most --max-n vertices",
+        help="all unicyclic and bicyclic graphs with at most --max-n vertices",
     )
     sp.set_defaults(fn=_cmd_fuzz)
     return p
+
+
+def _innermost(tb) -> str:
+    """The name of the function in which a traceback ends, with its class
+    where the interpreter keeps it (3.11 on)."""
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    code = tb.tb_frame.f_code
+    return getattr(code, "co_qualname", code.co_name)
 
 
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
+    except MemoryError as exc:
+        # reported after the handler, which frees the failed call's frames
+        where = _innermost(exc.__traceback__)
     except ExprSyntaxError as exc:
         print("expression error: %s" % exc, file=sys.stderr)
         return EX_INPUT
@@ -287,6 +302,8 @@ def run(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EX_INPUT
+    print("too large: out of memory in %s" % where, file=sys.stderr)
+    return EX_BUDGET
 
 
 def main() -> None:

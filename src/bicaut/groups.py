@@ -133,6 +133,10 @@ class SemiTop:
     base: "GroupExpr"
     top: str
 
+    def __post_init__(self) -> None:
+        if _read_top(self.top) is None:
+            raise ValueError("unknown top group name %r" % self.top)
+
 
 GroupExpr = (
     Trivial

@@ -479,6 +479,28 @@ def test_klein_expression_shape():
     assert order(a.expr) == automorphism_count(decorated) == 64
 
 
+def test_q_order_alone_picks_the_bicyclic_rule():
+    # _assemble picks a bicyclic core's rule by |Q| alone: over every
+    # bicyclic graph with n <= 10, each kind meets only the orders below,
+    # every Q of order 4 is a Klein four-group on two generators, and every
+    # theta Q of order 6 is S3 on the branches, fixing both branch ends
+    pairs = Counter()
+    for n in range(4, 11):
+        for g in all_bicyclic(n):
+            dec = decompose(g)
+            Q = core_symmetries(dec)
+            pairs[dec.kind, len(Q)] += 1
+            if len(Q) == 4:
+                assert len(Q.gens) == 2, g.edges
+            if dec.kind == "theta" and len(Q) == 6:
+                assert all(q[0] == 0 and q[1] == 1 for q in Q.gens), g.edges
+    assert sum(pairs.values()) == 3803
+    assert set(pairs) == {
+        *(("theta", k) for k in (1, 2, 4, 6, 12)),
+        *((kind, k) for kind in ("shared", "dumbbell") for k in (1, 2, 4, 8)),
+    }
+
+
 def test_matches_oracle_small():
     for n in range(4, 8):
         for g in all_bicyclic(n):

@@ -1,9 +1,12 @@
 """End-to-end runs of the command line interface."""
+import os
 import re
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from bicaut.cli import (
     EX_BUDGET,
@@ -298,7 +301,9 @@ def test_fuzz_rejects_small_max_n(capsys):
 def test_fuzz_exhaustive(capsys):
     assert run(["fuzz", "--exhaustive", "--max-n", "6"]) == EX_OK
     out = capsys.readouterr().out
-    assert "checked=25 mismatches=0" in out
+    # 21 unicyclic and 25 bicyclic graphs with n <= 6
+    assert "unicyclic=21" in out.splitlines()
+    assert "checked=46 mismatches=0" in out
 
 
 def test_realize_check_mismatch_and_skip(capsys, monkeypatch):
@@ -359,3 +364,46 @@ def test_order_probe_smoke():
     assert done.returncode == 0, done.stderr
     line, = done.stdout.splitlines()
     assert re.fullmatch(r"tree n=60 generators=\d+ cpu_s=\d+\.\d\d order=ok", line), line
+
+
+# A child that caps its own address space at its size after importing
+# bicaut plus CAP MB, then runs `bicaut aut` on the file given
+_CAPPED_AUT = """
+import resource, sys
+from bicaut.cli import run
+with open("/proc/self/status") as fh:
+    size = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+cap = size * 1024 + int(sys.argv[1]) * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(run(["aut", sys.argv[2]]))
+"""
+
+
+def test_out_of_memory_is_exit_6(tmp_path):
+    # a 10^5-vertex path under address-space caps a few MB above the
+    # interpreter's own size fails in the peel or the forest: each run
+    # exits 0 or 6, never with a traceback, and the tight caps exit 6
+    pytest.importorskip("resource")
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    n = 100_000
+    path = tmp_path / "path.txt"
+    path.write_text(
+        "%d %d\n" % (n, n - 1) + "".join("%d %d\n" % (i, i + 1) for i in range(n - 1)),
+        encoding="ascii",
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+    codes = []
+    for cap_mb in (2, 5, 10, 20):
+        done = subprocess.run(
+            [sys.executable, "-c", _CAPPED_AUT, str(cap_mb), str(path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode in (EX_OK, EX_BUDGET), done.stderr
+        assert "Traceback" not in done.stderr, done.stderr
+        if done.returncode == EX_BUDGET:
+            assert done.stderr.startswith("too large: out of memory in "), done.stderr
+        codes.append(done.returncode)
+    assert EX_BUDGET in codes

@@ -52,6 +52,10 @@ def test_constructor_validation():
         Dihedral(0)
     with pytest.raises(ValueError):
         top_size("Q8")
+    # a top name _read_top does not know, so print_expr could not round-trip
+    for name in ("Q8", "Z1", "Z02"):
+        with pytest.raises(ValueError):
+            SemiTop(S2, name)
 
 
 def test_normalize_products_flatten_and_sort():
