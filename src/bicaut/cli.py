@@ -10,8 +10,9 @@ Subcommands:
 
 Exit codes: 0 ok, 2 bad input, 3 unsupported graph family, 4 verification
 mismatch, 5 expression outside the realizable classes, 6 too large: vertex
-budget or memory.  Running out of memory prints the innermost function
-that failed, once that call's frames are freed.
+budget, memory or recursion depth.  Running out of memory or recursing
+past the interpreter's limit prints the innermost function that failed,
+once that call's frames are freed.
 """
 from __future__ import annotations
 
@@ -189,6 +190,8 @@ def _fuzz_stream(args, rng: random.Random):
 
 
 def _cmd_fuzz(args) -> int:
+    if args.count < 0:
+        raise ValueError("--count must be at least 0, got %d" % args.count)
     if not args.exhaustive and args.max_n < 5:
         # random bicyclic graphs are drawn with 5 to --max-n vertices
         raise ValueError(
@@ -284,8 +287,9 @@ def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except MemoryError as exc:
+    except (MemoryError, RecursionError) as exc:
         # reported after the handler, which frees the failed call's frames
+        what = "out of memory" if isinstance(exc, MemoryError) else "recursion too deep"
         where = _innermost(exc.__traceback__)
     except ExprSyntaxError as exc:
         print("expression error: %s" % exc, file=sys.stderr)
@@ -302,7 +306,7 @@ def run(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EX_INPUT
-    print("too large: out of memory in %s" % where, file=sys.stderr)
+    print("too large: %s in %s" % (what, where), file=sys.stderr)
     return EX_BUDGET
 
 

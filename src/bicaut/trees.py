@@ -13,17 +13,17 @@ isomorphic siblings is one run of equal ids, which no walk groups again.
 The table takes O(n) memory whatever the depth.  Ids are local to their
 tree; shape_bytes turns them into node_code's bytes (the child count, then
 the child codes sorted and concatenated, so distinct shapes never share a
-prefix), which compare across trees: tree_code and bicyclic's slot codes
-are those bytes, and node_code, which shape_bytes calls per id, is the one
-place in the package that writes them.  The automorphism group of a rooted
-tree is the iterated wreath product over the classes of isomorphic
-children, so it depends on the shape alone.  rooted_exprs builds a
-normalized expression only for the ids something reads: those asked for (a
-slot, the tree's root) and the base of each run of two or more equal
-children below them, each once, with its printed form as its sort key.
-Every other shape only hands the factors of its runs up to the read shape
-above it, so a spine costs linear time and memory, not a product per spine
-vertex.
+prefix), which compare across trees: tree_code is those bytes, bicyclic
+turns its int slot codes into them only in Decomposition.slots, and
+node_code, which shape_bytes calls per id, is the one place in the package
+that writes them.  The automorphism group of a rooted tree is the iterated
+wreath product over the classes of isomorphic children, so it depends on
+the shape alone.  rooted_exprs builds a normalized expression only for the
+ids something reads: those asked for (a slot, the tree's root) and the
+base of each run of two or more equal children below them, each once,
+with groups.wreath and groups.direct_product alone.  Every other shape
+only hands the factors of its runs up to the read shape above it, so a
+spine costs linear time and memory, not a product per spine vertex.
 
 Every RootedTree is the forest graphs.peel_core builds as it deletes
 leaves: whatever the peel leaves hangs below the virtual root g.n, which
@@ -59,10 +59,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from itertools import islice
-from operator import itemgetter, ne
+from operator import ne
 
 from .graphs import Graph, Peel, make_graph, peel_core
-from .groups import GroupExpr, Product, Trivial, wreath
+from .groups import GroupExpr, Trivial, direct_product, wreath
 
 
 def node_code(kid_codes) -> bytes:
@@ -128,41 +128,33 @@ def rooted_exprs(t: RootedTree, ids: Iterable[int]) -> list[GroupExpr]:
     Only the shapes something reads get an expression of their own: the
     ids asked for, and the base of each run of two or more equal children
     met on the way, which groups.wreath takes whole.  Each is built once
-    (_read_shape) and kept with its printed form, print_expr's string.
-    Every other shape is walked through: its runs of one child hand their
-    factors up, so no shape copies its children's factor lists and a
-    caterpillar costs linear time and memory.  The walks of the ids asked
-    for cover their subtrees, and each run base's walk stops at the runs
-    below it; a base has at most half its parent's vertices, so the walks
-    total O(n) and the builds nest O(log n) deep."""
-    read: dict[int, tuple[str, GroupExpr]] = {0: ("1", Trivial())}
-    wreaths: dict[tuple[int, int], tuple[str, GroupExpr]] = {}
+    (_read_shape).  Every other shape is walked through: its runs of one
+    child hand their factors up, so no shape copies its children's factor
+    lists and a caterpillar costs linear time and memory.  The walks of the
+    ids asked for cover their subtrees, and each run base's walk stops at
+    the runs below it; a base has at most half its parent's vertices, so
+    the walks total O(n) and the builds nest O(log n) deep."""
+    read: dict[int, GroupExpr] = {0: Trivial()}
+    wreaths: dict[tuple[int, int], GroupExpr] = {}
     out = []
     for i in ids:
         if i not in read:
             _read_shape(t.shapes, i, read, wreaths)
-        out.append(read[i][1])
+        out.append(read[i])
     return out
 
 
 def _read_shape(shapes, s, read, wreaths) -> None:
-    """Set read[s] to shape id s's (printed form, normalized expression).
+    """Set read[s] to shape id s's normalized expression.
 
     A walk from s down every run of one child gathers the factors: each run
     of k >= 2 children of id c gives one, wreath(group of c, Sym(k)), made
-    once per (c, k) in wreaths with its printed form built from c's (c is
-    read first), and a leaf gives none.  The factors are sorted by printed
-    form, as groups.direct_product sorts them, with no form printed again:
-    the result is the normal form, and its printed form is the forms
-    joined by '*'."""
+    once per (c, k) in wreaths (c is read first), and a leaf gives none.
+    groups.direct_product of the factors is the normal form."""
     factors = []
     stack = [s]
     while stack:
         kids = shapes[stack.pop()]
-        if len(kids) == 1:  # a lone child hands its factors up
-            if kids[0]:
-                stack.append(kids[0])
-            continue
         i = 0
         while i < len(kids):
             c = kids[i]
@@ -175,18 +167,10 @@ def _read_shape(shapes, s, read, wreaths) -> None:
                 if w is None:
                     if c not in read:
                         _read_shape(shapes, c, read, wreaths)
-                    key, base = read[c]
-                    # print_expr of wreath(base, j - i), from base's form
-                    key = "S%d" % (j - i) if key == "1" else "wr(%s,S%d)" % (key, j - i)
-                    w = wreaths[c, j - i] = key, wreath(base, j - i)
+                    w = wreaths[c, j - i] = wreath(read[c], j - i)
                 factors.append(w)
             i = j
-    if len(factors) > 1:
-        factors.sort(key=itemgetter(0))
-        keys, exprs = zip(*factors)
-        read[s] = "*".join(keys), Product(exprs)
-    else:
-        read[s] = factors[0] if factors else read[0]
+    read[s] = direct_product(factors)
 
 
 def rooted_aut_expr(g: Graph, root: int) -> GroupExpr:

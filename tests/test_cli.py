@@ -298,6 +298,13 @@ def test_fuzz_rejects_small_max_n(capsys):
     assert "--max-n must be at least 5" in capsys.readouterr().err
 
 
+def test_fuzz_rejects_negative_count(capsys):
+    assert run(["fuzz", "--count", "-3"]) == EX_INPUT
+    assert "--count must be at least 0, got -3" in capsys.readouterr().err
+    assert run(["fuzz", "--count", "0"]) == EX_OK
+    assert capsys.readouterr().out.splitlines() == ["checked=0 mismatches=0"]
+
+
 def test_fuzz_exhaustive(capsys):
     assert run(["fuzz", "--exhaustive", "--max-n", "6"]) == EX_OK
     out = capsys.readouterr().out
@@ -334,6 +341,20 @@ def test_fuzz_reports_mismatch(capsys, monkeypatch):
     for line in lines:
         g = from_graph6(line[len("mismatch: "):])
         assert len(g.edges) == g.n + 1  # each generated graph is bicyclic
+
+
+def test_recursion_too_deep_is_exit_6(tmp_path, capsys, monkeypatch):
+    # a RecursionError anywhere below run is reported, not a traceback
+    import bicaut.cli
+
+    def descend(g):
+        return descend(g)
+
+    monkeypatch.setattr(bicaut.cli, "analyze", descend)
+    assert run(["aut", _write(tmp_path, DIAMOND)]) == EX_BUDGET
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"too large: recursion too deep in \S*descend\n", err), err
+    assert "Traceback" not in err
 
 
 def test_scale_probe_smoke():

@@ -156,7 +156,8 @@ def test_generate_shares_no_code_with_the_engine():
 
 def test_engine_builds_normal_forms():
     # the tree and bicyclic engines build normal forms with the groups
-    # constructors, so neither imports normalize to walk a result again
+    # constructors, so neither imports normalize to walk a result again,
+    # and neither names Product: every product comes from direct_product
     for name in ("bicyclic", "trees"):
         tree = ast.parse((SRC_DIR / (name + ".py")).read_text(encoding="utf-8"))
         names = set()
@@ -168,6 +169,7 @@ def test_engine_builds_normal_forms():
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
         assert "normalize" not in names, name
+        assert "Product" not in names, name
 
 
 def test_decompose_roots_its_tree_on_the_peel_skeleton_reads():
